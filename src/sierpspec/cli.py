@@ -50,11 +50,6 @@ from .verify import (
 USAGE_ERROR = 2
 VIOLATION = 1
 
-# kicked coordinates run to hundreds of thousands of digits
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-
-
 class InputError(Exception):
     """Malformed input file or inconsistent flags (exit code 2)."""
 
@@ -423,6 +418,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    # kicked coordinates run to hundreds of thousands of digits; the caller's
+    # int/str conversion limit comes back when the command returns
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InputError as exc:
@@ -431,6 +431,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

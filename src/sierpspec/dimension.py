@@ -4,14 +4,18 @@ The counting estimator regresses log ball-count against log radius over a
 geometric scale grid, taking the sup over centers from a finite policy (the
 densest balls of these digit-generated sets center on points of the set, so
 candidate centers are the origin plus generated points; this is a documented
-heuristic, the true sup is over all of R^2).  Counting is exact: huge kicked
-coordinates are compared in symbolic form and never expanded unless small.
+heuristic, the true sup is over all of R^2).  Counting is exact and costs one
+squared distance per (point, center) pair for the whole scale grid.  A point
+whose coordinate the top term of its symbolic form puts beyond the largest
+radius is dropped unexpanded, so huge coordinates are never squared; concrete
+points and integer centers below 2^30 are counted in int64.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +29,13 @@ from .lattice import (
     scalar_parts,
     sym,
     sym_diff,
-    sym_dist2_lt,
 )
 from .treemap import SpectrumPoint, SpectrumPrefix
 
-INT64_SAFE = 2**63 - 1
+# Concrete coordinates strictly below this in absolute value take the int64
+# branch: two differences of them square and add to less than 2^63.
+_I64_COORD = 2**30
+_I64_MAX = 2**63 - 1
 
 
 def _as_symvecs(points, p=None):
@@ -47,41 +53,76 @@ def _as_symvecs(points, p=None):
     return out, p
 
 
-def _center_to_symvec(center) -> SymVec | tuple[Fraction, Fraction]:
+def _center_parts(center) -> tuple[SymVec, int]:
+    """A center as an integer numerator and denominator: center = num / den."""
     if isinstance(center, SpectrumPoint):
-        return center.value
+        return center.value, 1
     if isinstance(center, SymVec):
-        return center
-    cx, cy = center
-    if isinstance(cx, int) and isinstance(cy, int):
-        return sym((cx, cy))
-    return (Fraction(cx), Fraction(cy))
+        return center, 1
+    cx, cy = Fraction(center[0]), Fraction(center[1])
+    den = math.lcm(cx.denominator, cy.denominator)
+    return sym((int(cx * den), int(cy * den))), den
 
 
-def _dist2_lt_frac_center(v: SymVec, center, h2: Fraction, p) -> bool:
-    cx, cy = center
-    h = Fraction(math.isqrt(h2.numerator * h2.denominator) + 1, h2.denominator)
-    coords = []
-    for axis, c in ((0, cx), (1, cy)):
-        b, terms, B = scalar_parts(v, p, axis)
-        den = c.denominator
-        scaled_terms = [(e, coef * den) for e, coef in terms]
-        if not scalar_abs_lt(b * den - c.numerator, scaled_terms, B, h * den):
-            return False
-        coords.append(Fraction(scalar_materialize(b, terms, B)) - c)
-    return coords[0] ** 2 + coords[1] ** 2 < h2
+def _is_small(v: SymVec) -> bool:
+    return v.is_concrete and abs(v.base[0]) < _I64_COORD and abs(v.base[1]) < _I64_COORD
+
+
+def _max_ball_counts(vecs, centers, scales, p) -> list[int]:
+    """Per scale h, the most points at distance < h from any one of the centers.
+
+    For a center num/den, each point's den^2 |v - center|^2 is worked out once,
+    exactly, and the count at h is the number of these below den^2 h^2.
+    """
+    small, rest = [], []
+    for v in vecs:
+        (small if _is_small(v) else rest).append(v)
+    xs, ys = np.array([v.base for v in small], dtype=np.int64).reshape(-1, 2).T
+    h2s = [Fraction(h) ** 2 for h in scales]
+    best = [0] * len(scales)
+    for center in centers:
+        c, den = _center_parts(center)
+        reach = Fraction(max(scales)) * den
+        fast = den == 1 and _is_small(c)
+        d2s = []
+        for v in rest if fast else vecs:
+            if den != 1:
+                v = SymVec((v.base[0] * den, v.base[1] * den),
+                           tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+            d = sym_diff(v, c)
+            coords = []
+            for axis in (0, 1):
+                b, terms, B = scalar_parts(d, p, axis)
+                if not scalar_abs_lt(b, terms, B, reach):
+                    break
+                coords.append(scalar_materialize(b, terms, B))
+            else:
+                d2s.append(coords[0] ** 2 + coords[1] ** 2)
+        d2s.sort()
+        if fast:
+            dx, dy = xs - c.base[0], ys - c.base[1]
+            d2 = dx * dx + dy * dy
+        for i, h2 in enumerate(h2s):
+            # an integer is below den^2 h^2 exactly when it is below its ceiling
+            bound = -(-h2.numerator * den * den // h2.denominator)
+            n = bisect_left(d2s, bound)
+            if fast:
+                n += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
+            best[i] = max(best[i], n)
+    return best
 
 
 def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
-    """Exact number of points at Euclidean distance < h from the center."""
+    """Exact number of points at Euclidean distance < h from the center.
+
+    The center is a lattice point or a pair of rationals.  Each point costs one
+    exact distance; a point with a coordinate beyond h of the center's is
+    dropped on its top symbolic term, so huge coordinates are never squared.
+    """
     if h <= 0:
         raise ValueError("radius must be positive")
     vecs, p = _as_symvecs(points, p)
-    h2 = Fraction(h) ** 2
-    c = _center_to_symvec(center)
-    if isinstance(c, SymVec):
-        return sum(1 for v in vecs if sym_dist2_lt(sym_diff(v, c), p, h2))
-    return sum(1 for v in vecs if _dist2_lt_frac_center(v, c, h2, p))
+    return _max_ball_counts(vecs, [center], [h], p)[0]
 
 
 @dataclass(frozen=True)
@@ -108,12 +149,17 @@ def _resolve_centers(vecs, policy, seed):
         return [sym((0, 0))]
     if policy == "points":
         return [sym((0, 0))] + list(vecs)
-    if isinstance(policy, str) and policy.startswith("sample:"):
-        n = int(policy.split(":", 1)[1])
+    if isinstance(policy, str):
+        kind, _, n = policy.partition(":")
+        if kind != "sample" or not n.isdigit():
+            raise ValueError(
+                f"centers must be 'origin', 'points' or 'sample:N' with N >= 0, "
+                f"got {policy!r}"
+            )
         rng = random.Random(seed)
-        chosen = list(vecs) if len(vecs) <= n else rng.sample(list(vecs), n)
+        chosen = list(vecs) if len(vecs) <= int(n) else rng.sample(list(vecs), int(n))
         return [sym((0, 0))] + chosen
-    return [_center_to_symvec(c) for c in policy]
+    return list(policy)
 
 
 def beurling_dim_estimate(
@@ -128,7 +174,10 @@ def beurling_dim_estimate(
 
     centers: "origin", "points", "sample:N" (origin plus a seeded sample of
     generated points), or an explicit list.  Counting is exact; the regression
-    is an estimate whose window the caller controls.
+    is an estimate whose window the caller controls.  Each (point, center)
+    pair costs one exact distance for the whole grid, and a point with a
+    coordinate beyond the largest scale is dropped on its top symbolic term,
+    so huge coordinates are never squared.
 
     The Beurling dimension is a limit as h -> oo, and a finite window is
     biased for sets of dimension zero: counts that grow like log h give a
@@ -145,33 +194,8 @@ def beurling_dim_estimate(
     if len(set(scales)) != len(scales) or any(h <= 0 for h in scales):
         raise ValueError("scales must be positive and distinct")
     scales.sort()
-    center_vecs = _resolve_centers(vecs, centers, seed)
-    counts = []
-    fast = _Int64Counter.build(vecs, scales, center_vecs, p)
-    if fast is None:
-        concrete = [v.base for v in vecs if v.is_concrete]
-        symbolic = [v for v in vecs if not v.is_concrete]
-    for h in scales:
-        h2 = Fraction(h) ** 2
-        best = 0
-        for c in center_vecs:
-            if fast is not None:
-                n = fast.count(c, h)
-            elif c.is_concrete and isinstance(h, int):
-                cx, cy = c.base
-                hh = h * h
-                n = sum(
-                    1 for x, y in concrete if (x - cx) ** 2 + (y - cy) ** 2 < hh
-                ) + sum(
-                    1
-                    for v in symbolic
-                    if sym_dist2_lt(sym_diff(v, c), p, h2)
-                )
-            else:
-                n = sum(1 for v in vecs if sym_dist2_lt(sym_diff(v, c), p, h2))
-            if n > best:
-                best = n
-        counts.append(best)
+    center_list = _resolve_centers(vecs, centers, seed)
+    counts = _max_ball_counts(vecs, center_list, scales, p)
     if min(counts) < 1:
         raise ValueError("every scale needs a nonempty densest ball; enlarge scales")
     xs = np.log(np.array([float(h) for h in scales]))
@@ -183,60 +207,8 @@ def beurling_dim_estimate(
         counts=tuple(counts),
         slope=float(slope),
         fit_residual=resid,
-        centers_used=len(center_vecs),
+        centers_used=len(center_list),
     )
-
-
-class _Int64Counter:
-    """Vectorized exact counting when every coordinate fits comfortably in int64.
-
-    Symbolic points with huge kick terms are kept aside: against an int64
-    center they lie outside every grid scale iff the exact symbolic test says
-    so, which is checked per point (cheap, the top term dominates).
-    """
-
-    def __init__(self, arr, sym_vecs, p):
-        self.arr = arr
-        self.sym_vecs = sym_vecs
-        self.p = p
-
-    @classmethod
-    def build(cls, vecs, scales, center_vecs, p):
-        concrete = []
-        symbolic = []
-        for v in vecs:
-            (concrete if v.is_concrete else symbolic).append(v)
-        hmax = max(scales)
-        if not isinstance(hmax, int):
-            return None
-        bound = 0
-        for v in concrete:
-            bound = max(bound, abs(v.base[0]), abs(v.base[1]))
-        for c in center_vecs:
-            if not c.is_concrete:
-                return None
-            bound = max(bound, abs(c.base[0]), abs(c.base[1]))
-        if (2 * bound) ** 2 * 2 > INT64_SAFE or hmax**2 > INT64_SAFE:
-            return None
-        arr = np.array([v.base for v in concrete], dtype=np.int64).reshape(-1, 2)
-        return cls(arr, symbolic, p)
-
-    def count(self, center: SymVec, h: int) -> int:
-        cx, cy = center.base
-        if len(self.arr):
-            dx = self.arr[:, 0] - cx
-            dy = self.arr[:, 1] - cy
-            n = int(np.count_nonzero(dx * dx + dy * dy < h * h))
-        else:
-            n = 0
-        if self.sym_vecs:
-            h2 = Fraction(h) ** 2
-            n += sum(
-                1
-                for v in self.sym_vecs
-                if sym_dist2_lt(sym_diff(v, center), self.p, h2)
-            )
-        return n
 
 
 # ---------------------------------------------------------------------------

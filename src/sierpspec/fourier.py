@@ -52,16 +52,6 @@ def tail_bound(xi, p: MatrixParams, depth: int) -> float:
     return 2.0 * s if s <= 0.5 else INF
 
 
-def depth_for(xi_max, p: MatrixParams, tol: float) -> int:
-    """Smallest depth whose tail bound at coordinates |xi| <= xi_max is below tol."""
-    depth = 1
-    while tail_bound((xi_max, xi_max), p, depth) > tol:
-        depth += 1
-        if depth > 10_000:
-            raise ValueError("tail bound does not reach tolerance; xi too large")
-    return depth
-
-
 def mu_hat(xi, p: MatrixParams, depth: int) -> TruncatedTransform:
     """Depth-truncated transform value at xi with its certified tail bound."""
     if depth < 1:

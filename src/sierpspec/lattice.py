@@ -8,7 +8,6 @@ unexpanded so that astronomically large coordinates stay cheap to compare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -370,28 +369,3 @@ def scalar_abs_lt(b: int, terms, B: int, bound: Fraction) -> bool:
         scalar_cmp_frac(b, terms, B, bound) < 0
         and scalar_cmp_frac(b, terms, B, -bound) > 0
     )
-
-
-def _frac_sqrt_upper(h2: Fraction) -> Fraction:
-    """A rational u >= sqrt(h2), tight enough for coordinate pre-filtering."""
-    num, den = h2.numerator, h2.denominator
-    return Fraction(math.isqrt(num * den) + 1, den)
-
-
-def sym_dist2_lt(d: SymVec, p: MatrixParams | None, h2: Fraction) -> bool:
-    """Exact test |d|^2 < h2 for a symbolic difference vector.
-
-    Coordinates whose top symbolic term dominates fail the per-coordinate
-    bound immediately; otherwise every surviving exponent is small and exact
-    expansion is cheap.
-    """
-    h = _frac_sqrt_upper(h2)
-    bx, tx, Bx = scalar_parts(d, p, 0)
-    if not scalar_abs_lt(bx, tx, Bx, h):
-        return False
-    by, ty, By = scalar_parts(d, p, 1)
-    if not scalar_abs_lt(by, ty, By, h):
-        return False
-    x = scalar_materialize(bx, tx, Bx)
-    y = scalar_materialize(by, ty, By)
-    return Fraction(x * x + y * y) < h2

@@ -104,6 +104,11 @@ def test_usage_error_exit_code():
     assert run_cli(["gen", "--q1", "1", "--q2", "1"]).returncode == 2  # no bound
     assert run_cli(["frobnicate"]).returncode == 2
     assert run_cli(["gen", "--q1", "1"]).returncode == 2
+    for centers in ("foo", "12", "sample:-1"):
+        res = run_cli(["dim", "--q1", "1", "--q2", "2", "--level", "2",
+                       "--centers", centers])
+        assert res.returncode == 2
+        assert "'origin', 'points' or 'sample:N' with N >= 0" in res.stderr
 
 
 def test_dim_closed_forms_only():
@@ -160,3 +165,21 @@ def test_main_callable_directly(capsys):
     assert main(["gen", "--q1", "1", "--q2", "1", "--level", "0"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["k"] == 0
+
+
+def test_int_string_limit_is_relaxed_only_inside_main(capsys):
+    probe = ("import sys; before = sys.get_int_max_str_digits(); "
+             "import sierpspec.cli; assert sys.get_int_max_str_digits() == before")
+    assert subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV).returncode == 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # kicked coordinates of about 7000 digits need the relaxed limit
+        assert main(["gen", "--q1", "4", "--q2", "4", "--construct-t", "0.3",
+                     "--range", "80"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+    digits = max(len(x) for line in capsys.readouterr().out.splitlines()
+                 for x in json.loads(line)["lambda"])
+    assert digits > 4300

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,11 +20,12 @@ from sierpspec.dimension import (
     relative_density_check,
     support_hausdorff_dim,
 )
-from sierpspec.lattice import MatrixParams, enumerate_digit_sets
-from sierpspec.treemap import CanonicalMapping, enumerate_spectrum
+from sierpspec.lattice import MatrixParams, SymVec, enumerate_digit_sets
+from sierpspec.treemap import CanonicalMapping, SpectrumPoint, enumerate_spectrum
 
 P11 = MatrixParams(1, 1)
 P12 = MatrixParams(1, 2)
+P48 = MatrixParams(4, 8)
 
 
 def test_count_in_ball_examples():
@@ -38,6 +40,60 @@ def test_count_in_ball_monotone_in_radius():
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=4)
     counts = [count_in_ball(pre, (0, 0), 6**j) for j in range(1, 5)]
     assert counts == sorted(counts)
+
+
+def _exact_point(item, p):
+    """Every coordinate expanded, as Fractions."""
+    if isinstance(item, SpectrumPoint):
+        item = item.value
+    if isinstance(item, SymVec):
+        item = item.materialize(p)
+    return Fraction(item[0]), Fraction(item[1])
+
+
+def _brute_counts(points, center, scales, p):
+    """Oracle: expand every point and compare exact squared distances."""
+    cx, cy = _exact_point(center, p)
+    d2s = [(x - cx) ** 2 + (y - cy) ** 2 for x, y in (_exact_point(v, p) for v in points)]
+    return [sum(1 for d2 in d2s if d2 < Fraction(h) ** 2) for h in scales]
+
+
+def _differential_cases():
+    rng = random.Random(20231017)
+    canon = list(enumerate_spectrum(CanonicalMapping(), P12, level=5).points)
+    yield ("canonical", canon, [(0, 0)] + rng.sample(canon, 6),
+           geometric_scales(P12, 1, 6), P12)
+    for t in (0.15, 0.3):
+        spec = build_intermediate_spectrum(t, P48)
+        f_part, kicked = spec.split(spec.prefix(60))
+        centers = [(0, 0), (Fraction(1, 3), Fraction(-7, 2))]
+        centers += rng.sample(kicked, 5) + rng.sample(f_part, 2)
+        yield (f"kicked t={t}", kicked, centers, geometric_scales(P48, 1, 6), P48)
+        # coincident points, and scales up to 24^14 > 2^63
+        union = f_part + kicked + f_part[:3] + kicked[:3]
+        yield (f"union t={t}", union, centers, geometric_scales(P48, 1, 14), P48)
+    edge = [0, 2**30 - 1, 2**30, 2**30 + 1]
+    coords = sorted({s * e for e in edge for s in (1, -1)})
+    border = [(x, y) for x in coords for y in coords]
+    centers = [(0, 0), (2**30 - 1, 1 - 2**30), (-(2**30), 2**30), (2**30 + 1, 0),
+               (Fraction(2**31 - 1, 2), Fraction(-1, 2))]
+    yield ("int64 border", border, centers,
+           [1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**33 + 0.5], P11)
+    small = [(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(200)]
+    mixed = small + small[:20] + [(10**400, -3), (10**400, -3)]
+    centers = [(0, 0), small[0], (10**400, 0), (Fraction(1, 2), Fraction(1, 3)), (0.25, -0.75)]
+    yield ("mixed", mixed, centers,
+           [0.5, Fraction(7, 3), 2.5, 100.25, 1000, 2**70], P11)
+
+
+@pytest.mark.parametrize("case", list(_differential_cases()), ids=lambda c: c[0])
+def test_counts_match_brute_force_oracle(case):
+    _, points, centers, scales, p = case
+    want = [_brute_counts(points, c, scales, p) for c in centers]
+    for c, row in zip(centers, want):
+        assert [count_in_ball(points, c, h, p) for h in scales] == row
+    est = beurling_dim_estimate(points, scales, p, centers=centers)
+    assert list(est.counts) == [max(col) for col in zip(*want)]
 
 
 def test_beurling_estimate_canonical():
