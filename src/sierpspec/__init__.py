@@ -34,7 +34,6 @@ from .treemap import (
     SquareOffsets,
     TableOffsets,
     enumerate_spectrum,
-    ell_stats,
     index_to_word,
     lambda_of_index,
     level_index_bound,

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from .construct import build_intermediate_spectrum, family_variants, t_max
@@ -161,6 +162,15 @@ def _read_points(path: str, p: MatrixParams) -> list[SpectrumPoint]:
     return _read_csv(text, path)
 
 
+def _json_int(value) -> int:
+    """A JSON integer or a decimal string; floats, booleans and the rest are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal string, got {value!r}")
+
+
 def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
     points = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -168,10 +178,15 @@ def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
             continue
         try:
             rec = json.loads(line)
-            k = int(rec["k"])
+            k = _json_int(rec["k"])
             word = tuple(int(i) for i in rec.get("word", []))
-            x, y = (int(s) for s in rec["lambda"])
+            lam = rec["lambda"]
+            if not isinstance(lam, list) or len(lam) != 2:
+                raise ValueError(f"lambda must be a list [x, y], got {lam!r}")
+            x, y = (_json_int(s) for s in lam)
             kick = rec.get("kick_position")
+        except RecursionError as exc:
+            raise InputError(f"{path}:{lineno}: bad record (nested too deeply)") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
         points.append(SpectrumPoint(k=k, word=word, value=SymVec(base=(x, y)),
@@ -230,7 +245,7 @@ def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks else ["orthogonality", "lines", "projections"]
     failed = False
     if "orthogonality" in checks:
-        rep = check_orthogonality(points, p, seed=args.seed)
+        rep = check_orthogonality(points, p)
         print(f"orthogonality: pairs={rep.pairs_checked} sampled={rep.sampled} "
               f"violations={len(rep.violations)}")
         for v in rep.violations[:20]:
@@ -243,7 +258,7 @@ def cmd_verify(args) -> int:
             print(f"  shared coordinate between k={pair[0]} and k={pair[1]}")
         failed |= not rep.passed
     if "projections" in checks:
-        rep = check_projection_orthogonality(points, p, seed=args.seed)
+        rep = check_projection_orthogonality(points, p)
         print(f"projections: x_violations={len(rep.x_violations)} "
               f"y_violations={len(rep.y_violations)}")
         failed |= not rep.passed

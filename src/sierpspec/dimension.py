@@ -198,7 +198,7 @@ def beurling_dim_estimate(
     counts = _max_ball_counts(vecs, center_list, scales, p)
     if min(counts) < 1:
         raise ValueError("every scale needs a nonempty densest ball; enlarge scales")
-    xs = np.log(np.array([float(h) for h in scales]))
+    xs = np.array([math.log(h) for h in scales])  # math.log takes ints of any size
     ys = np.log(np.array(counts, dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))

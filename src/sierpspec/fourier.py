@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .lattice import MatrixParams, SymVec, Vec, centered_mod
+from .lattice import MatrixParams, SymVec, Vec
 
 INF = float("inf")
 
@@ -78,91 +78,103 @@ class ZeroSetWitness:
     residue_class: str  # "Q12" | "Q24"
 
 
+def _residue_walk(vecs, bases):
+    """Walk the trie of centered residues of exact vectors, yielding where they part.
+
+    A SymVec stands for ``base + sum diag(bx, by)^e * v`` over its terms; a
+    one-dimensional value rides in x with y = 0.  Each node groups its vectors
+    by centered residue mod (bx, by), strips it and descends into each group
+    of two or more, jumping to the next kick exponent when a group's bases are
+    all zero.  Identical vectors are hashed together and walked once, so the
+    cost is O(n * depth).
+
+    Yields ``(level, parts)``, ``parts`` a list of ``(residue, indices)``: two
+    vectors in different parts first differ at A^(level-1), by residue_a -
+    residue_b.  Residue None marks vectors equal in value, identical inside a
+    part.  Every pair of indices is split at exactly one node or shares a None part.
+    """
+    bx, by = bases
+    hx, hy = bx // 2, by // 2
+    items: dict[SymVec, list[int]] = {}
+    for i, v in enumerate(vecs):
+        items.setdefault(v, []).append(i)
+    members = list(items.values())
+    cur = [v.base for v in items]
+    terms = [v.terms for v in items]
+    pos = [0] * len(members)  # each vector's first term not yet added to cur
+    stack = [(list(range(len(members))), 0)]
+    while stack:
+        group, shift = stack.pop()
+        if len(group) < 2:  # one vector, maybe repeated: nothing left to part
+            if group and len(members[group[0]]) > 1:
+                yield shift + 1, [(None, members[group[0]])]
+            continue
+        for g in group:
+            t, k = terms[g], pos[g]
+            while k < len(t) and t[k][0] == shift:
+                cur[g] = (cur[g][0] + t[k][1][0], cur[g][1] + t[k][1][1])
+                k += 1
+            pos[g] = k
+        if not any(cur[g] != (0, 0) for g in group):
+            ahead = [terms[g][pos[g]][0] for g in group if pos[g] < len(terms[g])]
+            if ahead:
+                stack.append((group, min(ahead)))
+            else:
+                yield shift + 1, [(None, members[g]) for g in group]
+            continue
+        parts: dict[Vec, list[int]] = {}
+        for g in group:
+            x, y = cur[g]
+            rx = (x + hx) % bx - hx
+            ry = (y + hy) % by - hy
+            cur[g] = ((x - rx) // bx, (y - ry) // by)
+            parts.setdefault((rx, ry), []).append(g)
+        if len(parts) > 1:
+            yield shift + 1, [
+                (r, [i for g in gs for i in members[g]]) for r, gs in parts.items()
+            ]
+        stack.extend((gs, shift + 1) for gs in parts.values())
+
+
+def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:
+    """+1 when d = step mod diag(bases), -1 when d = -step, 0 otherwise."""
+    for sign in (1, -1):
+        if all((x - sign * s) % b == 0 for x, s, b in zip(d, step, bases)):
+            return sign
+    return 0
+
+
+def _first_residue(v: SymVec, step: Vec, bases: Vec) -> tuple[int, int] | None:
+    """(level, sign) when v's first nonzero residue is sign * step; else None."""
+    level, parts = next(_residue_walk([v, SymVec(base=(0, 0))], bases))
+    sign = parts[0][0] is not None and _step_sign(parts[0][0], step, bases)  # v's part
+    return (level, sign) if sign else None
+
+
 def in_zero_set(v: Vec, p: MatrixParams) -> ZeroSetWitness | None:
     """Exact zero-set membership for an integer vector; None when the transform is nonzero."""
-    x, y = v
-    if x == 0 and y == 0:
-        return None
-    bx, by = p.base_x, p.base_y
-    hx, hy = bx // 2, by // 2
-    q1, q2 = p.q1, p.q2
-    level = 1
-    while True:
-        rx = (x + hx) % bx - hx
-        ry = (y + hy) % by - hy
-        if rx == q1 and ry == -q2:
-            return ZeroSetWitness(level, "Q12")
-        if rx == -q1 and ry == q2:
-            return ZeroSetWitness(level, "Q24")
-        if rx or ry:
-            return None
-        x //= bx
-        y //= by
-        level += 1
+    return in_zero_set_sym(SymVec(base=tuple(v)), p)
 
 
 def in_zero_set_sym(v: SymVec, p: MatrixParams) -> ZeroSetWitness | None:
     """Zero-set membership for a symbolic vector, without expanding huge kick terms.
 
-    Strips A factors on the small base part while tracking how far each kick
-    term has been pulled down; when the base is exhausted the strip level jumps
-    straight to the next kick exponent.  Exact at every step.
+    v lies in the zero set exactly when its first nonzero centered residue
+    mod A is (q1, -q2) or (-q1, q2), as found by the residue walk.
     """
-    x, y = v.base
-    terms = list(v.terms)  # sorted by exponent, nonzero vectors, exponents >= 1
-    if not terms:
-        return in_zero_set((x, y), p)
-    bx, by = p.base_x, p.base_y
-    hx, hy = bx // 2, by // 2
-    q1, q2 = p.q1, p.q2
-    level = 1
-    shift = 0
-    i = 0
-    while True:
-        while i < len(terms) and terms[i][0] - shift == 0:
-            vx, vy = terms[i][1]
-            x += vx
-            y += vy
-            i += 1
-        if x == 0 and y == 0:
-            if i == len(terms):
-                return None  # the whole vector is zero
-            jump = terms[i][0] - shift
-            shift += jump
-            level += jump
-            continue
-        rx = (x + hx) % bx - hx
-        ry = (y + hy) % by - hy
-        if rx == q1 and ry == -q2:
-            return ZeroSetWitness(level, "Q12")
-        if rx == -q1 and ry == q2:
-            return ZeroSetWitness(level, "Q24")
-        if rx or ry:
-            return None
-        x //= bx
-        y //= by
-        shift += 1
-        level += 1
+    first = _first_residue(v, p.primary_digit, (p.base_x, p.base_y))
+    return first and ZeroSetWitness(first[0], "Q12" if first[1] > 0 else "Q24")
 
 
 def zero_set_1d(v: int, q: int) -> bool:
     """Exact membership of v in the zero set of the base-3q one-dimensional transform.
 
     That zero set is the union over k >= 1 of (3q)^(k-1) * (+-q + 3q*Z);
-    decided by the same strip-and-test loop as the planar case.
+    decided by the same residue walk as the planar case.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    b = 3 * q
-    h = b // 2
-    while v:
-        r = (v + h) % b - h
-        if r == q or r == -q:
-            return True
-        if r:
-            return False
-        v //= b
-    return False
+    return zero_set_1d_sym(v, (), 3 * q, q)
 
 
 def zero_set_1d_sym(b0: int, terms, B: int, q: int) -> bool:
@@ -170,25 +182,5 @@ def zero_set_1d_sym(b0: int, terms, B: int, q: int) -> bool:
     b = 3 * q
     if B != b and terms:
         raise ValueError("symbolic scalar base must match 3q")
-    h = b // 2
-    x = b0
-    terms = sorted((e, c) for e, c in terms if c != 0)
-    shift = 0
-    i = 0
-    while True:
-        while i < len(terms) and terms[i][0] - shift == 0:
-            x += terms[i][1]
-            i += 1
-        if x == 0:
-            if i == len(terms):
-                return False
-            jump = terms[i][0] - shift
-            shift += jump
-            continue
-        r = (x + h) % b - h
-        if r == q or r == -q:
-            return True
-        if r:
-            return False
-        x //= b
-        shift += 1
+    v = SymVec(base=(b0, 0), terms=tuple(sorted((e, (c, 0)) for e, c in terms if c != 0)))
+    return _first_residue(v, (q, 0), (b, b)) is not None

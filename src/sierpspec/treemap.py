@@ -304,19 +304,6 @@ def enumerate_spectrum(
     return SpectrumPrefix(params=p, points=points, index_bound=index_bound)
 
 
-def ell_stats(mapping: Mapping, p: MatrixParams, ks) -> dict:
-    """Count of nonzero tail digits per index (at most one for kicked mappings)."""
-    per_k = {}
-    for k in ks:
-        if k == 0:
-            per_k[k] = 0
-        elif isinstance(mapping, CanonicalMapping):
-            per_k[k] = 0
-        else:
-            per_k[k] = 1 if mapping.offsets(k) >= 1 else 0
-    return {"per_k": per_k, "max": max(per_k.values(), default=0)}
-
-
 @dataclass(frozen=True)
 class TreeMappingViolation:
     node: Word

@@ -1,8 +1,11 @@
 """Exact orthogonality certification and numerical completeness evidence.
 
 Orthogonality of a candidate spectrum is equivalent to every nonzero pairwise
-difference lying in the zero set of the transform; that test runs in exact
-integer arithmetic (symbolically for huge kicked coordinates).  Completeness
+difference lying in the zero set of the transform: its first nonzero centered
+residue mod A must be +-(q1, -q2).  That residue is the difference of the two
+points' residues where their A-adic digits first part, so one walk over the
+trie of the points' residues decides all n(n-1)/2 pairs exactly, at O(n * depth)
+cost at every size, symbolically for huge kicked coordinates.  Completeness
 is never certified: the quadratic sums of the transform over a prefix give
 evidence (bounded by 1, nondecreasing), and maximality is probed per candidate
 with three-valued verdicts.
@@ -10,7 +13,9 @@ with three-valued verdicts.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -19,12 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier import in_zero_set, in_zero_set_sym, tail_bound, zero_set_1d_sym
+from .fourier import _residue_walk, _step_sign, in_zero_set_sym, tail_bound
 from .lattice import MatrixParams, SymVec, scalar_parts, scalar_sign, sym_diff
 from .treemap import SpectrumPoint, SpectrumPrefix
-
-FULL_PAIRWISE_LIMIT = 10_000
-SAMPLED_PAIRS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -39,67 +41,78 @@ class PairViolation:
 class OrthogonalityReport:
     pairs_checked: int
     violations: tuple[PairViolation, ...]
-    sampled: bool
+    sampled: bool  # always False: every pair is decided exactly
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def _pair_iter(n: int, seed: int):
-    """All unordered index pairs, or a seeded sample when the full set is too large."""
-    if n <= FULL_PAIRWISE_LIMIT:
-        return itertools.combinations(range(n), 2), False
-    rng = random.Random(seed)
+def _across(a, b, reason):
+    """Pairs (i, j, reason), i < j, with one index in a and one in b, in sorted order."""
+    a, b = sorted(a), sorted(b)
+    for i, side in heapq.merge(((i, 0) for i in a), ((i, 1) for i in b)):
+        other = b if side == 0 else a
+        for t in range(bisect.bisect_right(other, i), len(other)):
+            yield i, other[t], reason
 
-    def sample():
-        for _ in range(SAMPLED_PAIRS):
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            yield (i, j) if i < j else (j, i)
 
-    return sample(), True
+def _violating_pairs(vecs, step, bases, limit):
+    """The first ``limit`` pairs (i, j, reason), i < j, whose difference leaves the zero set.
+
+    Pairs come in itertools.combinations order.  A pair fails when its first
+    differing residues differ by anything but +-step, or when it is equal in
+    value: "coincident" if the two vectors are identical, else "not-in-zero-set".
+    """
+    if limit < 1:
+        raise ValueError("max_violations must be >= 1")
+    blocks = []
+    for _, parts in _residue_walk(vecs, bases):
+        if parts[0][0] is None:
+            blocks += [
+                ((i, j, "coincident") for i, j in itertools.combinations(sorted(m), 2))
+                for _, m in parts
+            ]
+        for (ra, a), (rb, b) in itertools.combinations(parts, 2):
+            if ra is None or not _step_sign((ra[0] - rb[0], ra[1] - rb[1]), step, bases):
+                blocks.append(_across(a, b, "not-in-zero-set"))
+    return list(itertools.islice(heapq.merge(*blocks), limit))
+
+
+def _pair_rank(i: int, j: int, n: int) -> int:
+    """Position of (i, j) in itertools.combinations(range(n), 2)."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def check_orthogonality(
     prefix: SpectrumPrefix | list[SpectrumPoint],
     p: MatrixParams | None = None,
     *,
-    seed: int = 0,
     max_violations: int = 100,
 ) -> OrthogonalityReport:
-    """Test every pairwise difference for zero-set membership, exactly."""
+    """Decide every pairwise difference for zero-set membership, exactly.
+
+    One residue walk (``fourier._residue_walk``) decides all n(n-1)/2 pairs
+    at O(n * depth) cost, at every size.  The report lists the first
+    ``max_violations`` failing pairs in itertools.combinations order;
+    ``pairs_checked`` is n(n-1)/2, or the rank of the last listed violation
+    plus one when the list was cut there.
+    """
     points, p = _points_and_params(prefix, p)
-    pairs, sampled = _pair_iter(len(points), seed)
-    violations: list[PairViolation] = []
-    checked = 0
-    for i, j in pairs:
-        a, b = points[i], points[j]
-        checked += 1
-        if a.value.is_concrete and b.value.is_concrete:
-            dx = a.value.base[0] - b.value.base[0]
-            dy = a.value.base[1] - b.value.base[1]
-            if dx == 0 and dy == 0:
-                violations.append(
-                    PairViolation(a.k, b.k, SymVec(base=(0, 0)), "coincident")
-                )
-            elif in_zero_set((dx, dy), p) is None:
-                violations.append(
-                    PairViolation(a.k, b.k, SymVec(base=(dx, dy)), "not-in-zero-set")
-                )
-        else:
-            d = sym_diff(a.value, b.value)
-            if not d.terms and d.base == (0, 0):
-                violations.append(PairViolation(a.k, b.k, d, "coincident"))
-            elif in_zero_set_sym(d, p) is None:
-                violations.append(PairViolation(a.k, b.k, d, "not-in-zero-set"))
-        if len(violations) >= max_violations:
-            break
-    return OrthogonalityReport(
-        pairs_checked=checked, violations=tuple(violations), sampled=sampled
+    n = len(points)
+    bad = _violating_pairs(
+        [pt.value for pt in points], p.primary_digit, (p.base_x, p.base_y), max_violations
     )
+    violations = tuple(
+        PairViolation(
+            points[i].k, points[j].k, sym_diff(points[i].value, points[j].value), reason
+        )
+        for i, j, reason in bad
+    )
+    checked = n * (n - 1) // 2
+    if len(bad) == max_violations:
+        checked = _pair_rank(*bad[-1][:2], n) + 1
+    return OrthogonalityReport(pairs_checked=checked, violations=violations, sampled=False)
 
 
 def _points_and_params(prefix, p):
@@ -160,31 +173,36 @@ def check_projection_orthogonality(
     prefix: SpectrumPrefix | list[SpectrumPoint],
     p: MatrixParams | None = None,
     *,
-    seed: int = 0,
     max_violations: int = 100,
 ) -> ProjectionReport:
     """Pairwise projected differences must lie in the one-dimensional zero sets.
 
     The x-projections are tested against the base-3*q1 zero set, the
-    y-projections against base-3*q2; exact symbolic arithmetic throughout.
-    A zero projected difference between distinct points is a violation too.
+    y-projections against base-3*q2, by the residue walk of
+    ``check_orthogonality`` run once per axis; exact symbolic arithmetic
+    throughout.  A zero projected difference between distinct points is a
+    violation too.  Pairs are taken in itertools.combinations order, and the
+    lists stop at the first pair where either one reaches ``max_violations``.
     """
     points, p = _points_and_params(prefix, p)
-    pairs, _ = _pair_iter(len(points), seed)
-    bad: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    qs = (p.q1, p.q2)
-    for i, j in pairs:
-        d = sym_diff(points[i].value, points[j].value)
-        for axis in (0, 1):
-            b, terms, B = scalar_parts(d, p, axis)
-            if not zero_set_1d_sym(b, terms, B, qs[axis]):
-                bad[axis].append((points[i].k, points[j].k))
-        if len(bad[0]) >= max_violations or len(bad[1]) >= max_violations:
-            break
+    n = len(points)
+    bad = []
+    for axis, q in ((0, p.q1), (1, p.q2)):
+        vecs = []
+        for pt in points:
+            b, terms, _ = scalar_parts(pt.value, p, axis)
+            vecs.append(SymVec(base=(b, 0), terms=tuple((e, (c, 0)) for e, c in terms)))
+        bad.append(_violating_pairs(vecs, (q, 0), (3 * q, 3 * q), max_violations))
+    cut = min(
+        (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
+        default=math.inf,
+    )
+    x_bad, y_bad = (
+        tuple((points[i].k, points[j].k) for i, j, _ in pairs if _pair_rank(i, j, n) <= cut)
+        for pairs in bad
+    )
     return ProjectionReport(
-        passed=not bad[0] and not bad[1],
-        x_violations=tuple(bad[0]),
-        y_violations=tuple(bad[1]),
+        passed=not x_bad and not y_bad, x_violations=x_bad, y_violations=y_bad
     )
 
 
@@ -344,31 +362,14 @@ def maximality_probe(
     Maximality itself is never certified from a finite prefix.
     """
     points, p = _points_and_params(prefix, p)
-    concrete = {
-        pt.value.base: pt.k for pt in points if pt.value.is_concrete
-    }
+    members = {pt.value.base for pt in points if pt.value.is_concrete}
     verdicts = []
-    bx, by = box
-    for gx in range(-bx, bx + 1):
-        for gy in range(-by, by + 1):
-            cand = (gx, gy)
-            if cand in concrete:
-                verdicts.append(ProbeVerdict(cand, "member"))
-                continue
-            hit = None
-            for pt in points:
-                if pt.value.is_concrete:
-                    d = (gx - pt.value.base[0], gy - pt.value.base[1])
-                    if d != (0, 0) and in_zero_set(d, p) is None:
-                        hit = pt.k
-                        break
-                else:
-                    d = sym_diff(SymVec(base=cand), pt.value)
-                    if in_zero_set_sym(d, p) is None:
-                        hit = pt.k
-                        break
-            if hit is None:
-                verdicts.append(ProbeVerdict(cand, "inconclusive"))
-            else:
-                verdicts.append(ProbeVerdict(cand, "conflict", conflict_with=hit))
+    for cand in itertools.product(range(-box[0], box[0] + 1), range(-box[1], box[1] + 1)):
+        if cand in members:
+            verdicts.append(ProbeVerdict(cand, "member"))
+            continue
+        c = SymVec(base=cand)
+        hit = next((pt.k for pt in points if in_zero_set_sym(sym_diff(c, pt.value), p) is None), None)
+        status = "inconclusive" if hit is None else "conflict"
+        verdicts.append(ProbeVerdict(cand, status, conflict_with=hit))
     return verdicts

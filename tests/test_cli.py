@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,40 @@ def test_malformed_input_is_usage_error(tmp_path):
     res = run_cli(["verify", "--q1", "1", "--q2", "1", "--input", str(junk)])
     assert res.returncode == 2
     assert res.returncode != 1
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param('{"k": 0, "lambda": [1.5, 2]}', id="float-coordinate"),
+    pytest.param('{"k": 0, "lambda": [true, false]}', id="bool-coordinates"),
+    pytest.param('{"k": 0.0, "lambda": ["0", "0"]}', id="float-k"),
+    pytest.param('{"k": false, "lambda": ["0", "0"]}', id="bool-k"),
+    pytest.param('{"k": 0, "lambda": "12"}', id="string-lambda"),
+    pytest.param('{"k": 0, "lambda": ["1_000", "2"]}', id="underscore-digits"),
+    pytest.param('{"k": ' + "[" * 100_000 + "]" * 100_000 + ', "lambda": ["0", "0"]}',
+                 id="nested-100000-deep"),
+])
+def test_non_integer_or_deeply_nested_record_is_usage_error(tmp_path, record):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(record + "\n")
+    res = run_cli(["verify", "--q1", "1", "--q2", "1", "--input", str(bad)])
+    assert res.returncode == 2
+    assert "bad record" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_integer_and_decimal_string_records_are_read(tmp_path):
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"k": "-1", "lambda": [-1, "1"]}\n{"k": 1, "lambda": ["1", -1]}\n')
+    res = run_cli(["verify", "--q1", "1", "--q2", "1", "--input", str(good)])
+    assert res.returncode == 0
+    assert "orthogonality: pairs=1 sampled=False violations=0" in res.stdout
+
+
+def test_dim_scales_beyond_float_range():
+    res = run_cli(["dim", "--q1", "1", "--q2", "2", "--level", "2", "--scale-exps", "4:400"])
+    assert res.returncode == 0, res.stderr
+    rows = [json.loads(line) for line in res.stdout.splitlines()]
+    assert len(rows) == 398 and int(rows[-2]["h"]) == 6**400  # 6^400 > 1e308
+    assert math.isfinite(rows[-1]["slope"])
 
 
 def test_usage_error_exit_code():

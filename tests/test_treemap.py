@@ -13,7 +13,6 @@ from sierpspec.treemap import (
     SquareOffsets,
     TableOffsets,
     WordError,
-    ell_stats,
     enumerate_spectrum,
     index_to_word,
     lambda_of_index,
@@ -112,16 +111,6 @@ def test_canonical_equals_lattice_sums():
             y += 3**i * dy
         brute.add((x, y))
     assert got == brute
-
-
-def test_ell_stats():
-    ks = range(-20, 21)
-    assert ell_stats(CanonicalMapping(), P12, ks)["max"] == 0
-    assert ell_stats(KickedMapping(TableOffsets({}), mode="coherent"), P12, ks)["max"] == 0
-    offs = SquareOffsets(kicked=lambda k: k % 2 == 0)
-    stats = ell_stats(KickedMapping(offs, kick=(0, 1)), P12, ks)
-    assert stats["max"] == 1
-    assert set(stats["per_k"].values()) == {0, 1}
 
 
 def test_validate_canonical_and_coherent():
