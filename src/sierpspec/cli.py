@@ -171,6 +171,23 @@ def _json_int(value) -> int:
     raise ValueError(f"expected an integer or a decimal string, got {value!r}")
 
 
+def _word(letters) -> tuple[int, ...]:
+    word = tuple(_json_int(letter) for letter in letters)
+    if any(letter not in (-1, 0, 1) for letter in word):
+        raise ValueError(f"word letters must lie in {{-1, 0, 1}}, got {list(word)}")
+    return word
+
+
+def _kick_position(value) -> int | None:
+    """None for a null or empty field, else a positive integer."""
+    if value is None or value == "":
+        return None
+    position = _json_int(value)
+    if position < 1:
+        raise ValueError(f"kick_position must be empty or a positive integer, got {value!r}")
+    return position
+
+
 def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
     points = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -179,12 +196,15 @@ def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
         try:
             rec = json.loads(line)
             k = _json_int(rec["k"])
-            word = tuple(int(i) for i in rec.get("word", []))
+            letters = rec.get("word", [])
+            if not isinstance(letters, list):
+                raise ValueError(f"word must be a list of letters, got {letters!r}")
+            word = _word(letters)
             lam = rec["lambda"]
             if not isinstance(lam, list) or len(lam) != 2:
                 raise ValueError(f"lambda must be a list [x, y], got {lam!r}")
             x, y = (_json_int(s) for s in lam)
-            kick = rec.get("kick_position")
+            kick = _kick_position(rec.get("kick_position"))
         except RecursionError as exc:
             raise InputError(f"{path}:{lineno}: bad record (nested too deeply)") from exc
         except (ValueError, KeyError, TypeError) as exc:
@@ -203,11 +223,10 @@ def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
         raise InputError(f"{path}: not a point CSV (need k,word,x,y header)")
     for lineno, rec in enumerate(reader, start=2):
         try:
-            k = int(rec["k"])
-            word = tuple(int(t) for t in (rec.get("word") or "").split())
-            x, y = int(rec["x"]), int(rec["y"])
-            kick = rec.get("kick_position") or None
-            kick = int(kick) if kick is not None else None
+            k = _json_int(rec["k"])
+            word = _word((rec.get("word") or "").split())
+            x, y = _json_int(rec["x"]), _json_int(rec["y"])
+            kick = _kick_position(rec.get("kick_position"))
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
         points.append(SpectrumPoint(k=k, word=word, value=SymVec(base=(x, y)),

@@ -28,7 +28,6 @@ from .treemap import (
     SquareOffsets,
     enumerate_spectrum,
     index_to_word,
-    lambda_of_index,
     CanonicalMapping,
 )
 
@@ -206,10 +205,11 @@ def coherent_perturbation_report(spec: IntermediateSpec, prefix: SpectrumPrefix)
     kick parent, and those branches are themselves kicked; the unkicked F_t
     part must come out untouched.  Reported per part for empirical inspection.
     """
-    canonical = CanonicalMapping()
+    canonical = enumerate_spectrum(
+        CanonicalMapping(), spec.params, index_bound=prefix.index_bound
+    )
     f_changed = kicked_changed = 0
-    for pt in prefix.points:
-        ref = lambda_of_index(canonical, spec.params, pt.k)
+    for pt, ref in zip(prefix.points, canonical.points):
         if pt.value.base != ref.value.base:
             if spec.gamma_t_contains(pt.k):
                 f_changed += 1

@@ -11,6 +11,12 @@ the kick node only, which breaks the sibling-coherence rule that all three
 children of a node differ by multiples of (q1, -q2) modulo A; ``coherent``
 shifts all three children of a kick parent by the kick digit, restoring the
 rule (and with it, certified orthogonality of the generated set).
+
+Points are built from their tree parents.  The word of k != 0 is
+word(h) 0^run sign(k) with head h = k - sign(k) 3^(n-1) and n = len(word(k)),
+so |h| < |k| and the digit sum of k is that of h plus at most two terms
+(see ``_child``): a constant number of big-int operations per point, where a
+rebuild from the root costs O(n), and O(n^2) for kicked mappings.
 """
 
 from __future__ import annotations
@@ -229,28 +235,69 @@ class SpectrumPoint:
         return self.value.materialize(p)
 
 
-def lambda_of_index(mapping: Mapping, p: MatrixParams, k: int) -> SpectrumPoint:
-    """Exact spectrum point lambda_k = sum_j A^(j-1) tau(prefix_j) (+ kick term)."""
-    w = index_to_word(k)
-    step = p.primary_digit
-    if isinstance(mapping, CanonicalMapping) or k == 0:
-        x = y = 0
-        for letter in reversed(w):
-            x = x * p.base_x + letter * step[0]
-            y = y * p.base_y + letter * step[1]
-        return SpectrumPoint(k=k, word=w, value=SymVec(base=(x, y)))
-    x = y = 0
-    for j in range(len(w), 0, -1):
-        dx, dy = tau_eval(mapping, w[:j], p)
-        x = x * p.base_x + dx
-        y = y * p.base_y + dy
-    m = mapping.offsets(k)
+def _child(
+    mapping: Mapping,
+    p: MatrixParams,
+    k: int,
+    n: int,
+    scale: Vec,
+    head: SpectrumPoint,
+    head_m: int,
+    head_sum: Vec,
+) -> tuple[SpectrumPoint, int, Vec]:
+    """Point k (word length n) from its head h = k - sign(k) 3^(n-1).
+
+    scale is A^(n-1) as the pair ((3 q1)^(n-1), (3 q2)^(n-1)), head_m the
+    offset m_h (0 for the root) and head_sum the digit sum S(h) of h's own
+    word without h's kick term (which make_sym may have folded into
+    head.value.base).  With word(k) = word(h) 0^run sign(k):
+
+        S(k) = S(h) + A^(len(h)+m_h-1) kick   if 1 <= m_h <= run
+                    + A^(n-1) tau(word(k)),
+
+    where tau is kick + sign(k) (q1, -q2) mod A for a child of h's kick
+    parent (m_h == run + 1, coherent mode) and sign(k) (q1, -q2) otherwise:
+    the same digits ``tau_eval`` assigns.  Returns (point, m_k, S(k)).
+    """
+    last = 1 if k > 0 else -1
+    run = n - 1 - len(head.word)
+    word = head.word + (0,) * run + (last,)
+    x, y = head_sum
+    dx, dy = last * p.q1, -last * p.q2
+    if 1 <= head_m <= run:
+        kx, ky = mapping.resolve_kick(p)
+        e = len(head.word) + head_m - 1
+        x += p.base_x**e * kx
+        y += p.base_y**e * ky
+    elif head_m == run + 1 and mapping.mode == "coherent":
+        kx, ky = mapping.resolve_kick(p)
+        dx, dy = mod_a_reduce((kx + dx, ky + dy), p)
+    x += scale[0] * dx
+    y += scale[1] * dy
+    m = 0 if isinstance(mapping, CanonicalMapping) else mapping.offsets(k)
     if m == 0:
-        return SpectrumPoint(k=k, word=w, value=SymVec(base=(x, y)))
-    kick = mapping.resolve_kick(p)
-    exponent = len(w) + m - 1
-    value = make_sym((x, y), [(exponent, kick)], p)
-    return SpectrumPoint(k=k, word=w, value=value, kick_position=len(w) + m)
+        return SpectrumPoint(k, word, SymVec((x, y))), 0, (x, y)
+    value = make_sym((x, y), [(n + m - 1, mapping.resolve_kick(p))], p)
+    return SpectrumPoint(k, word, value, kick_position=n + m), m, (x, y)
+
+
+_ROOT = SpectrumPoint(k=0, word=(), value=SymVec(base=(0, 0)))
+
+
+def lambda_of_index(mapping: Mapping, p: MatrixParams, k: int) -> SpectrumPoint:
+    """Exact spectrum point lambda_k = sum_j A^(j-1) tau(prefix_j) (+ kick term).
+
+    Walks the chain of heads from the root (one ``_child`` step per nonzero
+    letter of k's word), the recurrence ``enumerate_spectrum`` uses.
+    """
+    point, m, digit_sum = _ROOT, 0, (0, 0)
+    prefix = 0
+    for j, letter in enumerate(index_to_word(k)):
+        if letter:
+            prefix += letter * 3**j
+            scale = (p.base_x**j, p.base_y**j)
+            point, m, digit_sum = _child(mapping, p, prefix, j + 1, scale, point, m, digit_sum)
+    return point
 
 
 @dataclass(frozen=True)
@@ -265,6 +312,8 @@ class SpectrumPrefix:
         return len(self.points)
 
     def point(self, k: int) -> SpectrumPoint:
+        if abs(k) > self.index_bound:
+            raise IndexError(f"index {k} outside the prefix bound |k| <= {self.index_bound}")
         return self.points[k + self.index_bound]
 
     def subset(self, keep) -> tuple[SpectrumPoint, ...]:
@@ -285,7 +334,13 @@ def enumerate_spectrum(
     level: int | None = None,
     index_bound: int | None = None,
 ) -> SpectrumPrefix:
-    """All points with |k| <= bound (or word length <= level), ordered by k."""
+    """All points with |k| <= bound (or word length <= level), ordered by k.
+
+    Fills the points by word length, each in one ``_child`` step from its
+    head, so the cost is O(1) big-int operations per point.  Only kicked
+    indices keep their unfolded digit sum on the side; every other head's
+    sum is its own value.base.
+    """
     if (level is None) == (index_bound is None):
         raise ValueError("specify exactly one of level / index_bound")
     if level is not None:
@@ -298,10 +353,25 @@ def enumerate_spectrum(
             f"refusing to enumerate {2 * index_bound + 1} points "
             f"(limit {MAX_ENUMERATION_POINTS})"
         )
-    points = tuple(
-        lambda_of_index(mapping, p, k) for k in range(-index_bound, index_bound + 1)
-    )
-    return SpectrumPrefix(params=p, points=points, index_bound=index_bound)
+    # Fill by word length: the head of every k is shorter, so already built.
+    # Within a length k ascends, so a walk over the points in k order meets
+    # them mostly in the order they were allocated (better cache locality).
+    points: list[SpectrumPoint] = [_ROOT] * (2 * index_bound + 1)
+    kicked: dict[int, tuple[int, Vec]] = {}  # k -> (m_k, S(k)) for m_k != 0
+    n, top = 1, 1  # top = 3^(n-1)
+    while (top + 1) // 2 <= index_bound:
+        scale = (p.base_x ** (n - 1), p.base_y ** (n - 1))
+        lo, hi = (top + 1) // 2, min((3 * top - 1) // 2, index_bound)
+        for k in itertools.chain(range(-hi, 1 - lo), range(lo, hi + 1)):
+            h = k - top if k > 0 else k + top
+            head = points[h + index_bound]
+            head_m, head_sum = kicked.get(h) or (0, head.value.base)
+            pt, m, digit_sum = _child(mapping, p, k, n, scale, head, head_m, head_sum)
+            points[k + index_bound] = pt
+            if m:
+                kicked[k] = (m, digit_sum)
+        n, top = n + 1, 3 * top
+    return SpectrumPrefix(params=p, points=tuple(points), index_bound=index_bound)
 
 
 @dataclass(frozen=True)

@@ -218,3 +218,64 @@ def test_int_string_limit_is_relaxed_only_inside_main(capsys):
     digits = max(len(x) for line in capsys.readouterr().out.splitlines()
                  for x in json.loads(line)["lambda"])
     assert digits > 4300
+
+
+def _verify_input(path, capsys):
+    code = main(["verify", "--q1", "1", "--q2", "1", "--input", str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param('"word": [1.5]', id="float-letter"),
+    pytest.param('"word": [true]', id="bool-letter"),
+    pytest.param('"word": [2]', id="letter-out-of-range"),
+    pytest.param('"word": ["1_0"]', id="underscore-letter"),
+    pytest.param('"word": "1"', id="string-word"),
+    pytest.param('"kick_position": "abc"', id="string-kick-position"),
+    pytest.param('"kick_position": 0', id="zero-kick-position"),
+    pytest.param('"kick_position": -3', id="negative-kick-position"),
+    pytest.param('"kick_position": 1.5', id="float-kick-position"),
+    pytest.param('"kick_position": true', id="bool-kick-position"),
+])
+def test_bad_word_or_kick_position_in_jsonl_is_usage_error(tmp_path, capsys, field):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"k": 1, "lambda": ["1", "-1"], ' + field + "}\n")
+    code, err = _verify_input(bad, capsys)
+    assert code == 2 and "bad record" in err
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(" 1_000,1,1,-1,", id="underscore-k"),
+    pytest.param("1,1,1_000,-1,", id="underscore-x"),
+    pytest.param("1,1,1, -1,", id="space-y"),
+    pytest.param("1,1,1.5,-1,", id="float-x"),
+    pytest.param("1,1 2,1,-1,", id="letter-out-of-range"),
+    pytest.param("1,1 x,1,-1,", id="non-integer-letter"),
+    pytest.param("1,1,1,-1,abc", id="string-kick-position"),
+    pytest.param("1,1,1,-1,0", id="zero-kick-position"),
+    pytest.param("1,1,1,-1,-2", id="negative-kick-position"),
+    pytest.param("1,1,1", id="short-row"),
+])
+def test_bad_csv_record_is_usage_error(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("k,word,x,y,kick_position\n" + row + "\n")
+    code, err = _verify_input(bad, capsys)
+    assert code == 2 and "bad record" in err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_gen_output_reads_back(tmp_path, capsys, fmt):
+    from sierpspec.cli import _read_points
+    from sierpspec.construct import build_intermediate_spectrum
+    from sierpspec.lattice import MatrixParams, SymVec
+    from sierpspec.treemap import SpectrumPoint
+
+    p = MatrixParams(4, 4)
+    path = tmp_path / f"pts.{fmt}"
+    assert main(["gen", "--q1", "4", "--q2", "4", "--construct-t", "0.3",
+                 "--range", "40", "--format", fmt, "--output", str(path)]) == 0
+    prefix = build_intermediate_spectrum(0.3, p).prefix(40)
+    want = [SpectrumPoint(k=pt.k, word=pt.word, value=SymVec(base=pt.concrete(p)),
+                          kick_position=pt.kick_position) for pt in prefix.points]
+    assert any(pt.kick_position for pt in want) and any(-1 in pt.word for pt in want)
+    assert _read_points(str(path), p) == want

@@ -4,7 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sierpspec.lattice import MatrixParams, enumerate_digit_sets, scalar_parts, scalar_sign, sym_diff
+from sierpspec.construct import build_intermediate_spectrum
+from sierpspec.lattice import (
+    MatrixParams,
+    SymVec,
+    enumerate_digit_sets,
+    make_sym,
+    scalar_parts,
+    scalar_sign,
+    sym_diff,
+)
 from sierpspec.treemap import (
     CanonicalMapping,
     KickError,
@@ -25,6 +34,8 @@ from sierpspec.treemap import (
 P11 = MatrixParams(1, 1)
 P12 = MatrixParams(1, 2)
 P44 = MatrixParams(4, 4)
+P48 = MatrixParams(4, 8)
+P35 = MatrixParams(3, 5)
 
 
 def test_codec_examples():
@@ -178,3 +189,120 @@ def test_square_offsets_variant_bits():
         assert flip(k) == k * k + 1
     alt = SquareOffsets(kicked=lambda k: True, variant_bits=(0, 1))
     assert alt(1) == 1 and alt(-1) == 2  # ranks 0 and 1 cycle the bits
+
+
+def test_point_outside_the_bound_raises():
+    pre = enumerate_spectrum(CanonicalMapping(), P11, level=2)
+    assert pre.point(-4).k == -4 and pre.point(4).k == 4
+    for k in (-5, 5, -7, 100):
+        with pytest.raises(IndexError, match=r"\|k\| <= 4"):
+            pre.point(k)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the parent recurrence against a rebuild from the root
+# ---------------------------------------------------------------------------
+
+
+def oracle_point(mapping, p, k):
+    """lambda_k rebuilt from the root: Horner over tau_eval of every prefix."""
+    w = index_to_word(k)
+    step = p.primary_digit
+    if isinstance(mapping, CanonicalMapping) or k == 0:
+        x = y = 0
+        for letter in reversed(w):
+            x = x * p.base_x + letter * step[0]
+            y = y * p.base_y + letter * step[1]
+        return SpectrumPoint(k=k, word=w, value=SymVec(base=(x, y)))
+    x = y = 0
+    for j in range(len(w), 0, -1):
+        dx, dy = tau_eval(mapping, w[:j], p)
+        x = x * p.base_x + dx
+        y = y * p.base_y + dy
+    m = mapping.offsets(k)
+    if m == 0:
+        return SpectrumPoint(k=k, word=w, value=SymVec(base=(x, y)))
+    kick = mapping.resolve_kick(p)
+    value = make_sym((x, y), [(len(w) + m - 1, kick)], p)
+    return SpectrumPoint(k=k, word=w, value=value, kick_position=len(w) + m)
+
+
+def assert_matches_oracle(mapping, p, bound):
+    want = tuple(oracle_point(mapping, p, k) for k in range(-bound, bound + 1))
+    pre = enumerate_spectrum(mapping, p, index_bound=bound)
+    assert pre.index_bound == bound
+    assert pre.points == want
+    assert tuple(lambda_of_index(mapping, p, k) for k in range(-bound, bound + 1)) == want
+
+
+def head_cases(offsets, bound):
+    """Which parent-step cases occur among the indices 0 < |k| <= bound."""
+    seen = set()
+    for k in range(-bound, bound + 1):
+        n = len(index_to_word(k))
+        h = k - (1 if k > 0 else -1) * 3 ** (n - 1) if k else 0
+        if h == 0:
+            continue
+        hw = index_to_word(h)
+        run = n - 1 - len(hw)
+        m = offsets(h)
+        if 1 <= m <= run:
+            seen.add("zero-tail kick")
+        elif m == run + 1:
+            seen.add("child of kick parent")
+        elif m:
+            seen.add("folded head" if len(hw) + m - 1 <= 64 else "symbolic head")
+    return seen
+
+
+@pytest.mark.parametrize("p", [P11, P12, P48, P35], ids=str)
+@pytest.mark.parametrize("bound", [0, 1, 2, 5, 40, 1000])
+def test_canonical_enumeration_matches_oracle(p, bound):
+    assert_matches_oracle(CanonicalMapping(), p, bound)
+
+
+@pytest.mark.parametrize("mode", ["coherent", "literal"])
+@pytest.mark.parametrize("t", [0.0, 0.15, 0.3])
+@pytest.mark.parametrize("bits", [(), (1, 0, 1, 1)])
+def test_square_offsets_enumeration_matches_oracle(mode, t, bits):
+    spec = build_intermediate_spectrum(t, P48, mode=mode, variant_bits=bits)
+    assert_matches_oracle(spec.mapping(), P48, 400)
+
+
+# Kicked heads with children in every step case: a kick node on the child's
+# zero run (1 at m = 2 under 1 0 0 1), a child of a kick parent (1 0 +-1), and
+# plain children of a head whose kick make_sym folds into its base (1 at
+# exponent 2 under 1 1) or keeps symbolic (-4 at exponent 71, 3 at 66).
+# 13 and -121 sit at level boundaries.
+TABLE = {1: 2, -1: 1, 2: 3, 3: 66, 4: 1, -4: 70, 5: 1, 13: 2, -121: 1}
+
+
+@pytest.mark.parametrize("mode", ["coherent", "literal"])
+def test_table_offsets_enumeration_matches_oracle(mode):
+    offsets = TableOffsets(TABLE)
+    assert head_cases(offsets, 1093) == {
+        "zero-tail kick", "child of kick parent", "folded head", "symbolic head",
+    }
+    assert_matches_oracle(KickedMapping(offsets, mode=mode), P44, 1093)
+    # an explicit kick digit from E_q1 at parameters where the default is not integral
+    assert_matches_oracle(KickedMapping(offsets, kick=(0, 1), mode=mode), P12, 400)
+
+
+def test_random_tables_match_oracle():
+    rng = random.Random(5)
+    for p in (P44, P35, P12):
+        leaders = [v for v in enumerate_digit_sets(p).e_q1 if v != (0, 0)]
+        for _ in range(6):
+            table = {rng.choice([k for k in range(-40, 41) if k]): rng.randint(0, 6)
+                     for _ in range(rng.randint(1, 12))}
+            for mode in ("coherent", "literal"):
+                mapping = KickedMapping(TableOffsets(table), kick=rng.choice(leaders), mode=mode)
+                assert_matches_oracle(mapping, p, rng.choice([121, 200, 364]))
+
+
+def test_empty_table_never_resolves_the_kick():
+    # the default kick (q1/4, -q2/4) is not admissible at (1, 2)
+    assert_matches_oracle(KickedMapping(TableOffsets({})), P12, 121)
+    with pytest.raises(KickError):
+        enumerate_spectrum(KickedMapping(TableOffsets({40: 1})), P12, index_bound=40)
+    enumerate_spectrum(KickedMapping(TableOffsets({41: 1})), P12, index_bound=40)
