@@ -37,6 +37,7 @@ from .treemap import (
     SpectrumPrefix,
     TableOffsets,
     enumerate_spectrum,
+    index_to_word,
     level_index_bound,
 )
 from .verify import (
@@ -188,29 +189,43 @@ def _kick_position(value) -> int | None:
     return position
 
 
+def _checked_point(k, word, xy, kick, first_line: dict, lineno: int) -> SpectrumPoint:
+    """The record as a point; a given word must be the word of k, and k must be new."""
+    if word is None:
+        word = index_to_word(k)
+    elif word != index_to_word(k):
+        raise ValueError(f"word {list(word)} is not the word of k={k}, "
+                         f"{list(index_to_word(k))}")
+    if k in first_line:
+        raise ValueError(f"k={k} repeats line {first_line[k]}")
+    first_line[k] = lineno
+    return SpectrumPoint(k=k, word=word, value=SymVec(base=xy), kick_position=kick)
+
+
 def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
     points = []
+    first_line: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
             k = _json_int(rec["k"])
-            letters = rec.get("word", [])
-            if not isinstance(letters, list):
-                raise ValueError(f"word must be a list of letters, got {letters!r}")
-            word = _word(letters)
+            word = None
+            if "word" in rec:
+                if not isinstance(rec["word"], list):
+                    raise ValueError(f"word must be a list of letters, got {rec['word']!r}")
+                word = _word(rec["word"])
             lam = rec["lambda"]
             if not isinstance(lam, list) or len(lam) != 2:
                 raise ValueError(f"lambda must be a list [x, y], got {lam!r}")
-            x, y = (_json_int(s) for s in lam)
+            xy = tuple(_json_int(s) for s in lam)
             kick = _kick_position(rec.get("kick_position"))
+            points.append(_checked_point(k, word, xy, kick, first_line, lineno))
         except RecursionError as exc:
             raise InputError(f"{path}:{lineno}: bad record (nested too deeply)") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
-        points.append(SpectrumPoint(k=k, word=word, value=SymVec(base=(x, y)),
-                                    kick_position=kick))
     if not points:
         raise InputError(f"{path}: no records")
     return points
@@ -218,19 +233,20 @@ def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
 
 def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
     points = []
+    first_line: dict[int, int] = {}
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or "x" not in reader.fieldnames:
         raise InputError(f"{path}: not a point CSV (need k,word,x,y header)")
     for lineno, rec in enumerate(reader, start=2):
         try:
             k = _json_int(rec["k"])
-            word = _word((rec.get("word") or "").split())
-            x, y = _json_int(rec["x"]), _json_int(rec["y"])
+            letters = rec.get("word")
+            word = None if letters is None else _word(letters.split())
+            xy = _json_int(rec["x"]), _json_int(rec["y"])
             kick = _kick_position(rec.get("kick_position"))
+            points.append(_checked_point(k, word, xy, kick, first_line, lineno))
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
-        points.append(SpectrumPoint(k=k, word=word, value=SymVec(base=(x, y)),
-                                    kick_position=kick))
     if not points:
         raise InputError(f"{path}: no records")
     return points

@@ -5,17 +5,30 @@ powers of A^-1.  Orthogonality certification never touches floats: membership
 in the zero set is decided by stripping A factors and testing the centered
 residue against the two admissible classes, entirely in integer arithmetic,
 including for symbolic vectors whose kick terms carry huge exponents.
+
+The residue walk comes in two forms.  ``_residue_walk`` walks exact objects
+(SymVecs with Python-int bases and kick terms) depth first and is the one
+that reports where vectors part.  ``_int64_residue_walk`` walks int64 columns
+level by level in numpy and only finds the nodes where some pair fails; it
+runs when every vector is concrete with coordinates below 2^62
+(``_int64_columns``), and everything else stays on the object walk.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lattice import MatrixParams, SymVec, Vec
 
 INF = float("inf")
+
+# Concrete coordinates strictly below this in absolute value take the int64 walk.
+_I64_COORD = 2**62
 
 
 def mask(x) -> complex:
@@ -134,6 +147,66 @@ def _residue_walk(vecs, bases):
                 (r, [i for g in gs for i in members[g]]) for r, gs in parts.items()
             ]
         stack.extend((gs, shift + 1) for gs in parts.values())
+
+
+def _int64_columns(vecs):
+    """The vectors' x and y as int64 columns, or None unless every one is concrete and small.
+
+    Small means |coordinate| < 2^62, so x + b//2 cannot overflow for any
+    base the int64 walk accepts.
+    """
+    if any(v.terms for v in vecs):
+        return None
+    try:
+        flat = itertools.chain.from_iterable(v.base for v in vecs)
+        cols = np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
+    except OverflowError:
+        return None
+    return cols if ((cols < _I64_COORD) & (cols > -_I64_COORD)).all() else None
+
+
+def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
+    """The residue walk on int64 columns, breadth first: which points can be in a failing pair.
+
+    Each level takes a few numpy operations on the live points.  A point's
+    node and centered residue code give its child node (``np.unique``); a
+    node whose m distinct codes hold m(m-1)/2 pairs differing by +-step mod
+    diag(bases) is clean, counted as the codes c with c + step also a code
+    there (c - c' = step and c' - c = step cannot both hold); a point alone
+    in its child drops out, and so does every point of a failing node.
+    Points still sharing a node once all of them reach (0, 0) are identical.
+
+    Returns the sorted indices of the points in failing nodes and in groups
+    of identical points: both ends of every failing pair are among them.
+    None when the node keys n * bx * by could overflow int64.
+    """
+    bx, by = bases
+    codes = bx * by
+    if len(xs) * codes >= 2**63:
+        return None
+    hx, hy = bx // 2, by // 2
+    sx, sy = step
+    idx = np.arange(len(xs))
+    node = np.zeros(len(xs), dtype=np.int64)
+    x, y = xs, ys
+    out = []
+    while idx.size:
+        x, cx = np.divmod(x + hx, bx)  # cx - hx is x's centered residue
+        y, cy = np.divmod(y + hy, by)
+        child, inv = np.unique(node * codes + cx * by + cy, return_inverse=True)
+        parent, code = np.divmod(child, codes)
+        plus = parent * codes + (code // by + sx) % bx * by + (code % by + sy) % by
+        hit = child[np.minimum(np.searchsorted(child, plus), len(child) - 1)] == plus
+        m = np.bincount(parent)
+        failing = (np.bincount(parent[hit], minlength=len(m)) < m * (m - 1) // 2)[node]
+        shared = np.bincount(inv) > 1
+        moving = np.bincount(inv, weights=(x != 0) | (y != 0)) > 0
+        left = failing | (shared & ~moving)[inv]
+        out.append(idx[left])
+        live = ~left & shared[inv]
+        renumber = np.cumsum(shared) - 1
+        idx, node, x, y = idx[live], renumber[inv[live]], x[live], y[live]
+    return np.sort(np.concatenate(out)) if out else idx
 
 
 def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:

@@ -77,10 +77,6 @@ def _strip_zeros(w: Word) -> tuple[Word, int]:
 # ---------------------------------------------------------------------------
 
 
-def zero_offsets(k: int) -> int:
-    return 0
-
-
 class TableOffsets:
     """Finite table of kick offsets; indices absent from the table get 0."""
 

@@ -5,7 +5,12 @@ difference lying in the zero set of the transform: its first nonzero centered
 residue mod A must be +-(q1, -q2).  That residue is the difference of the two
 points' residues where their A-adic digits first part, so one walk over the
 trie of the points' residues decides all n(n-1)/2 pairs exactly, at O(n * depth)
-cost at every size, symbolically for huge kicked coordinates.  Completeness
+cost at every size, symbolically for huge kicked coordinates.  When every
+point is concrete with coordinates below 2^62, the walk runs on int64 columns
+(a few numpy operations per level) and the object walk lists violations only
+for the points of failing nodes; symbolic or larger points take the object
+walk throughout.  The projection checks run the same walks per axis, and the
+unitarity phases and q-sum tails are computed as numpy arrays.  Completeness
 is never certified: the quadratic sums of the transform over a prefix give
 evidence (bounded by 1, nondecreasing), and maximality is probed per candidate
 with three-valued verdicts.
@@ -24,7 +29,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier import _residue_walk, _step_sign, in_zero_set_sym, tail_bound
+from .fourier import (
+    _int64_columns,
+    _int64_residue_walk,
+    _residue_walk,
+    _step_sign,
+    in_zero_set_sym,
+    tail_bound,
+)
 from .lattice import MatrixParams, SymVec, scalar_parts, scalar_sign, sym_diff
 from .treemap import SpectrumPoint, SpectrumPrefix
 
@@ -79,6 +91,20 @@ def _violating_pairs(vecs, step, bases, limit):
     return list(itertools.islice(heapq.merge(*blocks), limit))
 
 
+def _listed_violations(vec_at, n, cols, step, bases, limit):
+    """``_violating_pairs`` over the vectors vec_at(0), ..., vec_at(n - 1).
+
+    With int64 columns ``cols`` of those vectors, the int64 walk first picks
+    the points in failing nodes and groups of identical points.  Both ends of
+    every failing pair are among them, so the object walk lists the
+    violations of that subset alone, its indices mapped back in order.
+    """
+    keep = None if cols is None else _int64_residue_walk(*cols, step, bases)
+    keep = range(n) if keep is None else keep.tolist()
+    bad = _violating_pairs([vec_at(i) for i in keep], step, bases, limit)
+    return [(keep[i], keep[j], reason) for i, j, reason in bad]
+
+
 def _pair_rank(i: int, j: int, n: int) -> int:
     """Position of (i, j) in itertools.combinations(range(n), 2)."""
     return i * (2 * n - i - 1) // 2 + j - i - 1
@@ -92,16 +118,20 @@ def check_orthogonality(
 ) -> OrthogonalityReport:
     """Decide every pairwise difference for zero-set membership, exactly.
 
-    One residue walk (``fourier._residue_walk``) decides all n(n-1)/2 pairs
-    at O(n * depth) cost, at every size.  The report lists the first
-    ``max_violations`` failing pairs in itertools.combinations order;
+    One residue walk decides all n(n-1)/2 pairs at O(n * depth) cost, at
+    every size: ``fourier._int64_residue_walk`` when every point is concrete
+    with coordinates below 2^62, which leaves ``fourier._residue_walk`` only
+    the points of failing nodes, else the latter alone.  The report lists the
+    first ``max_violations`` failing pairs in itertools.combinations order;
     ``pairs_checked`` is n(n-1)/2, or the rank of the last listed violation
     plus one when the list was cut there.
     """
     points, p = _points_and_params(prefix, p)
     n = len(points)
-    bad = _violating_pairs(
-        [pt.value for pt in points], p.primary_digit, (p.base_x, p.base_y), max_violations
+    vecs = [pt.value for pt in points]
+    bad = _listed_violations(
+        vecs.__getitem__, n, _int64_columns(vecs), p.primary_digit, (p.base_x, p.base_y),
+        max_violations,
     )
     violations = tuple(
         PairViolation(
@@ -179,20 +209,27 @@ def check_projection_orthogonality(
 
     The x-projections are tested against the base-3*q1 zero set, the
     y-projections against base-3*q2, by the residue walk of
-    ``check_orthogonality`` run once per axis; exact symbolic arithmetic
-    throughout.  A zero projected difference between distinct points is a
-    violation too.  Pairs are taken in itertools.combinations order, and the
-    lists stop at the first pair where either one reaches ``max_violations``.
+    ``check_orthogonality`` run once per axis (on the int64 columns of the
+    points when they have them); exact arithmetic throughout.  A zero
+    projected difference between distinct points is a violation too.  Pairs
+    are taken in itertools.combinations order, and the lists stop at the
+    first pair where either one reaches ``max_violations``.
     """
     points, p = _points_and_params(prefix, p)
     n = len(points)
+    vecs = [pt.value for pt in points]
+    cols = _int64_columns(vecs)
     bad = []
     for axis, q in ((0, p.q1), (1, p.q2)):
-        vecs = []
-        for pt in points:
-            b, terms, _ = scalar_parts(pt.value, p, axis)
-            vecs.append(SymVec(base=(b, 0), terms=tuple((e, (c, 0)) for e, c in terms)))
-        bad.append(_violating_pairs(vecs, (q, 0), (3 * q, 3 * q), max_violations))
+
+        def vec_at(i, axis=axis):
+            b, terms, _ = scalar_parts(vecs[i], p, axis)
+            return SymVec(base=(b, 0), terms=tuple((e, (c, 0)) for e, c in terms))
+
+        axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
+        bad.append(_listed_violations(
+            vec_at, n, axis_cols, (q, 0), (3 * q, 3 * q), max_violations
+        ))
     cut = min(
         (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
         default=math.inf,
@@ -238,10 +275,15 @@ def gram_unitarity(
         atoms.append((ax, ay))
     lams = [pt.concrete(p) for pt in points]
     size = 3**n
-    phase = np.empty((size, size), dtype=float)
-    for r, (ax, ay) in enumerate(atoms):
-        for c, (lx, ly) in enumerate(lams):
-            phase[r, c] = ((lx * ax) % denx) / denx + ((ly * ay) % deny) / deny
+    phase = np.zeros((size, size), dtype=float)
+    for axis, den in ((0, denx), (1, deny)):
+        # (lam mod den) * atom < den^2: int64 when that fits, Python ints otherwise
+        dtype = np.int64 if den * den < 2**63 else object
+        a = np.array([atom[axis] for atom in atoms], dtype=dtype)
+        lam = np.array([v[axis] % den for v in lams], dtype=dtype)
+        prod = np.multiply.outer(a, lam) % den
+        phase += (prod / den).astype(float, copy=False)  # correctly rounded quotients
+        del prod
     u = np.exp(-2j * np.pi * phase) / math.sqrt(size)
     gram = u.conj().T @ u
     return float(np.max(np.abs(gram - np.eye(size))))
@@ -315,9 +357,12 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
         x /= p.base_x
         y /= p.base_y
         prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
-    tails = np.array(
-        [tail_bound((float(c[0]), float(c[1])), p, depth) for c in arr]
+    # tail_bound per point, in the same float operations
+    s = (2.0 * math.pi / 3.0) * (
+        np.abs(arr[:, 0]) / float(p.base_x**depth * (p.base_x - 1))
+        + np.abs(arr[:, 1]) / float(p.base_y**depth * (p.base_y - 1))
     )
+    tails = np.where(s <= 0.5, 2.0 * s, math.inf)
     values = np.abs(prod) ** 2
     errors = tails * (2.0 * np.abs(prod) + tails)
     return values, errors, depth

@@ -263,6 +263,40 @@ def test_bad_csv_record_is_usage_error(tmp_path, capsys, row):
     assert code == 2 and "bad record" in err
 
 
+ORIGIN_JSONL = '{"k": 0, "word": [], "lambda": ["0", "0"]}'
+
+
+@pytest.mark.parametrize("name, lines, message", [
+    pytest.param("bad.jsonl", ['{"k": 1, "word": [-1, 0, 1], "lambda": ["1", "-1"]}'],
+                 "not the word of k=1", id="jsonl-word-of-another-k"),
+    pytest.param("bad.jsonl", ['{"k": 5, "word": [], "lambda": ["1", "-1"]}'],
+                 "not the word of k=5", id="jsonl-empty-word"),
+    pytest.param("bad.jsonl", ['{"k": -1, "word": [1], "lambda": ["1", "-1"]}'],
+                 "not the word of k=-1", id="jsonl-negated-word"),
+    pytest.param("bad.jsonl", ['{"k": 0, "word": [], "lambda": ["1", "-1"]}'],
+                 "k=0 repeats line 1", id="jsonl-repeated-k"),
+    pytest.param("bad.csv", ["1,-1 0 1,1,-1,"], "not the word of k=1", id="csv-word-of-another-k"),
+    pytest.param("bad.csv", ["5,,1,-1,"], "not the word of k=5", id="csv-empty-word"),
+    pytest.param("bad.csv", ["-1,1,1,-1,"], "not the word of k=-1", id="csv-negated-word"),
+    pytest.param("bad.csv", ["0,,1,-1,"], "k=0 repeats line 2", id="csv-repeated-k"),
+])
+def test_word_must_match_k_and_k_must_not_repeat(tmp_path, capsys, name, lines, message):
+    bad = tmp_path / name
+    head = [ORIGIN_JSONL] if name.endswith(".jsonl") else ["k,word,x,y,kick_position", "0,,0,0,"]
+    bad.write_text("\n".join(head + lines) + "\n")
+    code, err = _verify_input(bad, capsys)
+    assert code == 2 and "bad record" in err and message in err
+
+
+def test_a_record_without_word_takes_the_word_of_k(tmp_path):
+    from sierpspec.cli import _read_points
+    from sierpspec.lattice import MatrixParams
+
+    path = tmp_path / "pts.jsonl"
+    path.write_text(ORIGIN_JSONL + '\n{"k": -4, "lambda": ["-4", "4"]}\n')
+    assert [pt.word for pt in _read_points(str(path), MatrixParams(1, 1))] == [(), (-1, -1)]
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_gen_output_reads_back(tmp_path, capsys, fmt):
     from sierpspec.cli import _read_points

@@ -2,12 +2,22 @@ import dataclasses
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sierpspec import verify
 from sierpspec.construct import build_intermediate_spectrum
-from sierpspec.fourier import in_zero_set, in_zero_set_sym, zero_set_1d, zero_set_1d_sym
+from sierpspec.fourier import (
+    _int64_columns,
+    _int64_residue_walk,
+    in_zero_set,
+    in_zero_set_sym,
+    tail_bound,
+    zero_set_1d,
+    zero_set_1d_sym,
+)
 from sierpspec.lattice import MatrixParams, SymVec, make_sym, scalar_parts, sym_diff
 from sierpspec.treemap import (
     CanonicalMapping,
@@ -24,6 +34,7 @@ from sierpspec.verify import (
     gram_unitarity,
     maximality_probe,
     q_sum,
+    q_sum_terms,
 )
 
 P11 = MatrixParams(1, 1)
@@ -249,13 +260,33 @@ def _witness(w):
     return None if w is None else (w.level, w.residue_class)
 
 
-def _assert_matches_oracle(points, p, max_violations=100):
+def _takes_int64_path(points):
+    return _int64_columns([pt.value for pt in points]) is not None
+
+
+def _object_walk_reports(points, p, max_violations=100):
+    """Both reports from the object walk alone, with the int64 columns turned off."""
+    with mock.patch.object(verify, "_int64_columns", lambda vecs: None):
+        return (
+            check_orthogonality(points, p, max_violations=max_violations),
+            check_projection_orthogonality(points, p, max_violations=max_violations),
+        )
+
+
+def _assert_matches_object_walk(points, p, max_violations=100):
     rep = check_orthogonality(points, p, max_violations=max_violations)
+    proj = check_projection_orthogonality(points, p, max_violations=max_violations)
+    if _takes_int64_path(points):
+        assert (rep, proj) == _object_walk_reports(points, p, max_violations)
+    return rep, proj
+
+
+def _assert_matches_oracle(points, p, max_violations=100):
+    rep, proj = _assert_matches_object_walk(points, p, max_violations)
     checked, violations = _oracle_orthogonality(points, p, max_violations)
     assert not rep.sampled
     assert rep.pairs_checked == checked
     assert [(v.k1, v.k2, v.difference, v.reason) for v in rep.violations] == violations
-    proj = check_projection_orthogonality(points, p, max_violations=max_violations)
     assert (proj.x_violations, proj.y_violations) == _oracle_projections(
         points, p, max_violations
     )
@@ -414,3 +445,235 @@ def test_level_9_is_certified_exactly():
     assert [(v.k1, v.k2) for v in cut.violations] == [(pts[a].k, pts[b].k) for a, b in want[:100]]
     a, b = want[99]
     assert cut.pairs_checked == a * (2 * n - a - 1) // 2 + b - a  # rank of want[99], plus 1
+
+
+# ---------------------------------------------------------------------------
+# The int64 walk against the object walk (and, on small sets, the pairwise
+# oracle above)
+# ---------------------------------------------------------------------------
+
+P35 = MatrixParams(3, 5)
+P48 = MatrixParams(4, 8)
+
+
+def _concrete(values):
+    return _pts([SymVec(tuple(v)) for v in values])
+
+
+def _random_concrete_values(rng, p):
+    n = rng.randint(0, 45)
+    canon = [pt.value.base for pt in enumerate_spectrum(CanonicalMapping(), p, level=4).points]
+    kind = rng.randrange(3)
+    if kind == 0:  # noise: mostly violations
+        vals = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(n)]
+    else:  # canonical points, a few moved, some shifted far out by A^e
+        vals = rng.sample(canon, min(n, len(canon)))
+        for i in rng.sample(range(len(vals)), min(len(vals), rng.randint(0, 3))):
+            e = rng.randint(0, 6)
+            vals[i] = (vals[i][0] + rng.choice([-1, 1]) * p.base_x**e, vals[i][1])
+        if kind == 2:
+            e = rng.randint(5, max(e for e in range(64) if p.base_y**e < 2**61))
+            vals = [(x + p.base_x**e, y - p.base_y**e) for x, y in vals]
+    for _ in range(rng.randint(0, 3) if vals else 0):
+        vals.append(rng.choice(vals))
+    rng.shuffle(vals)
+    return vals
+
+
+def test_int64_walk_matches_object_walk_on_random_concrete_sets():
+    rng = random.Random(606)
+    for _ in range(100):
+        p = rng.choice(PARAMS + (P35,))
+        pts = _concrete(_random_concrete_values(rng, p))
+        assert _takes_int64_path(pts)
+        _assert_matches_oracle(pts, p, rng.choice([1, 7, 100]))
+
+
+def test_int64_walk_at_the_coordinate_border():
+    top = 2**62 - 1
+    for p in (P11, P12, P35):
+        ex = max(e for e in range(64) if p.base_x**e < 2**61)
+        ey = max(e for e in range(64) if p.base_y**e < 2**61)
+        canon = [pt.value.base for pt in enumerate_spectrum(CanonicalMapping(), p, level=3).points]
+        far = [(x + p.base_x**ex, y - p.base_y**ey) for x, y in canon]
+        both = far + [(-x, -y) for x, y in far]
+        edge = [(top, -top), (-top, top), (top, top), (-top, -top), (0, 0), (top, -top)]
+        for vals in (far, both, edge, both + edge):
+            pts = _concrete(vals)
+            assert _takes_int64_path(pts)
+            _assert_matches_oracle(pts, p)
+        assert _assert_matches_oracle(_concrete(far), p).passed
+        for past in ((2**62, 0), (0, -(2**62))):  # one value just past the cutoff
+            pts = _concrete(edge + [past])
+            assert not _takes_int64_path(pts)
+            _assert_matches_oracle(pts, p)
+    # node keys n * bx * by past 2^63: the object walk decides
+    huge = MatrixParams(10**9, 10**9)
+    pts = _concrete([(0, 0), (10**9, -(10**9)), (1, 0), (0, 1), (5, 5), (10**9, -(10**9))])
+    assert _int64_residue_walk(*_int64_columns([pt.value for pt in pts]),
+                               huge.primary_digit, (huge.base_x, huge.base_y)) is None
+    _assert_matches_oracle(pts, huge)
+
+
+def test_int64_walk_on_coincident_and_value_equal_points():
+    p = P12
+    canon = [pt.value.base for pt in enumerate_spectrum(CanonicalMapping(), p, level=4).points]
+    rng = random.Random(3)
+    for copies in (2, 3):
+        vals = list(canon)
+        for v in rng.sample(canon, 4):
+            vals += [v] * (copies - 1)
+        vals += [(0, 0)] * (copies - 1)  # the canonical prefix holds (0, 0) once
+        rng.shuffle(vals)
+        rep, _ = _assert_matches_object_walk(_concrete(vals), p, 10**6)
+        assert {v.reason for v in rep.violations} == {"coincident"}
+        assert len(rep.violations) == 5 * copies * (copies - 1) // 2
+    assert len(_assert_matches_oracle(_concrete([(5, -7)] * 6), p).violations) == 15
+    # a duplicate inside a failing node, equal in value but built apart
+    vals = canon[:20] + [(canon[3][0] + 1, canon[3][1]), tuple(canon[7])]
+    _assert_matches_oracle(_concrete(vals), p)
+    # equal in value, different in form: the symbolic one sends the set to the object walk
+    folded, kicked = SymVec((p.base_x**30, 0)), SymVec((0, 0), ((30, (1, 0)),))
+    assert _takes_int64_path(_pts([folded, SymVec((0, 0)), folded]))
+    _assert_matches_oracle(_pts([folded, SymVec((0, 0)), folded]), p)
+    assert not _takes_int64_path(_pts([folded, kicked, folded]))
+    rep = _assert_matches_oracle(_pts([folded, kicked, folded]), p)
+    assert [v.reason for v in rep.violations] == [
+        "not-in-zero-set", "coincident", "not-in-zero-set"
+    ]
+
+
+def test_int64_walk_on_literal_violations():
+    literal = KickedMapping(TableOffsets({1: 1, -4: 2}), mode="literal")
+    for level in (3, 6):
+        pts = list(enumerate_spectrum(literal, MatrixParams(4, 4), level=level).points)
+        assert _takes_int64_path(pts)
+        for mv in (1, 5, 100, 10**6):
+            rep, _ = _assert_matches_object_walk(pts, MatrixParams(4, 4), mv)
+            assert not rep.passed
+
+
+def test_int64_walk_on_projections():
+    rng = random.Random(17)
+    for p in (P12, P48, P35):
+        pts = list(enumerate_spectrum(CanonicalMapping(), p, level=5).points)
+        assert _takes_int64_path(pts)
+        _, proj = _assert_matches_object_walk(pts, p)
+        assert proj.passed
+        for _ in range(3):
+            i, j = rng.sample(range(len(pts)), 2)
+            x, y = pts[i].value.base
+            moved = list(pts)
+            moved[i] = dataclasses.replace(pts[i], value=SymVec((x + rng.choice([1, 3, 9]), y)))
+            moved[j] = dataclasses.replace(pts[j], value=SymVec((pts[j].value.base[0], y)))
+            for mv in (1, 100):
+                _, proj = _assert_matches_object_walk(moved, p, mv)
+                assert not proj.passed
+        small = pts[:: len(pts) // 40]
+        _assert_matches_oracle(small, p)
+
+
+def test_level_11_is_certified_exactly():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=11)
+    n = len(pre.points)
+    assert n == 177_147 and _takes_int64_path(pre.points)
+    rep = check_orthogonality(pre)
+    assert not rep.sampled and rep.pairs_checked == n * (n - 1) // 2 and rep.passed
+    walk = (P12.primary_digit, (P12.base_x, P12.base_y))
+    assert len(_int64_residue_walk(*_int64_columns([pt.value for pt in pre.points]), *walk)) == 0
+    # one point moved by A^6 (1, 0): only pairs inside its level-7 node change
+    i = random.Random(11).randrange(n)
+    pts = list(pre.points)
+    x, y = pts[i].value.base
+    pts[i] = dataclasses.replace(pts[i], value=SymVec((x + P12.base_x**6, y)))
+    keep = _int64_residue_walk(*_int64_columns([pt.value for pt in pts]), *walk)
+    assert i in keep and len(keep) <= 3**5  # the object walk sees that node alone
+    want = [
+        (min(i, j), max(i, j))
+        for j in range(n)
+        if j != i and _oracle_in_zero_set_sym(sym_diff(pts[i].value, pts[j].value), P12) is None
+    ]
+    want.sort()
+    assert len(want) > 100
+    rep = check_orthogonality(pts, P12, max_violations=n)
+    assert [(v.k1, v.k2) for v in rep.violations] == [(pts[a].k, pts[b].k) for a, b in want]
+    assert all(v.reason == "not-in-zero-set" for v in rep.violations)
+    assert rep.pairs_checked == n * (n - 1) // 2
+    cut = check_orthogonality(pts, P12)
+    assert [(v.k1, v.k2) for v in cut.violations] == [(pts[a].k, pts[b].k) for a, b in want[:100]]
+    a, b = want[99]
+    assert cut.pairs_checked == a * (2 * n - a - 1) // 2 + b - a  # rank of want[99], plus 1
+
+
+# ---------------------------------------------------------------------------
+# Unitarity and quadratic sums against the per-entry loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_gram_unitarity(n, points, p):
+    denx, deny = p.base_x**n, p.base_y**n
+    atoms = []
+    for digits in itertools.product(verify.DIGITS, repeat=n):
+        ax = ay = 0
+        for dx, dy in digits:
+            ax = ax * p.base_x + dx
+            ay = ay * p.base_y + dy
+        atoms.append((ax, ay))
+    lams = [pt.concrete(p) for pt in points]
+    size = 3**n
+    phase = np.empty((size, size), dtype=float)
+    for r, (ax, ay) in enumerate(atoms):
+        for c, (lx, ly) in enumerate(lams):
+            phase[r, c] = ((lx * ax) % denx) / denx + ((ly * ay) % deny) / deny
+    u = np.exp(-2j * np.pi * phase) / math.sqrt(size)
+    gram = u.conj().T @ u
+    return float(np.max(np.abs(gram - np.eye(size))))
+
+
+def test_gram_unitarity_matches_loop():
+    rng = random.Random(4)
+    cases = [(n, enumerate_spectrum(CanonicalMapping(), p, level=n).points, p)
+             for p in (P11, P12, P35) for n in range(5)]
+    # den^2 >= 2^63 on y, and atom * lam mod den past 2^63: the Python-int phase matrix
+    big = MatrixParams(1, 10**7)
+    cases.append((2, enumerate_spectrum(CanonicalMapping(), big, level=2).points, big))
+    huge = _concrete([(rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40))
+                      for _ in range(9)])
+    cases += [(2, huge, P12), (2, huge, big)]
+    kicked = build_intermediate_spectrum(0.3, MatrixParams(4, 4)).prefix(4).points
+    cases.append((2, kicked, MatrixParams(4, 4)))
+    for n, pts, p in cases:
+        assert gram_unitarity(n, pts, p) == _oracle_gram_unitarity(n, pts, p)
+
+
+def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9):
+    arr = np.array([pt.value.base for pt in points], dtype=float) + np.asarray(xi, dtype=float)
+    xmax = float(np.max(np.abs(arr)))
+    per_term = tail_target / (3.0 * max(1, len(points)))
+    depth = 1
+    while tail_bound((xmax, xmax), p, depth) > per_term:
+        depth += 1
+    prod = np.ones(len(points), dtype=complex)
+    x, y = arr[:, 0].copy(), arr[:, 1].copy()
+    for _ in range(depth):
+        x /= p.base_x
+        y /= p.base_y
+        prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
+    tails = np.array([tail_bound((float(c[0]), float(c[1])), p, depth) for c in arr])
+    return np.abs(prod) ** 2, tails * (2.0 * np.abs(prod) + tails), depth
+
+
+def test_q_sum_terms_match_per_point_tails():
+    rng = random.Random(12)
+    for p in (P11, P12, P35):
+        pre = enumerate_spectrum(CanonicalMapping(), p, level=4)
+        noise = _concrete([(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                           for _ in range(50)])
+        for pts in (pre.points, noise):
+            for xi in SamplingBox.for_params(p).samples(4, seed=7) + [(0.0, 0.0)]:
+                for target in (1e-9, 1e-3):
+                    got = q_sum_terms(xi, pts, p, target)
+                    want = _oracle_q_sum_terms(xi, pts, p, target)
+                    assert got[2] == want[2]
+                    assert got[0].tolist() == want[0].tolist()
+                    assert got[1].tolist() == want[1].tolist()
