@@ -4,19 +4,23 @@ The counting estimator regresses log ball-count against log radius over a
 geometric scale grid, taking the sup over centers from a finite policy (the
 densest balls of these digit-generated sets center on points of the set, so
 candidate centers are the origin plus generated points; this is a documented
-heuristic, the true sup is over all of R^2).  Counting is exact and costs one
-squared distance per (point, center) pair for the whole scale grid.  A point
-whose coordinate the top term of its symbolic form puts beyond the largest
-radius is dropped unexpanded, so huge coordinates are never squared; concrete
-points and integer centers below 2^30 are counted in int64.
+heuristic, the true sup is over all of R^2).  Counting is exact, and each
+(point, center) pair is settled once for the whole scale grid on one of three
+paths.  Concrete points against integer centers, all coordinates below 2^30,
+are counted in int64 numpy columns.  Any other pair with an integer center is
+first screened by magnitude bounds: when those put point and center more than
+the largest scale apart on some axis, the pair is dropped unexpanded, so the
+huge coordinates of kicked points are never subtracted or squared.  The pairs
+left, and every pair with a rational center, get one exact squared distance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +29,7 @@ from .lattice import (
     MatrixParams,
     SymVec,
     scalar_abs_lt,
+    scalar_log2_bounds,
     scalar_materialize,
     scalar_parts,
     sym,
@@ -36,6 +41,8 @@ from .treemap import SpectrumPoint, SpectrumPrefix
 # branch: two differences of them square and add to less than 2^63.
 _I64_COORD = 2**30
 _I64_MAX = 2**63 - 1
+_SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
+_OFF = (_I64_COORD, _I64_COORD)  # column filler for a point off the int64 path
 
 
 def _as_symvecs(points, p=None):
@@ -68,24 +75,86 @@ def _is_small(v: SymVec) -> bool:
     return v.is_concrete and abs(v.base[0]) < _I64_COORD and abs(v.base[1]) < _I64_COORD
 
 
-def _max_ball_counts(vecs, centers, scales, p) -> list[int]:
+def _small_columns(vecs):
+    """x and y int64 columns of the points counted in int64, and which points those are."""
+
+    def columns(bases):
+        flat = itertools.chain.from_iterable(bases)
+        return np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
+
+    try:
+        xs, ys = columns(v.base if not v.terms else _OFF for v in vecs)
+    except OverflowError:  # a concrete coordinate beyond int64
+        xs, ys = columns(v.base if _is_small(v) else _OFF for v in vecs)
+    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    return xs[small], ys[small], small
+
+
+def _log2_bounds(v: SymVec, p) -> list[tuple[float, float]]:
+    """Per axis, (lo, hi) with 2^lo <= |coordinate| < 2^hi."""
+    return [scalar_log2_bounds(*scalar_parts(v, p, axis)) for axis in (0, 1)]
+
+
+def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     """Per scale h, the most points at distance < h from any one of the centers.
 
     For a center num/den, each point's den^2 |v - center|^2 is worked out once,
-    exactly, and the count at h is the number of these below den^2 h^2.
+    exactly, and the count at h is the number of these below den^2 h^2.  A
+    pair takes one of three paths, tallied in the returned stats:
+
+    * int64: a concrete point and an integer center, every coordinate below
+      2^30, counted in numpy for the whole scale grid;
+    * screened: any other pair with an integer center whose magnitude bounds
+      (``scalar_log2_bounds``) put point and center more than the largest
+      scale apart on some axis.  A bound only drops a pair that the exact
+      test rejects too, so no float decides a count;
+    * exact: every pair left, and every pair with a rational center, through
+      ``sym_diff`` and ``scalar_abs_lt``.
+
+    Bounds are computed only when some point or center is off the int64 path.
     """
-    small, rest = [], []
-    for v in vecs:
-        (small if _is_small(v) else rest).append(v)
-    xs, ys = np.array([v.base for v in small], dtype=np.int64).reshape(-1, 2).T
+    n = len(vecs)
+    xs, ys, small = _small_columns(vecs)
+    off = np.flatnonzero(~small)
     h2s = [Fraction(h) ** 2 for h in scales]
+    # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
+    reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
+    lo = hi = None  # magnitude bounds of the points off the int64 path
+    center_parts = [_center_parts(center) for center in centers]
+    # no point on the int64 path carries a symbolic term
+    maybe_symbolic = [vecs[i] for i in off] + [c for c, _ in center_parts]
+    stats = {
+        "pairs_int64": 0,
+        "pairs_screened": 0,
+        "pairs_exact": 0,
+        "max_exponent": max((e for v in maybe_symbolic for e, _ in v.terms), default=0),
+    }
     best = [0] * len(scales)
-    for center in centers:
-        c, den = _center_parts(center)
+    for c, den in center_parts:
         reach = Fraction(max(scales)) * den
         fast = den == 1 and _is_small(c)
+        if den != 1:
+            rest = vecs
+        elif fast and not off.size:
+            rest = []
+        else:
+            if lo is None:
+                bnds = np.array([_log2_bounds(vecs[i], p) for i in off]).reshape(-1, 2, 2)
+                lo, hi = bnds[:, :, 0], bnds[:, :, 1]
+            c_lo, c_hi = np.array(_log2_bounds(c, p)).T
+            # |v - c| > 2^(lo_v - 1) >= 2^reach_log2 once lo_v >= max(hi_c, reach_log2) + 1
+            far = ((lo >= np.maximum(c_hi, reach_log2) + 1)
+                   | (c_lo >= np.maximum(hi, reach_log2) + 1)).any(1)
+            rest = [vecs[i] for i in off[~far]]
+            # the int64-counted points, |coordinate| < 2^30, face this center exactly
+            if not fast and not (c_lo >= max(_SMALL_LOG2, reach_log2) + 1).any():
+                rest += [vecs[i] for i in np.flatnonzero(small)]
+        if fast:
+            stats["pairs_int64"] += len(xs)
+        stats["pairs_exact"] += len(rest)
+        stats["pairs_screened"] += n - len(rest) - (len(xs) if fast else 0)
         d2s = []
-        for v in rest if fast else vecs:
+        for v in rest:
             if den != 1:
                 v = SymVec((v.base[0] * den, v.base[1] * den),
                            tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
@@ -105,24 +174,26 @@ def _max_ball_counts(vecs, centers, scales, p) -> list[int]:
         for i, h2 in enumerate(h2s):
             # an integer is below den^2 h^2 exactly when it is below its ceiling
             bound = -(-h2.numerator * den * den // h2.denominator)
-            n = bisect_left(d2s, bound)
+            n_in = bisect_left(d2s, bound)
             if fast:
-                n += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
-            best[i] = max(best[i], n)
-    return best
+                n_in += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
+            best[i] = max(best[i], n_in)
+    return best, stats
 
 
 def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
     """Exact number of points at Euclidean distance < h from the center.
 
-    The center is a lattice point or a pair of rationals.  Each point costs one
-    exact distance; a point with a coordinate beyond h of the center's is
-    dropped on its top symbolic term, so huge coordinates are never squared.
+    The center is a lattice point or a pair of rationals.  Concrete points
+    with coordinates below 2^30 are counted in int64 against a small integer
+    center.  Against an integer center, a point whose magnitude bounds put it
+    beyond h of the center on some axis is dropped unexpanded, so huge
+    coordinates are never squared; every other point costs one exact distance.
     """
     if h <= 0:
         raise ValueError("radius must be positive")
     vecs, p = _as_symvecs(points, p)
-    return _max_ball_counts(vecs, [center], [h], p)[0]
+    return _max_ball_counts(vecs, [center], [h], p)[0][0]
 
 
 @dataclass(frozen=True)
@@ -132,6 +203,9 @@ class DimensionEstimate:
     slope: float
     fit_residual: float
     centers_used: int
+    # pairs_int64 + pairs_screened + pairs_exact = points x centers, and the
+    # largest symbolic exponent among points and centers; outside == and hash
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __str__(self) -> str:
         return f"dim~{self.slope:.4f} over {len(self.scales)} scales (rms {self.fit_residual:.3f})"
@@ -175,9 +249,12 @@ def beurling_dim_estimate(
     centers: "origin", "points", "sample:N" (origin plus a seeded sample of
     generated points), or an explicit list.  Counting is exact; the regression
     is an estimate whose window the caller controls.  Each (point, center)
-    pair costs one exact distance for the whole grid, and a point with a
-    coordinate beyond the largest scale is dropped on its top symbolic term,
-    so huge coordinates are never squared.
+    pair is settled once for the whole grid: in int64 when point and integer
+    center have coordinates below 2^30; else, for an integer center, dropped
+    unexpanded when magnitude bounds put the two beyond the largest scale on
+    some axis; else by one exact distance.  ``stats`` counts the pairs of
+    each path (``pairs_int64``, ``pairs_screened``, ``pairs_exact``) and the
+    largest symbolic exponent among points and centers (``max_exponent``).
 
     The Beurling dimension is a limit as h -> oo, and a finite window is
     biased for sets of dimension zero: counts that grow like log h give a
@@ -195,7 +272,7 @@ def beurling_dim_estimate(
         raise ValueError("scales must be positive and distinct")
     scales.sort()
     center_list = _resolve_centers(vecs, centers, seed)
-    counts = _max_ball_counts(vecs, center_list, scales, p)
+    counts, stats = _max_ball_counts(vecs, center_list, scales, p)
     if min(counts) < 1:
         raise ValueError("every scale needs a nonempty densest ball; enlarge scales")
     xs = np.array([math.log(h) for h in scales])  # math.log takes ints of any size
@@ -208,6 +285,7 @@ def beurling_dim_estimate(
         slope=float(slope),
         fit_residual=resid,
         centers_used=len(center_list),
+        stats=stats,
     )
 
 

@@ -8,6 +8,7 @@ unexpanded so that astronomically large coordinates stay cheap to compare.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -352,6 +353,39 @@ def scalar_sign(b: int, terms, B: int) -> int:
     if dominated:
         return _sign_int(top_c)
     return _sign_int(scalar_materialize(b, terms, B))
+
+
+def scalar_log2_bounds(b: int, terms, B: int) -> tuple[float, float]:
+    """(lo, hi) with 2**lo <= |b + sum(c * B**e)| < 2**hi, without expanding powers.
+
+    A concrete value gets exact bit-length bounds.  A symbolic one is bounded
+    through float logarithms widened by a safety margin far beyond their
+    rounding error; lo is -inf unless the top term outweighs everything else
+    by a factor of 4, so a cancelling top term never claims a large value.
+    """
+    terms = [(e, c) for e, c in terms if c != 0]
+    if not terms:
+        n = abs(b).bit_length()
+        return (float(n - 1) if n else -math.inf), float(n)
+    terms.sort()
+    log_b = math.log2(B)
+    top_e, top_c = terms[-1]
+    try:
+        top = math.log2(abs(top_c)) + top_e * log_b
+        lower = [math.log2(abs(c)) + e * log_b for e, c in terms[:-1]]
+    except OverflowError:  # an exponent beyond the float range
+        return -math.inf, math.inf
+    if b:
+        lower.append(math.log2(abs(b)))
+    margin = 1e-9 * (1.0 + max(map(abs, [top, *lower])))
+    if not lower:
+        return top - margin, top + margin
+    # the lower pieces sum to less than len(lower) * 2**max(lower)
+    rest = max(lower) + math.log2(len(lower)) + margin
+    if top - margin >= rest + 2:
+        # |rest| <= |top| / 4, so the value lies within [3/4, 5/4] of the top term
+        return top - margin + math.log2(0.75), top + margin + math.log2(1.25)
+    return -math.inf, max(top + margin, rest) + 1
 
 
 def scalar_cmp_frac(b: int, terms, B: int, bound: Fraction) -> int:

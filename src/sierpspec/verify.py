@@ -176,10 +176,22 @@ def _coord_cmp(p: MatrixParams, axis: int):
 def check_distinct_lines(
     prefix: SpectrumPrefix | list[SpectrumPoint], p: MatrixParams | None = None
 ) -> LineReport:
-    """Report any two points sharing an x- or a y-coordinate (exact comparison)."""
+    """Report any two points sharing an x- or a y-coordinate (exact comparison).
+
+    Per axis the points are sorted stably by coordinate and each pair of equal
+    neighbours is a witness.  When every point is concrete and below 2^62 the
+    sort runs on int64 columns; otherwise an exact comparator gives the same
+    order.
+    """
     points, p = _points_and_params(prefix, p)
+    cols = _int64_columns([pt.value for pt in points])
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
     for axis in (0, 1):
+        if cols is not None:
+            order = np.argsort(cols[axis], kind="stable")
+            ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
+            shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
+            continue
         ordered = sorted(points, key=functools.cmp_to_key(_coord_cmp(p, axis)))
         cmp = _coord_cmp(p, axis)
         for a, b in zip(ordered, ordered[1:]):

@@ -1,12 +1,16 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sierpspec.construct import build_intermediate_spectrum, pattern_lattice_points
 from sierpspec.dimension import (
     Beatty,
+    DimensionEstimate,
     Explicit,
     Periodic,
     beurling_dim_estimate,
@@ -20,8 +24,24 @@ from sierpspec.dimension import (
     relative_density_check,
     support_hausdorff_dim,
 )
-from sierpspec.lattice import MatrixParams, SymVec, enumerate_digit_sets
-from sierpspec.treemap import CanonicalMapping, SpectrumPoint, enumerate_spectrum
+from sierpspec.dimension import _as_symvecs, _max_ball_counts
+from sierpspec.lattice import (
+    MatrixParams,
+    SymVec,
+    enumerate_digit_sets,
+    scalar_abs_lt,
+    scalar_materialize,
+    scalar_parts,
+    sym,
+    sym_diff,
+)
+from sierpspec.treemap import (
+    CanonicalMapping,
+    KickedMapping,
+    SpectrumPoint,
+    TableOffsets,
+    enumerate_spectrum,
+)
 
 P11 = MatrixParams(1, 1)
 P12 = MatrixParams(1, 2)
@@ -58,42 +78,238 @@ def _brute_counts(points, center, scales, p):
     return [sum(1 for d2 in d2s if d2 < Fraction(h) ** 2) for h in scales]
 
 
+# The ball-counting kernel before magnitude screening, kept verbatim as the
+# oracle for the screened one: it sends every pair off the int64 path through
+# the exact test.
+_I64_COORD = 2**30
+_I64_MAX = 2**63 - 1
+
+
+def _center_parts(center) -> tuple[SymVec, int]:
+    """A center as an integer numerator and denominator: center = num / den."""
+    if isinstance(center, SpectrumPoint):
+        return center.value, 1
+    if isinstance(center, SymVec):
+        return center, 1
+    cx, cy = Fraction(center[0]), Fraction(center[1])
+    den = math.lcm(cx.denominator, cy.denominator)
+    return sym((int(cx * den), int(cy * den))), den
+
+
+def _is_small(v: SymVec) -> bool:
+    return v.is_concrete and abs(v.base[0]) < _I64_COORD and abs(v.base[1]) < _I64_COORD
+
+
+def _unscreened_max_ball_counts(vecs, centers, scales, p) -> list[int]:
+    """Per scale h, the most points at distance < h from any one of the centers.
+
+    For a center num/den, each point's den^2 |v - center|^2 is worked out once,
+    exactly, and the count at h is the number of these below den^2 h^2.
+    """
+    small, rest = [], []
+    for v in vecs:
+        (small if _is_small(v) else rest).append(v)
+    xs, ys = np.array([v.base for v in small], dtype=np.int64).reshape(-1, 2).T
+    h2s = [Fraction(h) ** 2 for h in scales]
+    best = [0] * len(scales)
+    for center in centers:
+        c, den = _center_parts(center)
+        reach = Fraction(max(scales)) * den
+        fast = den == 1 and _is_small(c)
+        d2s = []
+        for v in rest if fast else vecs:
+            if den != 1:
+                v = SymVec((v.base[0] * den, v.base[1] * den),
+                           tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+            d = sym_diff(v, c)
+            coords = []
+            for axis in (0, 1):
+                b, terms, B = scalar_parts(d, p, axis)
+                if not scalar_abs_lt(b, terms, B, reach):
+                    break
+                coords.append(scalar_materialize(b, terms, B))
+            else:
+                d2s.append(coords[0] ** 2 + coords[1] ** 2)
+        d2s.sort()
+        if fast:
+            dx, dy = xs - c.base[0], ys - c.base[1]
+            d2 = dx * dx + dy * dy
+        for i, h2 in enumerate(h2s):
+            # an integer is below den^2 h^2 exactly when it is below its ceiling
+            bound = -(-h2.numerator * den * den // h2.denominator)
+            n = bisect_left(d2s, bound)
+            if fast:
+                n += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
+            best[i] = max(best[i], n)
+    return best
+
+
 def _differential_cases():
+    """(id, points, centers, scales, params, brute): brute says whether the
+    brute-force oracle can afford to expand every coordinate."""
     rng = random.Random(20231017)
     canon = list(enumerate_spectrum(CanonicalMapping(), P12, level=5).points)
     yield ("canonical", canon, [(0, 0)] + rng.sample(canon, 6),
-           geometric_scales(P12, 1, 6), P12)
+           geometric_scales(P12, 1, 6), P12, True)
     for t in (0.15, 0.3):
         spec = build_intermediate_spectrum(t, P48)
         f_part, kicked = spec.split(spec.prefix(60))
         centers = [(0, 0), (Fraction(1, 3), Fraction(-7, 2))]
         centers += rng.sample(kicked, 5) + rng.sample(f_part, 2)
-        yield (f"kicked t={t}", kicked, centers, geometric_scales(P48, 1, 6), P48)
+        yield (f"kicked t={t}", kicked, centers, geometric_scales(P48, 1, 6), P48, True)
         # coincident points, and scales up to 24^14 > 2^63
         union = f_part + kicked + f_part[:3] + kicked[:3]
-        yield (f"union t={t}", union, centers, geometric_scales(P48, 1, 14), P48)
+        yield (f"union t={t}", union, centers, geometric_scales(P48, 1, 14), P48, True)
     edge = [0, 2**30 - 1, 2**30, 2**30 + 1]
     coords = sorted({s * e for e in edge for s in (1, -1)})
     border = [(x, y) for x in coords for y in coords]
     centers = [(0, 0), (2**30 - 1, 1 - 2**30), (-(2**30), 2**30), (2**30 + 1, 0),
                (Fraction(2**31 - 1, 2), Fraction(-1, 2))]
     yield ("int64 border", border, centers,
-           [1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**33 + 0.5], P11)
+           [1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 2**31 + 1, 2**32, 2**33 + 0.5], P11, True)
+    # centers just off the int64 path, next to int64-counted points
+    centers = [(2**30, 0), (2**30 + 1, 2**30 - 1), (-(2**30), 1 - 2**30), (2**31, 2**31)]
+    yield ("int64 border, small scales", border, centers, [1, 2, 3, 5], P11, True)
     small = [(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(200)]
     mixed = small + small[:20] + [(10**400, -3), (10**400, -3)]
     centers = [(0, 0), small[0], (10**400, 0), (Fraction(1, 2), Fraction(1, 3)), (0.25, -0.75)]
     yield ("mixed", mixed, centers,
-           [0.5, Fraction(7, 3), 2.5, 100.25, 1000, 2**70], P11)
+           [0.5, Fraction(7, 3), 2.5, 100.25, 1000, 2**70], P11, True)
+
+    # +-k share their kick exponent, so lambda(k) - lambda(-k) keeps it while
+    # the differences within a sign branch cancel it
+    offsets = TableOffsets({s * k: 60 + 7 * k for k in range(1, 14) for s in (1, -1)})
+    pm = list(enumerate_spectrum(KickedMapping(offsets, kick=(1, -2)), P48,
+                                 index_bound=13).points)
+    kick_e = pm[1].value.terms[-1][0]
+    near = [SymVec(base=(x, y), terms=((kick_e, (1, -2)),)) for x, y in ((0, 0), (5, -3), (-24, 7))]
+    yield ("same kick exponent", pm + near, [(0, 0)] + pm[1:5] + near[:2],
+           geometric_scales(P48, 1, 6), P48, True)
+
+    # the top term all but cancels the base: the value is (1, 1) or nearby
+    cancel = []
+    for e in (65, 130, 300):
+        bx, by = P48.base_x**e, P48.base_y**e
+        cancel += [SymVec(base=(1 - bx, 1 - by), terms=((e, (1, 1)),)),
+                   SymVec(base=(bx - 3, 2 - by), terms=((e, (-1, 1)),)),
+                   SymVec(base=(1 - bx, 5), terms=((e, (1, 0)), (e + 1, (0, 1))))]
+        # no single lower piece reaches the top term, but together they cancel it
+        bx, by = bx // P48.base_x, by // P48.base_y
+        cancel.append(SymVec(base=(1 - bx, 2 - by),
+                             terms=((e - 1, (1 - P48.base_x, 1 - P48.base_y)), (e, (1, 1)))))
+    centers = [(0, 0), (1, 1), cancel[1], (Fraction(1, 2), 3)]
+    yield ("cancelling top term", cancel + [(1, 1), (4, -2)], centers,
+           [1, 2, 3, 8, 24**66], P48, True)
+
+    # scales far beyond the float range, against kicked points
+    spec = build_intermediate_spectrum(0.15, P48)
+    _, kicked = spec.split(spec.prefix(60))
+    centers = [(0, 0)] + rng.sample(kicked, 4)
+    yield ("huge scales", kicked, centers, [24, 24**10, 6**400, 2**2000], P48, True)
+
+    # rational centers next to symbolic points, and a concrete 10^400 center
+    top = kicked[-1].value
+    x, y = top.materialize(P48)
+    centers = [(Fraction(x, 2), Fraction(y, 3)), (Fraction(2 * x + 1, 2), Fraction(y)),
+               (Fraction(-1, 3), Fraction(24**70 + 1, 7)), (x, y), (x + 5, y - 2),
+               (10**400, 0), (0, -(10**400)), (10**400, 10**400)]
+    yield ("rational and concrete centers", kicked, centers,
+           geometric_scales(P48, 1, 8), P48, True)
+
+    # the whole kicked t=0.15 part the benchmark estimates: 600k-bit coordinates
+    _, kicked = spec.split(spec.prefix(364))
+    centers = [(0, 0), (10**400, 1)] + rng.sample(kicked, 8)
+    yield ("kicked t=0.15 |k|<=364", kicked, centers, geometric_scales(P48, 1, 6), P48, False)
 
 
 @pytest.mark.parametrize("case", list(_differential_cases()), ids=lambda c: c[0])
 def test_counts_match_brute_force_oracle(case):
-    _, points, centers, scales, p = case
-    want = [_brute_counts(points, c, scales, p) for c in centers]
+    _, points, centers, scales, p, brute = case
+    if brute:
+        want = [_brute_counts(points, c, scales, p) for c in centers]
+    else:  # the unscreened kernel, checked against brute force on the cases above
+        vecs, _ = _as_symvecs(points, p)
+        want = [_unscreened_max_ball_counts(vecs, [c], scales, p) for c in centers]
     for c, row in zip(centers, want):
         assert [count_in_ball(points, c, h, p) for h in scales] == row
     est = beurling_dim_estimate(points, scales, p, centers=centers)
     assert list(est.counts) == [max(col) for col in zip(*want)]
+
+
+@pytest.mark.parametrize("case", list(_differential_cases()), ids=lambda c: c[0])
+def test_counts_match_unscreened_kernel(case):
+    _, points, centers, scales, p, _ = case
+    vecs, _ = _as_symvecs(points, p)
+    counts, stats = _max_ball_counts(vecs, centers, scales, p)
+    assert counts == _unscreened_max_ball_counts(vecs, centers, scales, p)
+    paths = stats["pairs_int64"] + stats["pairs_screened"] + stats["pairs_exact"]
+    assert paths == len(vecs) * len(centers)
+
+
+def test_screening_skips_pairs_and_reports_them():
+    spec = build_intermediate_spectrum(0.15, P48)
+    f_part, kicked = spec.split(spec.prefix(121))
+    scales = geometric_scales(P48, 1, 6)
+    est = beurling_dim_estimate(kicked, scales, P48, centers="sample:8")
+    st_ = est.stats
+    assert st_["pairs_screened"] > 10 * st_["pairs_exact"]
+    assert st_["max_exponent"] == max(pt.kick_position - 1 for pt in kicked)
+    # stats stay outside == and hash
+    twin = DimensionEstimate(est.scales, est.counts, est.slope, est.fit_residual,
+                             est.centers_used)
+    assert twin == est and hash(twin) == hash(est)
+    flat = beurling_dim_estimate(f_part, scales, P48, centers="sample:8")
+    assert flat.stats == {"pairs_int64": len(f_part) * 9, "pairs_screened": 0,
+                          "pairs_exact": 0, "max_exponent": 0}
+
+
+def _symbolic_points(draw, p):
+    """A few SymVecs sharing exponents 65..400, with mixed signs and bases that
+    sometimes cancel their terms down to a small value."""
+    pool = draw(st.lists(st.integers(65, 400), min_size=1, max_size=3, unique=True))
+    coef = st.integers(-3, 3)
+    out = []
+    for _ in range(draw(st.integers(1, 7))):
+        exps = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+        terms = []
+        for e in sorted(exps):
+            v = (draw(coef), draw(coef))
+            if v != (0, 0):
+                terms.append((e, v))
+        base = []
+        for axis, B in enumerate((p.base_x, p.base_y)):
+            full = sum(c[axis] * B**e for e, c in terms)
+            kind = draw(st.sampled_from(("free", "cancel", "cancel top")))
+            if kind == "free":
+                base.append(draw(st.integers(-(10**6), 10**6)))
+            else:
+                part = full if kind == "cancel" else (terms[-1][1][axis] * B ** terms[-1][0]
+                                                      if terms else 0)
+                base.append(draw(st.integers(-40, 40)) - part)
+        out.append(SymVec(base=tuple(base), terms=tuple(terms)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_screened_counts_property(data):
+    p = data.draw(st.sampled_from([P12, P48]))
+    vecs = _symbolic_points(data.draw, p)
+    vecs += data.draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                               max_size=3))
+    vecs, _ = _as_symvecs(vecs, p)
+    centers = [(0, 0)] + data.draw(st.lists(st.sampled_from(vecs), max_size=3))
+    centers += data.draw(st.lists(st.sampled_from([
+        (Fraction(1, 2), Fraction(-1, 3)), (10**200, 0), (-40, 40), (2**40, -(2**40)),
+    ]), max_size=2))
+    js = data.draw(st.lists(st.integers(0, 420), min_size=4, max_size=4, unique=True))
+    scales = sorted(p.base_y**j for j in js)
+    counts, stats = _max_ball_counts(vecs, centers, scales, p)
+    assert counts == _unscreened_max_ball_counts(vecs, centers, scales, p)
+    assert counts == [max(col) for col in zip(*(_brute_counts(vecs, c, scales, p)
+                                                for c in centers))]
+    paths = stats["pairs_int64"] + stats["pairs_screened"] + stats["pairs_exact"]
+    assert paths == len(vecs) * len(centers)
 
 
 def test_beurling_estimate_canonical():

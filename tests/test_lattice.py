@@ -1,15 +1,19 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sierpspec.lattice import (
+    MATERIALIZE_EXPONENT_LIMIT,
     LatticeError,
     MatrixParams,
     a_adic_expansion,
     enumerate_digit_sets,
     mod_a_reduce,
     reconstruct,
+    scalar_log2_bounds,
+    scalar_materialize,
     signed_expansion,
     signed_value,
     verify_residue_decomposition,
@@ -131,3 +135,78 @@ def test_mod_a_reduce_congruence(ux, uy, vx, vy):
     r = mod_a_reduce((ux, uy), p)
     assert mod_a_reduce(r, p) == r
     assert (ux - r[0]) % p.base_x == 0 and (uy - r[1]) % p.base_y == 0
+
+
+def test_log2_bounds_concrete_are_bit_lengths():
+    for k in (1, 2, 30, 63, 64, 1100):
+        assert scalar_log2_bounds(2**k - 1, (), 6) == (k - 1, k)
+        assert scalar_log2_bounds(-(2**k), (), 6) == (k, k + 1)
+    assert scalar_log2_bounds(1, (), 6) == (0, 1)
+    assert scalar_log2_bounds(0, (), 6) == (-math.inf, 0)
+    assert scalar_log2_bounds(0, ((70, 0),), 6) == (-math.inf, 0)  # zero terms drop out
+
+
+def _assert_encloses(value: int, lo: float, hi: float):
+    """2^lo <= |value| < 2^hi, read through the exact log of a big int."""
+    assert value != 0
+    assert lo <= math.log2(abs(value)) < hi
+
+
+def test_log2_bounds_symbolic():
+    B = 24
+    cases = [
+        (5, ((70, 1),)),
+        (-(10**9), ((70, -3), (200, 2))),
+        (0, ((65, 2**1100 + 7),)),  # a coefficient beyond the float range
+        (2**1030, ((400, -(2**1025)), (65, 2**1100))),
+        (B**99, ((100, -1),)),  # the base trims a twenty-fourth off the top term
+    ]
+    for b, terms in cases:
+        lo, hi = scalar_log2_bounds(b, terms, B)
+        _assert_encloses(scalar_materialize(b, terms, B), lo, hi)
+        assert hi - lo < 1
+
+
+def test_log2_bounds_beyond_materialize_limit():
+    e = MATERIALIZE_EXPONENT_LIMIT + 10
+    top = e * math.log2(24)
+    lo, hi = scalar_log2_bounds(-7, ((e, 3), (e - 5, -(2**15))), 24)
+    assert lo <= top + math.log2(3) < hi and hi - lo < 1
+    # a lower term whose coefficient outweighs the top term: only hi is claimed
+    lo, hi = scalar_log2_bounds(-7, ((e, 3), (e - 5, -(2**900))), 24)
+    assert lo == -math.inf and (e - 5) * math.log2(24) + 900 < hi
+    lo, hi = scalar_log2_bounds(0, ((10**30, 1),), 12)
+    assert lo <= 10**30 * math.log2(12) < hi
+    assert scalar_log2_bounds(0, ((10**400, 1),), 12) == (-math.inf, math.inf)
+
+
+def test_log2_bounds_cancelling():
+    B, e = 24, 80
+    # the base cancels the top term down to 1
+    lo, hi = scalar_log2_bounds(-(B**e - 1), ((e, 1),), B)
+    assert lo == -math.inf and hi > 0
+    # the lower pieces cancel the top term together, none of them alone
+    lo, hi = scalar_log2_bounds(1 - B ** (e - 1), ((e - 1, 1 - B), (e, 1)), B)
+    assert lo == -math.inf and hi > 0
+    # the top term outweighs the rest by less than 4: no lower bound either
+    lo, hi = scalar_log2_bounds(B**e // 3, ((e, 1),), B)
+    assert lo == -math.inf
+    _assert_encloses(B**e + B**e // 3, lo, hi)
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.lists(st.tuples(st.integers(65, 400), st.integers(-5, 5)), max_size=3,
+             unique_by=lambda t: t[0]),
+    st.sampled_from([3, 6, 12, 24]),
+    st.sampled_from(["free", "cancel"]),
+)
+def test_log2_bounds_enclose(b, terms, B, kind):
+    if kind == "cancel":
+        b -= scalar_materialize(0, terms, B)
+    value = scalar_materialize(b, terms, B)
+    lo, hi = scalar_log2_bounds(b, terms, B)
+    if value == 0:
+        assert lo == -math.inf
+    else:
+        _assert_encloses(value, lo, hi)

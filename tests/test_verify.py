@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -18,7 +19,14 @@ from sierpspec.fourier import (
     zero_set_1d,
     zero_set_1d_sym,
 )
-from sierpspec.lattice import MatrixParams, SymVec, make_sym, scalar_parts, sym_diff
+from sierpspec.lattice import (
+    MatrixParams,
+    SymVec,
+    make_sym,
+    scalar_parts,
+    scalar_sign,
+    sym_diff,
+)
 from sierpspec.treemap import (
     CanonicalMapping,
     KickedMapping,
@@ -120,6 +128,37 @@ def test_distinct_lines():
     assert check_distinct_lines(pre).passed
     rep = check_distinct_lines(_points([(0, 0), (0, 5)]), P11)
     assert not rep.passed and rep.shared_x == ((0, 1),)
+
+
+def _comparator_lines(points, p):
+    """check_distinct_lines before its int64 path: an exact comparator sort."""
+    shared = {0: [], 1: []}
+    for axis in (0, 1):
+        def cmp(a, b, axis=axis):
+            return scalar_sign(*scalar_parts(sym_diff(a.value, b.value), p, axis))
+
+        ordered = sorted(points, key=functools.cmp_to_key(cmp))
+        for a, b in zip(ordered, ordered[1:]):
+            if cmp(a, b) == 0:
+                shared[axis].append((a.k, b.k))
+    return verify.LineReport(passed=not shared[0] and not shared[1],
+                             shared_x=tuple(shared[0]), shared_y=tuple(shared[1]))
+
+
+def test_distinct_lines_match_comparator():
+    rng = random.Random(7)
+    spec = build_intermediate_spectrum(0.15, MatrixParams(4, 8))
+    cases = [
+        (list(enumerate_spectrum(CanonicalMapping(), P12, level=6).points), P12),
+        (list(spec.prefix(40).points), MatrixParams(4, 8)),
+        # many ties, coincident points, and coordinates either side of 2^62
+        (_points([(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(60)]), P11),
+        (_points([(2**62 - 1, 5), (-(2**62) + 1, 5), (2**62 - 1, -5), (0, 5)]), P11),
+        (_points([(2**62, 5), (2**62, 1), (-(2**62), 1), (0, 0)]), P11),
+    ]
+    for points, p in cases:
+        rng.shuffle(points)
+        assert check_distinct_lines(points, p) == _comparator_lines(points, p)
 
 
 def test_projection_orthogonality():
