@@ -3,7 +3,6 @@ orthogonality certification, completeness evidence, and Beurling/entropy/
 Hausdorff dimension analysis."""
 
 from .lattice import (
-    DigitSetCatalog,
     LatticeError,
     MatrixParams,
     SymVec,
@@ -17,7 +16,6 @@ from .lattice import (
     verify_residue_decomposition,
 )
 from .fourier import (
-    TruncatedTransform,
     ZeroSetWitness,
     in_zero_set,
     in_zero_set_sym,

@@ -235,18 +235,24 @@ def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
     points = []
     first_line: dict[int, int] = {}
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "x" not in reader.fieldnames:
-        raise InputError(f"{path}: not a point CSV (need k,word,x,y header)")
-    for lineno, rec in enumerate(reader, start=2):
-        try:
-            k = _json_int(rec["k"])
-            letters = rec.get("word")
-            word = None if letters is None else _word(letters.split())
-            xy = _json_int(rec["x"]), _json_int(rec["y"])
-            kick = _kick_position(rec.get("kick_position"))
-            points.append(_checked_point(k, word, xy, kick, first_line, lineno))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
+    # megabit coordinates pass the csv module's default field limit; the
+    # caller's limit comes back once the file is read
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        if reader.fieldnames is None or "x" not in reader.fieldnames:
+            raise InputError(f"{path}: not a point CSV (need k,word,x,y header)")
+        for lineno, rec in enumerate(reader, start=2):
+            try:
+                k = _json_int(rec["k"])
+                letters = rec.get("word")
+                word = None if letters is None else _word(letters.split())
+                xy = _json_int(rec["x"]), _json_int(rec["y"])
+                kick = _kick_position(rec.get("kick_position"))
+                points.append(_checked_point(k, word, xy, kick, first_line, lineno))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)
     if not points:
         raise InputError(f"{path}: no records")
     return points

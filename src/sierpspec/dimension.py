@@ -7,11 +7,11 @@ candidate centers are the origin plus generated points; this is a documented
 heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
 paths.  Concrete points against integer centers, all coordinates below 2^30,
-are counted in int64 numpy columns.  Any other pair with an integer center is
-first screened by magnitude bounds: when those put point and center more than
-the largest scale apart on some axis, the pair is dropped unexpanded, so the
-huge coordinates of kicked points are never subtracted or squared.  The pairs
-left, and every pair with a rational center, get one exact squared distance.
+are counted in int64 numpy columns.  Any other pair is first screened by
+magnitude bounds: when those put point and center more than the largest scale
+apart on some axis, the pair is dropped unexpanded, so the huge coordinates of
+kicked points are never subtracted or squared.  The pairs left get one exact
+squared distance.
 """
 
 from __future__ import annotations
@@ -104,12 +104,11 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
 
     * int64: a concrete point and an integer center, every coordinate below
       2^30, counted in numpy for the whole scale grid;
-    * screened: any other pair with an integer center whose magnitude bounds
-      (``scalar_log2_bounds``) put point and center more than the largest
-      scale apart on some axis.  A bound only drops a pair that the exact
-      test rejects too, so no float decides a count;
-    * exact: every pair left, and every pair with a rational center, through
-      ``sym_diff`` and ``scalar_abs_lt``.
+    * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``,
+      shifted by log2 den for den * v) put den * v and num more than den times
+      the largest scale apart on some axis.  A bound only drops a pair that
+      the exact test rejects too, so no float decides a count;
+    * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
     Bounds are computed only when some point or center is off the int64 path.
     """
@@ -133,21 +132,21 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     for c, den in center_parts:
         reach = Fraction(max(scales)) * den
         fast = den == 1 and _is_small(c)
-        if den != 1:
-            rest = vecs
-        elif fast and not off.size:
+        if fast and not off.size:
             rest = []
         else:
             if lo is None:
                 bnds = np.array([_log2_bounds(vecs[i], p) for i in off]).reshape(-1, 2, 2)
                 lo, hi = bnds[:, :, 0], bnds[:, :, 1]
             c_lo, c_hi = np.array(_log2_bounds(c, p)).T
-            # |v - c| > 2^(lo_v - 1) >= 2^reach_log2 once lo_v >= max(hi_c, reach_log2) + 1
-            far = ((lo >= np.maximum(c_hi, reach_log2) + 1)
-                   | (c_lo >= np.maximum(hi, reach_log2) + 1)).any(1)
+            # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
+            up = (den - 1).bit_length()
+            v_lo, v_hi, r = lo + (den.bit_length() - 1), hi + up, reach_log2 + up
+            # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
+            far = ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any(1)
             rest = [vecs[i] for i in off[~far]]
-            # the int64-counted points, |coordinate| < 2^30, face this center exactly
-            if not fast and not (c_lo >= max(_SMALL_LOG2, reach_log2) + 1).any():
+            # the int64-counted points, |den v| < 2^(30 + up), face this center exactly
+            if not fast and not (c_lo >= max(_SMALL_LOG2 + up, r) + 1).any():
                 rest += [vecs[i] for i in np.flatnonzero(small)]
         if fast:
             stats["pairs_int64"] += len(xs)
@@ -186,9 +185,9 @@ def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
 
     The center is a lattice point or a pair of rationals.  Concrete points
     with coordinates below 2^30 are counted in int64 against a small integer
-    center.  Against an integer center, a point whose magnitude bounds put it
-    beyond h of the center on some axis is dropped unexpanded, so huge
-    coordinates are never squared; every other point costs one exact distance.
+    center.  A point whose magnitude bounds put it beyond h of the center on
+    some axis is dropped unexpanded, so huge coordinates are never squared;
+    every other point costs one exact distance.
     """
     if h <= 0:
         raise ValueError("radius must be positive")
@@ -250,9 +249,9 @@ def beurling_dim_estimate(
     generated points), or an explicit list.  Counting is exact; the regression
     is an estimate whose window the caller controls.  Each (point, center)
     pair is settled once for the whole grid: in int64 when point and integer
-    center have coordinates below 2^30; else, for an integer center, dropped
-    unexpanded when magnitude bounds put the two beyond the largest scale on
-    some axis; else by one exact distance.  ``stats`` counts the pairs of
+    center have coordinates below 2^30; else dropped unexpanded when
+    magnitude bounds put the two beyond the largest scale on some axis; else
+    by one exact distance.  ``stats`` counts the pairs of
     each path (``pairs_int64``, ``pairs_screened``, ``pairs_exact``) and the
     largest symbolic exponent among points and centers (``max_exponent``).
 

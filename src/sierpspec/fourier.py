@@ -6,12 +6,14 @@ in the zero set is decided by stripping A factors and testing the centered
 residue against the two admissible classes, entirely in integer arithmetic,
 including for symbolic vectors whose kick terms carry huge exponents.
 
-The residue walk comes in two forms.  ``_residue_walk`` walks exact objects
-(SymVecs with Python-int bases and kick terms) depth first and is the one
-that reports where vectors part.  ``_int64_residue_walk`` walks int64 columns
-level by level in numpy and only finds the nodes where some pair fails; it
-runs when every vector is concrete with coordinates below 2^62
-(``_int64_columns``), and everything else stays on the object walk.
+The residue walk comes in two forms with one event stream.  ``_residue_walk``
+walks exact objects (SymVecs with Python-int bases and kick terms) depth
+first and yields every node where vectors part.  ``_int64_residue_walk``
+walks int64 columns level by level in numpy and yields the same events for
+the nodes where some pair fails, and for the groups of equal vectors.
+``_residue_events`` picks the int64 walk when every vector is concrete with
+coordinates below 2^62 (``_int64_columns``) and its node keys fit int64, and
+the object walk otherwise.
 """
 
 from __future__ import annotations
@@ -166,31 +168,28 @@ def _int64_columns(vecs):
 
 
 def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
-    """The residue walk on int64 columns, breadth first: which points can be in a failing pair.
+    """``_residue_walk``'s events on int64 columns, breadth first, for failing nodes only.
 
     Each level takes a few numpy operations on the live points.  A point's
     node and centered residue code give its child node (``np.unique``); a
     node whose m distinct codes hold m(m-1)/2 pairs differing by +-step mod
     diag(bases) is clean, counted as the codes c with c + step also a code
-    there (c - c' = step and c' - c = step cannot both hold); a point alone
-    in its child drops out, and so does every point of a failing node.
-    Points still sharing a node once all of them reach (0, 0) are identical.
-
-    Returns the sorted indices of the points in failing nodes and in groups
-    of identical points: both ends of every failing pair are among them.
-    None when the node keys n * bx * by could overflow int64.
+    there (c - c' = step and c' - c = step cannot both hold).  Every other
+    node yields ``(level, parts)``, one part per child.  Points still sharing
+    a child once all of them reach (0, 0) are identical and yield
+    ``(level, [(None, indices)])``; a point alone in its child drops out.
+    The caller keeps the node keys n * bx * by below 2^63.
     """
     bx, by = bases
     codes = bx * by
-    if len(xs) * codes >= 2**63:
-        return None
     hx, hy = bx // 2, by // 2
     sx, sy = step
     idx = np.arange(len(xs))
     node = np.zeros(len(xs), dtype=np.int64)
     x, y = xs, ys
-    out = []
+    level = 0
     while idx.size:
+        level += 1
         x, cx = np.divmod(x + hx, bx)  # cx - hx is x's centered residue
         y, cy = np.divmod(y + hy, by)
         child, inv = np.unique(node * codes + cx * by + cy, return_inverse=True)
@@ -198,15 +197,37 @@ def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
         plus = parent * codes + (code // by + sx) % bx * by + (code % by + sy) % by
         hit = child[np.minimum(np.searchsorted(child, plus), len(child) - 1)] == plus
         m = np.bincount(parent)
-        failing = (np.bincount(parent[hit], minlength=len(m)) < m * (m - 1) // 2)[node]
+        failing = (np.bincount(parent[hit], minlength=len(m)) < m * (m - 1) // 2)[parent]
         shared = np.bincount(inv) > 1
         moving = np.bincount(inv, weights=(x != 0) | (y != 0)) > 0
-        left = failing | (shared & ~moving)[inv]
-        out.append(idx[left])
-        live = ~left & shared[inv]
-        renumber = np.cumsum(shared) - 1
+        same = shared & ~moving
+        told = (failing | same)[inv]
+        if told.any():  # one sort groups the points to report by child
+            order = np.argsort(inv[told])
+            kids = inv[told][order]
+            cuts = np.flatnonzero(np.diff(kids)) + 1
+            events = {}
+            for kid, part in zip(kids[np.r_[0, cuts]], np.split(idx[told][order], cuts)):
+                part = part.tolist()
+                if same[kid]:
+                    yield level, [(None, part)]
+                if failing[kid]:
+                    r = (int(code[kid] // by - hx), int(code[kid] % by - hy))
+                    events.setdefault(parent[kid], []).append((r, part))
+            yield from ((level, parts) for parts in events.values())
+        live = (shared & moving)[inv]
+        renumber = np.cumsum(shared & moving) - 1
         idx, node, x, y = idx[live], renumber[inv[live]], x[live], y[live]
-    return np.sort(np.concatenate(out)) if out else idx
+
+
+def _residue_events(cols, vecs, step: Vec, bases: Vec):
+    """The residue walk's events: on the int64 columns ``cols`` (or None) when
+    they exist and n * bx * by < 2^63, else on the exact vectors ``vecs``,
+    any iterable, which the int64 walk never reads."""
+    bx, by = bases
+    if cols is not None and len(cols[0]) * bx * by < 2**63:
+        return _int64_residue_walk(*cols, step, bases)
+    return _residue_walk(vecs, bases)
 
 
 def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:
@@ -255,5 +276,9 @@ def zero_set_1d_sym(b0: int, terms, B: int, q: int) -> bool:
     b = 3 * q
     if B != b and terms:
         raise ValueError("symbolic scalar base must match 3q")
-    v = SymVec(base=(b0, 0), terms=tuple(sorted((e, (c, 0)) for e, c in terms if c != 0)))
-    return _first_residue(v, (q, 0), (b, b)) is not None
+    return _first_residue(_on_x(b0, terms), (q, 0), (b, b)) is not None
+
+
+def _on_x(b0: int, terms) -> SymVec:
+    """The scalar b0 + sum c * B^e as a SymVec riding in x, with y = 0."""
+    return SymVec(base=(b0, 0), terms=tuple(sorted((e, (c, 0)) for e, c in terms if c != 0)))

@@ -55,14 +55,6 @@ class MatrixParams:
     def mul(self, v: Vec) -> Vec:
         return (self.base_x * v[0], self.base_y * v[1])
 
-    def divides(self, v: Vec) -> bool:
-        return v[0] % self.base_x == 0 and v[1] % self.base_y == 0
-
-    def div(self, v: Vec) -> Vec:
-        if not self.divides(v):
-            raise LatticeError(f"A does not divide {v}")
-        return (v[0] // self.base_x, v[1] // self.base_y)
-
 
 def centered_mod(x: int, b: int) -> int:
     """Representative of x mod b in [-floor(b/2), b - 1 - floor(b/2)]."""

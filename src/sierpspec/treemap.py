@@ -312,9 +312,6 @@ class SpectrumPrefix:
             raise IndexError(f"index {k} outside the prefix bound |k| <= {self.index_bound}")
         return self.points[k + self.index_bound]
 
-    def subset(self, keep) -> tuple[SpectrumPoint, ...]:
-        return tuple(pt for pt in self.points if keep(pt.k))
-
 
 def level_index_bound(level: int) -> int:
     """Words of length <= level correspond exactly to |k| <= (3**level - 1) // 2."""

@@ -7,9 +7,10 @@ points' residues where their A-adic digits first part, so one walk over the
 trie of the points' residues decides all n(n-1)/2 pairs exactly, at O(n * depth)
 cost at every size, symbolically for huge kicked coordinates.  When every
 point is concrete with coordinates below 2^62, the walk runs on int64 columns
-(a few numpy operations per level) and the object walk lists violations only
-for the points of failing nodes; symbolic or larger points take the object
-walk throughout.  The projection checks run the same walks per axis, and the
+(a few numpy operations per level); symbolic or larger points take the
+object walk.  Either walk yields the same events, the failing nodes' parts
+and the groups of equal points, and the violations are listed from those
+events alone.  The projection checks run the same walks per axis, and the
 unitarity phases and q-sum tails are computed as numpy arrays.  Completeness
 is never certified: the quadratic sums of the transform over a prefix give
 evidence (bounded by 1, nondecreasing), and maximality is probed per candidate
@@ -31,8 +32,8 @@ import numpy as np
 
 from .fourier import (
     _int64_columns,
-    _int64_residue_walk,
-    _residue_walk,
+    _on_x,
+    _residue_events,
     _step_sign,
     in_zero_set_sym,
     tail_bound,
@@ -69,9 +70,10 @@ def _across(a, b, reason):
             yield i, other[t], reason
 
 
-def _violating_pairs(vecs, step, bases, limit):
+def _violating_pairs(events, step, bases, limit):
     """The first ``limit`` pairs (i, j, reason), i < j, whose difference leaves the zero set.
 
+    ``events`` come from either residue walk (``fourier._residue_events``).
     Pairs come in itertools.combinations order.  A pair fails when its first
     differing residues differ by anything but +-step, or when it is equal in
     value: "coincident" if the two vectors are identical, else "not-in-zero-set".
@@ -79,7 +81,7 @@ def _violating_pairs(vecs, step, bases, limit):
     if limit < 1:
         raise ValueError("max_violations must be >= 1")
     blocks = []
-    for _, parts in _residue_walk(vecs, bases):
+    for _, parts in events:
         if parts[0][0] is None:
             blocks += [
                 ((i, j, "coincident") for i, j in itertools.combinations(sorted(m), 2))
@@ -89,20 +91,6 @@ def _violating_pairs(vecs, step, bases, limit):
             if ra is None or not _step_sign((ra[0] - rb[0], ra[1] - rb[1]), step, bases):
                 blocks.append(_across(a, b, "not-in-zero-set"))
     return list(itertools.islice(heapq.merge(*blocks), limit))
-
-
-def _listed_violations(vec_at, n, cols, step, bases, limit):
-    """``_violating_pairs`` over the vectors vec_at(0), ..., vec_at(n - 1).
-
-    With int64 columns ``cols`` of those vectors, the int64 walk first picks
-    the points in failing nodes and groups of identical points.  Both ends of
-    every failing pair are among them, so the object walk lists the
-    violations of that subset alone, its indices mapped back in order.
-    """
-    keep = None if cols is None else _int64_residue_walk(*cols, step, bases)
-    keep = range(n) if keep is None else keep.tolist()
-    bad = _violating_pairs([vec_at(i) for i in keep], step, bases, limit)
-    return [(keep[i], keep[j], reason) for i, j, reason in bad]
 
 
 def _pair_rank(i: int, j: int, n: int) -> int:
@@ -120,19 +108,18 @@ def check_orthogonality(
 
     One residue walk decides all n(n-1)/2 pairs at O(n * depth) cost, at
     every size: ``fourier._int64_residue_walk`` when every point is concrete
-    with coordinates below 2^62, which leaves ``fourier._residue_walk`` only
-    the points of failing nodes, else the latter alone.  The report lists the
-    first ``max_violations`` failing pairs in itertools.combinations order;
+    with coordinates below 2^62, else ``fourier._residue_walk``; the pairs
+    are listed from the walk's events.  The report lists the first
+    ``max_violations`` failing pairs in itertools.combinations order;
     ``pairs_checked`` is n(n-1)/2, or the rank of the last listed violation
     plus one when the list was cut there.
     """
     points, p = _points_and_params(prefix, p)
     n = len(points)
     vecs = [pt.value for pt in points]
-    bad = _listed_violations(
-        vecs.__getitem__, n, _int64_columns(vecs), p.primary_digit, (p.base_x, p.base_y),
-        max_violations,
-    )
+    step, bases = p.primary_digit, (p.base_x, p.base_y)
+    events = _residue_events(_int64_columns(vecs), vecs, step, bases)
+    bad = _violating_pairs(events, step, bases, max_violations)
     violations = tuple(
         PairViolation(
             points[i].k, points[j].k, sym_diff(points[i].value, points[j].value), reason
@@ -233,15 +220,11 @@ def check_projection_orthogonality(
     cols = _int64_columns(vecs)
     bad = []
     for axis, q in ((0, p.q1), (1, p.q2)):
-
-        def vec_at(i, axis=axis):
-            b, terms, _ = scalar_parts(vecs[i], p, axis)
-            return SymVec(base=(b, 0), terms=tuple((e, (c, 0)) for e, c in terms))
-
+        step, bases = (q, 0), (3 * q, 3 * q)
         axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
-        bad.append(_listed_violations(
-            vec_at, n, axis_cols, (q, 0), (3 * q, 3 * q), max_violations
-        ))
+        axis_vecs = (_on_x(*scalar_parts(v, p, axis)[:2]) for v in vecs)  # object walk only
+        events = _residue_events(axis_cols, axis_vecs, step, bases)
+        bad.append(_violating_pairs(events, step, bases, max_violations))
     cut = min(
         (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
         default=math.inf,

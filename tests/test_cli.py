@@ -1,14 +1,20 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sierpspec
 from sierpspec.cli import main
+from sierpspec.treemap import index_to_word
 
 RUN = [sys.executable, "-m", "sierpspec.cli"]
 
@@ -313,3 +319,134 @@ def test_gen_output_reads_back(tmp_path, capsys, fmt):
                           kick_position=pt.kick_position) for pt in prefix.points]
     assert any(pt.kick_position for pt in want) and any(-1 in pt.word for pt in want)
     assert _read_points(str(path), p) == want
+
+
+def test_megabit_csv_coordinate_is_read(tmp_path, capsys):
+    big = "1" + "0" * 200_000  # past the csv module's default field limit
+    path = tmp_path / "big.csv"
+    limit = csv.field_size_limit()
+    # (1, -1) apart: orthogonal at q1 = q2 = 1; (1, 0) apart: not
+    for y1, want in ((f"-{big}8", 0), (f"-{big}7", 1)):
+        path.write_text(f"k,word,x,y,kick_position\n0,,{big}7,-{big}7,\n1,1,{big}8,{y1},\n")
+        code, err = _verify_input(path, capsys)
+        assert code == want and "error" not in err
+    assert csv.field_size_limit() == limit
+
+
+# ---------------------------------------------------------------------------
+# Both readers under generated input: a malformed record exits 2, never raises
+# ---------------------------------------------------------------------------
+
+CSV_HEAD = "k,word,x,y,kick_position"
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+def _verify_text(text):
+    """Exit code, stdout and stderr of ``spectra verify --input`` on a file holding text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--q1", "1", "--q2", "1", "--input", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _jsonl(k, word=None, xy=(0, 0), kick=None, as_text=False):
+    rec = {"k": str(k) if as_text else k, "lambda": [str(v) for v in xy]}
+    if word is not None:
+        rec["word"] = list(word)
+    if kick is not None:
+        rec["kick_position"] = kick
+    return json.dumps(rec)
+
+
+def _csv(k, word=(), xy=(0, 0), kick=None):
+    return f"{k},{' '.join(map(str, word))},{xy[0]},{xy[1]},{'' if kick is None else kick}"
+
+
+def records(min_size=1):
+    """Distinct small k, each with arbitrary coordinates."""
+    xy = st.tuples(st.integers(-99, 99), st.integers(-99, 99))
+    return st.lists(st.integers(-40, 40), min_size=min_size, max_size=4, unique=True).flatmap(
+        lambda ks: st.tuples(*(st.tuples(st.just(k), xy) for k in ks)))
+
+
+@FUZZ
+@given(records(), st.data())
+def test_truncated_jsonl_line_is_usage_error(recs, data):
+    lines = [_jsonl(k, index_to_word(k), xy) for k, xy in recs]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i] = lines[i][: data.draw(st.integers(1, len(lines[i]) - 1))]
+    code, _, err = _verify_text("\n".join(lines) + "\n")
+    assert code == 2 and f":{i + 1}: bad record" in err
+
+
+huge = st.one_of(st.integers(-50, 50), st.integers(-(10**60), 10**60))
+
+
+@FUZZ
+@given(huge, st.one_of(st.none(), huge), st.sampled_from(["own", "other", "none"]),
+       st.integers(1, 10**6), st.booleans(), st.booleans())
+def test_huge_or_negative_k_and_kick_position(k, kick, word_of, other, as_text, csv_form):
+    word = {"own": index_to_word(k), "other": index_to_word(k + other), "none": None}[word_of]
+    if csv_form:
+        text = CSV_HEAD + "\n" + _csv(k, word or (), kick=kick) + "\n"
+        bad = word_of == "other" or (word_of == "none" and k != 0)  # an empty word is ()
+    else:
+        text = _jsonl(k, word, kick=kick, as_text=as_text) + "\n"
+        bad = word_of == "other"
+    bad |= kick is not None and kick < 1
+    code, _, err = _verify_text(text)
+    assert (code == 2) == bad and code in (0, 1, 2)
+    assert ("bad record" in err) == bad
+
+
+not_a_list = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                       st.text(max_size=5), st.dictionaries(st.text(max_size=3),
+                                                            st.integers(-1, 1), max_size=2))
+
+
+@FUZZ
+@given(not_a_list, st.sampled_from(["word", "lambda"]), st.text("[]{}ab.:;", min_size=1))
+def test_non_list_word_or_lambda_is_usage_error(value, field, junk):
+    rec = {"k": 1, "word": [1], "lambda": ["1", "-1"], field: value}
+    code, _, err = _verify_text(ORIGIN_JSONL + "\n" + json.dumps(rec) + "\n")
+    assert code == 2 and ":2: bad record" in err
+    code, _, err = _verify_text(f"{CSV_HEAD}\n0,,0,0,\n1,1 {junk},1,-1,\n")
+    assert code == 2 and ":3: bad record" in err
+
+
+@FUZZ
+@given(records(min_size=2), st.data())
+def test_mixed_jsonl_and_csv_is_usage_error(recs, data):
+    n = len(recs)
+    forms = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))  # True: JSONL
+    forms[data.draw(st.integers(1, n - 1))] = not forms[0]
+    lines = [_jsonl(k, None, xy) if j else _csv(k, index_to_word(k), xy)
+             for (k, xy), j in zip(recs, forms)]
+    text = "\n".join(lines if forms[0] else [CSV_HEAD] + lines) + "\n"
+    code, _, err = _verify_text(text)
+    assert code == 2 and "bad record" in err
+
+
+@FUZZ
+@given(records(), st.data())
+def test_blank_lines_are_skipped_and_stray_boms_are_usage_errors(recs, data):
+    for csv_form in (False, True):
+        lines = [_csv(k, index_to_word(k), xy) if csv_form else _jsonl(k, None, xy)
+                 for k, xy in recs]
+        if csv_form:
+            lines.insert(0, CSV_HEAD)
+        plain = _verify_text("\n".join(lines) + "\n")
+        blank = st.just("") if csv_form else st.sampled_from(["", " ", "\t", "  \t "])
+        padded = []
+        for line in lines:
+            padded += data.draw(st.lists(blank, max_size=2)) + [line]
+        assert _verify_text("\n".join(padded) + "\n")[:2] == plain[:2]
+        assert plain[0] in (0, 1)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = "\ufeff" + lines[i]
+        code, _, err = _verify_text("\n".join(lines) + "\n")
+        assert code == 2 and "error:" in err

@@ -263,6 +263,18 @@ def test_screening_skips_pairs_and_reports_them():
                           "pairs_exact": 0, "max_exponent": 0}
 
 
+def test_rational_centers_are_screened():
+    case = next(c for c in _differential_cases() if c[0] == "rational and concrete centers")
+    _, points, centers, scales, p, _ = case
+    vecs, _ = _as_symvecs(points, p)
+    rational = [c for c in centers if _center_parts(c)[1] != 1]
+    assert len(rational) == 2
+    counts, stats = _max_ball_counts(vecs, rational, scales, p)
+    assert counts == _unscreened_max_ball_counts(vecs, rational, scales, p)
+    assert stats["pairs_screened"] > 10 * stats["pairs_exact"]
+    assert stats["pairs_screened"] + stats["pairs_exact"] == 2 * len(vecs)
+
+
 def _symbolic_points(draw, p):
     """A few SymVecs sharing exponents 65..400, with mixed signs and bases that
     sometimes cancel their terms down to a small value."""

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -8,11 +9,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sierpspec import verify
+from sierpspec import fourier, verify
 from sierpspec.construct import build_intermediate_spectrum
 from sierpspec.fourier import (
     _int64_columns,
     _int64_residue_walk,
+    _residue_events,
+    _residue_walk,
+    _step_sign,
     in_zero_set,
     in_zero_set_sym,
     tail_bound,
@@ -549,9 +553,15 @@ def test_int64_walk_at_the_coordinate_border():
     # node keys n * bx * by past 2^63: the object walk decides
     huge = MatrixParams(10**9, 10**9)
     pts = _concrete([(0, 0), (10**9, -(10**9)), (1, 0), (0, 1), (5, 5), (10**9, -(10**9))])
-    assert _int64_residue_walk(*_int64_columns([pt.value for pt in pts]),
-                               huge.primary_digit, (huge.base_x, huge.base_y)) is None
-    _assert_matches_oracle(pts, huge)
+    vecs = [pt.value for pt in pts]
+    bases = (huge.base_x, huge.base_y)
+    assert len(pts) * bases[0] * bases[1] >= 2**63 > bases[0] * bases[1]
+    events = _residue_events(_int64_columns(vecs), vecs, huge.primary_digit, bases)
+    assert events.gi_code is _residue_walk.__code__
+    assert _residue_events(_int64_columns(vecs[:1]), vecs[:1], huge.primary_digit,
+                           bases).gi_code is _int64_residue_walk.__code__
+    with mock.patch.object(fourier, "_int64_residue_walk", side_effect=AssertionError):
+        _assert_matches_oracle(pts, huge)
 
 
 def test_int64_walk_on_coincident_and_value_equal_points():
@@ -612,36 +622,104 @@ def test_int64_walk_on_projections():
         _assert_matches_oracle(small, p)
 
 
+def _events(events, step, bases, failing_only=False):
+    """Events as a multiset of frozensets of (residue, sorted indices); with
+    ``failing_only``, nodes whose parts all differ by +-step are left out."""
+    out = []
+    for _, parts in events:
+        clean = parts[0][0] is not None and all(
+            _step_sign((ra[0] - rb[0], ra[1] - rb[1]), step, bases)
+            for (ra, _), (rb, _) in itertools.combinations(parts, 2)
+        )
+        if not (failing_only and clean):
+            out.append(frozenset((r, tuple(sorted(m))) for r, m in parts))
+    return collections.Counter(out)
+
+
+def _assert_same_events(vals, p):
+    """The int64 walk's events are the object walk's failing-node and None events,
+    in the plane and on each axis."""
+    cols = np.array(vals, dtype=np.int64).reshape(-1, 2).T
+    walks = [(cols, [SymVec(tuple(v)) for v in vals], p.primary_digit, (p.base_x, p.base_y))]
+    for axis, q in ((0, p.q1), (1, p.q2)):
+        walks.append(((cols[axis], np.zeros(len(vals), dtype=np.int64)),
+                      [SymVec((v[axis], 0)) for v in vals], (q, 0), (3 * q, 3 * q)))
+    for (xs, ys), vecs, step, bases in walks:
+        fast = _events(_int64_residue_walk(xs, ys, step, bases), step, bases)
+        assert fast == _events(_residue_walk(vecs, bases), step, bases, failing_only=True)
+
+
+def test_int64_events_are_the_object_walks_failing_events():
+    rng = random.Random(808)
+    top = 2**62 - 1
+    for _ in range(150):
+        p = rng.choice(PARAMS + (P35,))
+        vals = _random_concrete_values(rng, p)
+        if vals and rng.random() < 0.5:  # moved in the first A-adic digit
+            for i in rng.sample(range(len(vals)), rng.randint(1, 3)):
+                vals[i] = (vals[i][0] + rng.choice([-1, 1]), vals[i][1] + rng.choice([-1, 0, 1]))
+        if rng.random() < 0.3:  # the int64 border, some twice
+            edge = [(rng.choice([top, -top, 0]), rng.choice([top, -top, 0])) for _ in range(4)]
+            vals += edge + rng.sample(edge, 2)
+        for _ in range(rng.randint(0, 3) if vals else 0):
+            vals.append(rng.choice(vals))
+        _assert_same_events(vals, p)
+    _assert_same_events([(5, -7)] * 4, P12)
+    _assert_same_events([(0, 0)] * 3 + [(1, -2), (1, -2)], P12)
+
+
+@functools.lru_cache(maxsize=1)
+def _level_11():
+    return enumerate_spectrum(CanonicalMapping(), P12, level=11)
+
+
+def _assert_moved_point_listed(pts, i, p):
+    """Only point i's pairs can fail: the full list and the cut at 100 against the oracle."""
+    n = len(pts)
+    want = [
+        (min(i, j), max(i, j))
+        for j in range(n)
+        if j != i and _oracle_in_zero_set_sym(sym_diff(pts[i].value, pts[j].value), p) is None
+    ]
+    want.sort()
+    assert len(want) > 100
+    rep = check_orthogonality(pts, p, max_violations=n)
+    assert [(v.k1, v.k2) for v in rep.violations] == [(pts[a].k, pts[b].k) for a, b in want]
+    assert all(v.reason == "not-in-zero-set" for v in rep.violations)
+    assert rep.pairs_checked == n * (n - 1) // 2
+    cut = check_orthogonality(pts, p)
+    assert [(v.k1, v.k2) for v in cut.violations] == [(pts[a].k, pts[b].k) for a, b in want[:100]]
+    a, b = want[99]
+    assert cut.pairs_checked == a * (2 * n - a - 1) // 2 + b - a  # rank of want[99], plus 1
+
+
 def test_level_11_is_certified_exactly():
-    pre = enumerate_spectrum(CanonicalMapping(), P12, level=11)
+    pre = _level_11()
     n = len(pre.points)
     assert n == 177_147 and _takes_int64_path(pre.points)
     rep = check_orthogonality(pre)
     assert not rep.sampled and rep.pairs_checked == n * (n - 1) // 2 and rep.passed
     walk = (P12.primary_digit, (P12.base_x, P12.base_y))
-    assert len(_int64_residue_walk(*_int64_columns([pt.value for pt in pre.points]), *walk)) == 0
+    assert list(_int64_residue_walk(*_int64_columns([pt.value for pt in pre.points]), *walk)) == []
     # one point moved by A^6 (1, 0): only pairs inside its level-7 node change
     i = random.Random(11).randrange(n)
     pts = list(pre.points)
     x, y = pts[i].value.base
     pts[i] = dataclasses.replace(pts[i], value=SymVec((x + P12.base_x**6, y)))
-    keep = _int64_residue_walk(*_int64_columns([pt.value for pt in pts]), *walk)
-    assert i in keep and len(keep) <= 3**5  # the object walk sees that node alone
-    want = [
-        (min(i, j), max(i, j))
-        for j in range(n)
-        if j != i and _oracle_in_zero_set_sym(sym_diff(pts[i].value, pts[j].value), P12) is None
-    ]
-    want.sort()
-    assert len(want) > 100
-    rep = check_orthogonality(pts, P12, max_violations=n)
-    assert [(v.k1, v.k2) for v in rep.violations] == [(pts[a].k, pts[b].k) for a, b in want]
-    assert all(v.reason == "not-in-zero-set" for v in rep.violations)
-    assert rep.pairs_checked == n * (n - 1) // 2
-    cut = check_orthogonality(pts, P12)
-    assert [(v.k1, v.k2) for v in cut.violations] == [(pts[a].k, pts[b].k) for a, b in want[:100]]
-    a, b = want[99]
-    assert cut.pairs_checked == a * (2 * n - a - 1) // 2 + b - a  # rank of want[99], plus 1
+    events = list(_int64_residue_walk(*_int64_columns([pt.value for pt in pts]), *walk))
+    told = {j for _, parts in events for _, part in parts for j in part}
+    assert i in told and len(told) <= 3**5  # only that node fails
+    _assert_moved_point_listed(pts, i, P12)
+
+
+def test_level_11_with_a_point_moved_in_its_first_digit():
+    # the root node fails, yet the listing sees only the root's parts
+    pts = list(_level_11().points)
+    i = random.Random(12).randrange(len(pts))
+    x, y = pts[i].value.base
+    pts[i] = dataclasses.replace(pts[i], value=SymVec((x + 1, y)))
+    assert _takes_int64_path(pts)
+    _assert_moved_point_listed(pts, i, P12)
 
 
 # ---------------------------------------------------------------------------
