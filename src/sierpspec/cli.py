@@ -158,7 +158,9 @@ def _read_points(path: str, p: MatrixParams) -> list[SpectrumPoint]:
     text = text.strip()
     if not text:
         raise InputError(f"{path}: empty input")
-    if text.lstrip().startswith("{"):
+    if text.startswith("\ufeff"):
+        raise InputError(f"{path}: starts with a UTF-8 byte-order mark; save it without one")
+    if text.startswith("{"):
         return _read_jsonl(text, path)
     return _read_csv(text, path)
 
@@ -241,8 +243,14 @@ def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
     try:
         if reader.fieldnames is None or "x" not in reader.fieldnames:
             raise InputError(f"{path}: not a point CSV (need k,word,x,y header)")
+        repeated = sorted({f for f in reader.fieldnames if reader.fieldnames.count(f) > 1})
+        if repeated:
+            names = ", ".join(map(repr, repeated))
+            raise InputError(f"{path}:1: bad header (repeated column {names})")
         for lineno, rec in enumerate(reader, start=2):
             try:
+                if None in rec:  # DictReader files the fields past the header under None
+                    raise ValueError(f"{len(rec[None])} fields past the header")
                 k = _json_int(rec["k"])
                 letters = rec.get("word")
                 word = None if letters is None else _word(letters.split())
@@ -278,28 +286,27 @@ def cmd_verify(args) -> int:
     _echo_config(args)
     p = _params(args)
     if args.input:
-        points = _read_points(args.input, p)
-        prefix = points
-    else:
+        prefix = points = _read_points(args.input, p)
+    else:  # the checks read a canonical prefix's columns, not its points
         prefix = _prefix_from_args(args)
-        points = list(prefix.points)
+        points = prefix.points
     checks = args.checks.split(",") if args.checks else ["orthogonality", "lines", "projections"]
     failed = False
     if "orthogonality" in checks:
-        rep = check_orthogonality(points, p)
+        rep = check_orthogonality(prefix, p)
         print(f"orthogonality: pairs={rep.pairs_checked} sampled={rep.sampled} "
               f"violations={len(rep.violations)}")
         for v in rep.violations[:20]:
             print(f"  violation k={v.k1},k'={v.k2} reason={v.reason} diff={v.difference}")
         failed |= not rep.passed
     if "lines" in checks:
-        rep = check_distinct_lines(points, p)
+        rep = check_distinct_lines(prefix, p)
         print(f"distinct-lines: shared_x={len(rep.shared_x)} shared_y={len(rep.shared_y)}")
         for pair in (list(rep.shared_x) + list(rep.shared_y))[:20]:
             print(f"  shared coordinate between k={pair[0]} and k={pair[1]}")
         failed |= not rep.passed
     if "projections" in checks:
-        rep = check_projection_orthogonality(points, p)
+        rep = check_projection_orthogonality(prefix, p)
         print(f"projections: x_violations={len(rep.x_violations)} "
               f"y_violations={len(rep.y_violations)}")
         failed |= not rep.passed

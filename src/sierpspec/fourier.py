@@ -12,8 +12,9 @@ first and yields every node where vectors part.  ``_int64_residue_walk``
 walks int64 columns level by level in numpy and yields the same events for
 the nodes where some pair fails, and for the groups of equal vectors.
 ``_residue_events`` picks the int64 walk when every vector is concrete with
-coordinates below 2^62 (``_int64_columns``) and its node keys fit int64, and
-the object walk otherwise.
+coordinates below 2^62 (``_int64_columns``, which hands a canonical prefix's
+stored columns over as they are) and its node keys fit int64, and the
+object walk otherwise.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import MatrixParams, SymVec, Vec
+from .treemap import _I64_COORD, _CanonicalPoints
 
 INF = float("inf")
-
-# Concrete coordinates strictly below this in absolute value take the int64 walk.
-_I64_COORD = 2**62
 
 
 def mask(x) -> complex:
@@ -155,8 +154,11 @@ def _int64_columns(vecs):
     """The vectors' x and y as int64 columns, or None unless every one is concrete and small.
 
     Small means |coordinate| < 2^62, so x + b//2 cannot overflow for any
-    base the int64 walk accepts.
+    base the int64 walk accepts.  Given a canonical prefix's points in place
+    of vectors, returns their stored columns without building a point.
     """
+    if isinstance(vecs, _CanonicalPoints):
+        return vecs.int64_columns
     if any(v.terms for v in vecs):
         return None
     try:

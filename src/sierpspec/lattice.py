@@ -207,7 +207,7 @@ def verify_residue_decomposition(p: MatrixParams) -> tuple[ResidueReport, Residu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymVec:
     """Exact lattice vector ``base + sum_i A^{e_i} * v_i`` kept in unexpanded form.
 

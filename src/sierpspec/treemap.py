@@ -17,12 +17,21 @@ word(h) 0^run sign(k) with head h = k - sign(k) 3^(n-1) and n = len(word(k)),
 so |h| < |k| and the digit sum of k is that of h plus at most two terms
 (see ``_child``): a constant number of big-int operations per point, where a
 rebuild from the root costs O(n), and O(n^2) for kicked mappings.
+
+Canonical prefixes skip the per-point step altogether: their points are
+lambda(k) = sum_j d_j(k) A^j (q1, -q2) over the balanced-ternary digits d_j(k)
+of k, computed for every k at once as two numpy columns, and a
+``SpectrumPoint`` is built only when one is read.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lattice import (
     LatticeError,
@@ -40,6 +49,10 @@ from .lattice import (
 Word = tuple[int, ...]
 
 MAX_ENUMERATION_POINTS = 10_000_000
+
+# Canonical columns are int64 when every coordinate is strictly below this in
+# absolute value: x + b//2 then cannot overflow in fourier's int64 walk.
+_I64_COORD = 2**62
 
 
 class WordError(ValueError):
@@ -214,7 +227,7 @@ def tau_eval(mapping: Mapping, w: Word, p: MatrixParams) -> Vec:
     return (last * step[0], last * step[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumPoint:
     """One indexed point of a generated spectrum prefix.
 
@@ -298,10 +311,15 @@ def lambda_of_index(mapping: Mapping, p: MatrixParams, k: int) -> SpectrumPoint:
 
 @dataclass(frozen=True)
 class SpectrumPrefix:
-    """Finite, k-ordered slice of a generated spectrum."""
+    """Finite, k-ordered slice of a generated spectrum.
+
+    ``points`` is a tuple, or for a canonical prefix a read-only sequence over
+    coordinate columns that builds its points on demand; either compares and
+    hashes like the tuple of its points.
+    """
 
     params: MatrixParams
-    points: tuple[SpectrumPoint, ...]
+    points: Sequence[SpectrumPoint]
     index_bound: int
 
     def __len__(self) -> int:
@@ -311,6 +329,117 @@ class SpectrumPrefix:
         if abs(k) > self.index_bound:
             raise IndexError(f"index {k} outside the prefix bound |k| <= {self.index_bound}")
         return self.points[k + self.index_bound]
+
+
+class _CanonicalPoints(Sequence):
+    """The canonical points lambda(k), |k| <= bound, kept as two coordinate columns.
+
+    ``xs[i]``, ``ys[i]`` are the coordinates of lambda(i - bound): int64 arrays
+    when every coordinate is below 2^62 in absolute value, object arrays of
+    Python ints otherwise.  Reading one item builds one ``SpectrumPoint``; the
+    first full iteration builds the tuple of all of them once and keeps it.
+    Compares and hashes like that tuple.
+    """
+
+    __slots__ = ("xs", "ys", "bound", "_points")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int):
+        self.xs, self.ys, self.bound = xs, ys, bound
+        self._points: tuple[SpectrumPoint, ...] | None = None
+
+    @property
+    def int64_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return (self.xs, self.ys) if self.xs.dtype == np.int64 else None
+
+    def __len__(self) -> int:
+        return 2 * self.bound + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) or self._points is not None:
+            return self._tuple()[i]
+        i = operator.index(i)
+        j = i + len(self) if i < 0 else i
+        if not 0 <= j < len(self):
+            raise IndexError(f"point index {i} out of range for {len(self)} points")
+        k = j - self.bound
+        return SpectrumPoint(k, index_to_word(k), SymVec((int(self.xs[j]), int(self.ys[j]))))
+
+    def __iter__(self):
+        # a generator, so that only the first next() builds the points
+        yield from self._tuple()
+
+    def _tuple(self) -> tuple[SpectrumPoint, ...]:
+        if self._points is None:
+            ks = range(-self.bound, self.bound + 1)
+            bases = map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
+            self._points = tuple(map(SpectrumPoint, ks, _words(self.bound), bases))
+        return self._points
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _CanonicalPoints)):
+            return self._tuple() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return f"_CanonicalPoints(bound={self.bound}, dtype={self.xs.dtype})"
+
+
+def _peel(bound: int):
+    """Split each k = -bound..bound as k = d_0 + 3 r, d_0 its first balanced-ternary letter.
+
+    Returns d_0 and the position r + bound of r for every k (so that
+    word(k) = (d_0,) + word(r) and lambda(k) = d_0 (q1, -q2) + A lambda(r)),
+    and the slices of positions holding the words of length 1, 2, ... in
+    that order: r is one letter shorter than k, so it comes first.
+    """
+    ks = np.arange(-bound, bound + 1, dtype=np.int64)
+    d0 = (ks + 1) % 3 - 1
+    slices = []
+    lo = 1
+    while lo <= bound:
+        hi = min(3 * lo - 2, bound)  # the |k| in [lo, hi] have words of one length
+        slices += [slice(bound + lo, bound + hi + 1), slice(bound - hi, bound - lo + 1)]
+        lo = hi + 1
+    return d0, (ks - d0) // 3 + bound, slices
+
+
+# the one-letter words, indexed by letter + 1 (filled in place: numpy would
+# read a list of tuples as a 2-D array)
+_LETTERS = np.empty(3, dtype=object)
+_LETTERS[:] = [(-1,), (0,), (1,)]
+
+
+def _words(bound: int) -> list[Word]:
+    """index_to_word(k) for k = -bound..bound, one concatenation each: (d_0,) + word(r)."""
+    d0, rest, slices = _peel(bound)
+    first = _LETTERS[d0 + 1]
+    words = np.empty(len(d0), dtype=object)
+    words[bound] = ()
+    for s in slices:
+        words[s] = first[s] + words[rest[s]]
+    return words.tolist()
+
+
+def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
+    """lambda(k) = sum_j d_j(k) A^j (q1, -q2) for all |k| <= bound, one word length at a time.
+
+    |lambda(k)| < (3 q2)^n / 2 per coordinate, n the length of the longest
+    word, which decides int64 or exact object columns up front; object
+    columns whose values all turn out small are narrowed to int64.
+    """
+    d0, rest, slices = _peel(bound)
+    dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * _I64_COORD else object
+    d0 = d0.astype(dtype, copy=False)
+    xs, ys = np.zeros(len(d0), dtype=dtype), np.zeros(len(d0), dtype=dtype)
+    for s in slices:
+        xs[s] = p.base_x * xs[rest[s]] + d0[s] * p.q1
+        ys[s] = p.base_y * ys[rest[s]] - d0[s] * p.q2
+    if dtype is object and max(np.abs(xs).max(), np.abs(ys).max()) < _I64_COORD:
+        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    return _CanonicalPoints(xs, ys, bound)
 
 
 def level_index_bound(level: int) -> int:
@@ -329,10 +458,12 @@ def enumerate_spectrum(
 ) -> SpectrumPrefix:
     """All points with |k| <= bound (or word length <= level), ordered by k.
 
-    Fills the points by word length, each in one ``_child`` step from its
-    head, so the cost is O(1) big-int operations per point.  Only kicked
-    indices keep their unfolded digit sum on the side; every other head's
-    sum is its own value.base.
+    A canonical mapping gets its points as numpy columns (``_canonical_points``),
+    built into ``SpectrumPoint``s only when read.  A kicked mapping fills a
+    tuple by word length, each point in one ``_child`` step from its head, so
+    the cost is O(1) big-int operations per point.  Only kicked indices keep
+    their unfolded digit sum on the side; every other head's sum is its own
+    value.base.
     """
     if (level is None) == (index_bound is None):
         raise ValueError("specify exactly one of level / index_bound")
@@ -346,6 +477,8 @@ def enumerate_spectrum(
             f"refusing to enumerate {2 * index_bound + 1} points "
             f"(limit {MAX_ENUMERATION_POINTS})"
         )
+    if isinstance(mapping, CanonicalMapping):
+        return SpectrumPrefix(p, _canonical_points(p, index_bound), index_bound)
     # Fill by word length: the head of every k is shorter, so already built.
     # Within a length k ascends, so a walk over the points in k order meets
     # them mostly in the order they were allocated (better cache locality).

@@ -39,7 +39,7 @@ from .fourier import (
     tail_bound,
 )
 from .lattice import MatrixParams, SymVec, scalar_parts, scalar_sign, sym_diff
-from .treemap import SpectrumPoint, SpectrumPrefix
+from .treemap import SpectrumPoint, SpectrumPrefix, _CanonicalPoints
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def check_orthogonality(
     """
     points, p = _points_and_params(prefix, p)
     n = len(points)
-    vecs = [pt.value for pt in points]
     step, bases = p.primary_digit, (p.base_x, p.base_y)
-    events = _residue_events(_int64_columns(vecs), vecs, step, bases)
+    vecs = (pt.value for pt in points)  # read by the object walk only
+    events = _residue_events(_columns(points), vecs, step, bases)
     bad = _violating_pairs(events, step, bases, max_violations)
     violations = tuple(
         PairViolation(
@@ -133,11 +133,21 @@ def check_orthogonality(
 
 
 def _points_and_params(prefix, p):
+    """The points, as a sequence, and their params.  A prefix's points are
+    passed on as they are, so a canonical prefix builds none up front."""
     if isinstance(prefix, SpectrumPrefix):
-        return list(prefix.points), prefix.params
+        return prefix.points, prefix.params
     if p is None:
         raise ValueError("params required when passing a bare point list")
     return list(prefix), p
+
+
+def _columns(points):
+    """``fourier._int64_columns`` of the points' values: a canonical prefix's
+    stored columns, else columns built from every point."""
+    if isinstance(points, _CanonicalPoints):
+        return _int64_columns(points)
+    return _int64_columns([pt.value for pt in points])
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +177,11 @@ def check_distinct_lines(
 
     Per axis the points are sorted stably by coordinate and each pair of equal
     neighbours is a witness.  When every point is concrete and below 2^62 the
-    sort runs on int64 columns; otherwise an exact comparator gives the same
-    order.
+    sort runs on int64 columns, and only the witnesses' points are read;
+    otherwise an exact comparator gives the same order.
     """
     points, p = _points_and_params(prefix, p)
-    cols = _int64_columns([pt.value for pt in points])
+    cols = _columns(points)
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
     for axis in (0, 1):
         if cols is not None:
@@ -216,13 +226,13 @@ def check_projection_orthogonality(
     """
     points, p = _points_and_params(prefix, p)
     n = len(points)
-    vecs = [pt.value for pt in points]
-    cols = _int64_columns(vecs)
+    cols = _columns(points)
     bad = []
     for axis, q in ((0, p.q1), (1, p.q2)):
         step, bases = (q, 0), (3 * q, 3 * q)
         axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
-        axis_vecs = (_on_x(*scalar_parts(v, p, axis)[:2]) for v in vecs)  # object walk only
+        # read by the object walk only
+        axis_vecs = (_on_x(*scalar_parts(pt.value, p, axis)[:2]) for pt in points)
         events = _residue_events(axis_cols, axis_vecs, step, bases)
         bad.append(_violating_pairs(events, step, bases, max_violations))
     cut = min(

@@ -261,12 +261,35 @@ def test_bad_word_or_kick_position_in_jsonl_is_usage_error(tmp_path, capsys, fie
     pytest.param("1,1,1,-1,0", id="zero-kick-position"),
     pytest.param("1,1,1,-1,-2", id="negative-kick-position"),
     pytest.param("1,1,1", id="short-row"),
+    pytest.param("0,,0,0,,,,", id="extra-fields"),
+    pytest.param("1,1,1,-1,,", id="one-extra-empty-field"),
 ])
 def test_bad_csv_record_is_usage_error(tmp_path, capsys, row):
     bad = tmp_path / "bad.csv"
     bad.write_text("k,word,x,y,kick_position\n" + row + "\n")
     code, err = _verify_input(bad, capsys)
     assert code == 2 and "bad record" in err
+
+
+@pytest.mark.parametrize("head", ["k,word,x,y,kick_position,x", "k,k,word,x,y"])
+def test_csv_header_with_a_repeated_column_is_usage_error(tmp_path, capsys, head):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(head + "\n0,,0,0,\n")
+    code, err = _verify_input(bad, capsys)
+    assert code == 2 and "bad header" in err and "repeated column" in err
+
+
+@pytest.mark.parametrize("name, text", [
+    pytest.param("bom.jsonl", '{"k": 0, "lambda": ["0", "0"]}\n', id="jsonl"),
+    pytest.param("bom.csv", "k,word,x,y,kick_position\n0,,0,0,\n", id="csv"),
+])
+def test_leading_byte_order_mark_is_named(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert _verify_input(bad, capsys)[0] == 0
+    bad.write_text("\ufeff" + text, encoding="utf-8")
+    code, err = _verify_input(bad, capsys)
+    assert code == 2 and "byte-order mark" in err and "not a point CSV" not in err
 
 
 ORIGIN_JSONL = '{"k": 0, "word": [], "lambda": ["0", "0"]}'

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from sierpspec.lattice import (
     sym_diff,
 )
 from sierpspec.treemap import (
+    _ROOT,
     CanonicalMapping,
     KickError,
     KickedMapping,
@@ -29,6 +33,8 @@ from sierpspec.treemap import (
     tau_eval,
     validate_tree_mapping,
     word_to_index,
+    _CanonicalPoints,
+    _child,
 )
 
 P11 = MatrixParams(1, 1)
@@ -306,3 +312,95 @@ def test_empty_table_never_resolves_the_kick():
     with pytest.raises(KickError):
         enumerate_spectrum(KickedMapping(TableOffsets({40: 1})), P12, index_bound=40)
     enumerate_spectrum(KickedMapping(TableOffsets({41: 1})), P12, index_bound=40)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: canonical columns against the parent-step enumeration
+# ---------------------------------------------------------------------------
+
+
+def child_enumeration(mapping, p, bound):
+    """The points |k| <= bound filled by word length, each in one ``_child`` step
+    from its head: the enumeration canonical prefixes used before columns."""
+    points = [_ROOT] * (2 * bound + 1)
+    kicked = {}  # k -> (m_k, S(k)) for m_k != 0
+    n, top = 1, 1  # top = 3^(n-1)
+    while (top + 1) // 2 <= bound:
+        scale = (p.base_x ** (n - 1), p.base_y ** (n - 1))
+        lo, hi = (top + 1) // 2, min((3 * top - 1) // 2, bound)
+        for k in itertools.chain(range(-hi, 1 - lo), range(lo, hi + 1)):
+            h = k - top if k > 0 else k + top
+            head = points[h + bound]
+            head_m, head_sum = kicked.get(h) or (0, head.value.base)
+            pt, m, digit_sum = _child(mapping, p, k, n, scale, head, head_m, head_sum)
+            points[k + bound] = pt
+            if m:
+                kicked[k] = (m, digit_sum)
+        n, top = n + 1, 3 * top
+    return tuple(points)
+
+
+def assert_columns_match_child_steps(p, bound):
+    want = child_enumeration(CanonicalMapping(), p, bound)
+    pre = enumerate_spectrum(CanonicalMapping(), p, index_bound=bound)
+    assert isinstance(pre.points, _CanonicalPoints)
+    rng = random.Random(bound)
+    ks = {-bound, 0, bound, *(rng.randint(-bound, bound) for _ in range(20))}
+    with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+        assert len(pre) == len(pre.points) == len(want)
+        for k in ks:
+            assert pre.point(k) == want[k + bound] == pre.points[k + bound]
+        assert pre.points[-1] == want[-1]
+        for k in (-bound - 1, bound + 1):
+            with pytest.raises(IndexError):
+                pre.point(k)
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                pre.points[i]
+    assert pre.points == want and want == pre.points
+    assert hash(pre.points) == hash(want)
+    assert pre == dataclasses.replace(pre, points=want)
+    assert list(pre.points) == list(want) and pre.points[1:3] == want[1:3]
+    return pre
+
+
+@pytest.mark.parametrize("p", [P11, P12, MatrixParams(2, 3), P48, P35], ids=str)
+def test_canonical_columns_match_child_steps(p):
+    for level in range(10):
+        pre = assert_columns_match_child_steps(p, level_index_bound(level))
+        assert pre.points.int64_columns is not None
+    for bound in (3, 7, 59, 365, 2001):
+        assert_columns_match_child_steps(p, bound)
+
+
+def test_canonical_columns_past_int64_are_exact():
+    # coordinates past 2^62 take object columns
+    pre = assert_columns_match_child_steps(MatrixParams(10**9, 10**9), level_index_bound(3))
+    assert pre.points.int64_columns is None and pre.points.xs.dtype == object
+    # object columns whose values all fit are narrowed to int64
+    narrow = MatrixParams(1_100_000_000, 1_100_000_000)
+    pre = assert_columns_match_child_steps(narrow, 2)
+    assert pre.points.int64_columns is not None
+    assert max(abs(c) for pt in pre.points for c in pt.value.base) > 2**61
+
+
+def test_empty_kick_table_keeps_the_parent_steps():
+    for level in range(7):
+        bound = level_index_bound(level)
+        pre = enumerate_spectrum(KickedMapping(TableOffsets({})), P12, index_bound=bound)
+        want = child_enumeration(CanonicalMapping(), P12, bound)
+        assert type(pre.points) is tuple and pre.points == want
+        assert enumerate_spectrum(CanonicalMapping(), P12, level=level).points == pre.points
+
+
+def test_points_and_prefixes_pickle_and_replace():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=4)
+    pt = pre.point(7)
+    assert not hasattr(pt, "__dict__") and not hasattr(pt.value, "__dict__")
+    assert pickle.loads(pickle.dumps(pt)) == pt
+    assert pickle.loads(pickle.dumps(pt.value)) == pt.value
+    moved = dataclasses.replace(pt, value=dataclasses.replace(pt.value, base=(0, 0)))
+    assert moved.k == 7 and moved.value == SymVec((0, 0)) and pt.value.base != (0, 0)
+    assert pickle.loads(pickle.dumps(pre)) == pre
+    kicked = lambda_of_index(KickedMapping(SquareOffsets(kicked=lambda k: True)), P44, 12)
+    assert pickle.loads(pickle.dumps(kicked)) == kicked

@@ -36,6 +36,7 @@ from sierpspec.treemap import (
     KickedMapping,
     SpectrumPoint,
     TableOffsets,
+    _CanonicalPoints,
     enumerate_spectrum,
 )
 from sierpspec.verify import (
@@ -720,6 +721,36 @@ def test_level_11_with_a_point_moved_in_its_first_digit():
     pts[i] = dataclasses.replace(pts[i], value=SymVec((x + 1, y)))
     assert _takes_int64_path(pts)
     _assert_moved_point_listed(pts, i, P12)
+
+
+def _moved(pre, i, dx):
+    """The canonical prefix with point i moved by (dx, 0), its points still columns."""
+    xs = pre.points.xs.copy()
+    xs[i] += dx
+    return dataclasses.replace(pre, points=_CanonicalPoints(xs, pre.points.ys, pre.index_bound))
+
+
+def _three_reports(prefix, max_violations):
+    return (
+        check_orthogonality(prefix, max_violations=max_violations),
+        check_projection_orthogonality(prefix, max_violations=max_violations),
+        check_distinct_lines(prefix),
+    )
+
+
+def test_column_reports_equal_point_reports():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=9)
+    rng = random.Random(9)
+    cases = [pre] + [_moved(pre, rng.randrange(len(pre)), dx) for dx in (1, P12.base_x**6)]
+    for lazy, clean in zip(cases, (True, False, False)):
+        # the stored columns decide; only reported points are built
+        with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+            got = {mv: _three_reports(lazy, mv) for mv in (3, 100)}
+        plain = dataclasses.replace(lazy, points=tuple(lazy.points))
+        for mv, reports in got.items():
+            assert reports == _three_reports(plain, mv)
+            assert reports[:2] == _object_walk_reports(plain.points, P12, mv)
+            assert reports[0].passed == reports[1].passed == clean
 
 
 # ---------------------------------------------------------------------------
