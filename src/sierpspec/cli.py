@@ -342,8 +342,8 @@ def cmd_dim(args) -> int:
         return 0
     if args.input:
         points = _read_points(args.input, p)
-    else:
-        points = list(_prefix_from_args(args).points)
+    else:  # a canonical prefix hands over its values without building its points
+        points = _prefix_from_args(args)
     try:
         j_lo, j_hi = (int(s) for s in args.scale_exps.split(":"))
     except ValueError as exc:

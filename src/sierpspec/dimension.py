@@ -35,7 +35,7 @@ from .lattice import (
     sym,
     sym_diff,
 )
-from .treemap import SpectrumPoint, SpectrumPrefix
+from .treemap import SpectrumPoint, SpectrumPrefix, _CanonicalPoints
 
 # Concrete coordinates strictly below this in absolute value take the int64
 # branch: two differences of them square and add to less than 2^63.
@@ -47,7 +47,9 @@ _OFF = (_I64_COORD, _I64_COORD)  # column filler for a point off the int64 path
 
 def _as_symvecs(points, p=None):
     if isinstance(points, SpectrumPrefix):
-        return [pt.value for pt in points.points], points.params
+        pts = points.points  # a canonical prefix's values come from its columns
+        vecs = pts.values() if isinstance(pts, _CanonicalPoints) else [pt.value for pt in pts]
+        return vecs, points.params
     out = []
     for item in points:
         if isinstance(item, SpectrumPoint):

@@ -344,6 +344,7 @@ class _CanonicalPoints(Sequence):
     __slots__ = ("xs", "ys", "bound", "_points")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int):
+        xs.flags.writeable = ys.flags.writeable = False  # the points must not drift
         self.xs, self.ys, self.bound = xs, ys, bound
         self._points: tuple[SpectrumPoint, ...] | None = None
 
@@ -371,9 +372,12 @@ class _CanonicalPoints(Sequence):
     def _tuple(self) -> tuple[SpectrumPoint, ...]:
         if self._points is None:
             ks = range(-self.bound, self.bound + 1)
-            bases = map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
-            self._points = tuple(map(SpectrumPoint, ks, _words(self.bound), bases))
+            self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks), self.values()))
         return self._points
+
+    def values(self) -> list[SymVec]:
+        """The points' values in order, built from the columns without the points."""
+        return list(map(SymVec, zip(self.xs.tolist(), self.ys.tolist())))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _CanonicalPoints)):
@@ -406,29 +410,11 @@ def _peel(bound: int):
     return d0, (ks - d0) // 3 + bound, slices
 
 
-# the one-letter words, indexed by letter + 1 (filled in place: numpy would
-# read a list of tuples as a 2-D array)
-_LETTERS = np.empty(3, dtype=object)
-_LETTERS[:] = [(-1,), (0,), (1,)]
-
-
-def _words(bound: int) -> list[Word]:
-    """index_to_word(k) for k = -bound..bound, one concatenation each: (d_0,) + word(r)."""
-    d0, rest, slices = _peel(bound)
-    first = _LETTERS[d0 + 1]
-    words = np.empty(len(d0), dtype=object)
-    words[bound] = ()
-    for s in slices:
-        words[s] = first[s] + words[rest[s]]
-    return words.tolist()
-
-
 def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
     """lambda(k) = sum_j d_j(k) A^j (q1, -q2) for all |k| <= bound, one word length at a time.
 
     |lambda(k)| < (3 q2)^n / 2 per coordinate, n the length of the longest
-    word, which decides int64 or exact object columns up front; object
-    columns whose values all turn out small are narrowed to int64.
+    word, which decides int64 or exact object columns up front.
     """
     d0, rest, slices = _peel(bound)
     dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * _I64_COORD else object
@@ -437,8 +423,6 @@ def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
     for s in slices:
         xs[s] = p.base_x * xs[rest[s]] + d0[s] * p.q1
         ys[s] = p.base_y * ys[rest[s]] - d0[s] * p.q2
-    if dtype is object and max(np.abs(xs).max(), np.abs(ys).max()) < _I64_COORD:
-        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
     return _CanonicalPoints(xs, ys, bound)
 
 

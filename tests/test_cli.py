@@ -175,6 +175,16 @@ def test_dim_counting_table(tmp_path):
     assert run_cli(args).stdout == res.stdout  # byte-stable given config + seed
 
 
+def test_dim_on_a_generated_prefix_matches_its_file(tmp_path):
+    pts = tmp_path / "pts.jsonl"
+    run_cli(["gen", "--q1", "1", "--q2", "2", "--level", "6", "--output", str(pts)])
+    flags = ["--q1", "1", "--q2", "2", "--scale-exps", "2:5", "--centers", "sample:9"]
+    from_file = run_cli(["dim", *flags, "--input", str(pts)])
+    generated = run_cli(["dim", *flags, "--level", "6"])
+    assert from_file.returncode == generated.returncode == 0
+    assert generated.stdout == from_file.stdout
+
+
 def test_verify_unitarity_and_qsum_flags():
     res = run_cli(["verify", "--q1", "1", "--q2", "1", "--level", "3",
                    "--unitarity", "2", "--qsum", "3"])

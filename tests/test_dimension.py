@@ -2,6 +2,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from sierpspec.treemap import (
     KickedMapping,
     SpectrumPoint,
     TableOffsets,
+    _CanonicalPoints,
     enumerate_spectrum,
 )
 
@@ -331,6 +333,17 @@ def test_beurling_estimate_canonical():
     pre11 = enumerate_spectrum(CanonicalMapping(), P11, level=11)
     est11 = beurling_dim_estimate(pre11, geometric_scales(P11, 4, 10), centers="sample:32")
     assert abs(est11.slope - 1.0) < 0.08
+
+
+def test_canonical_prefix_counts_without_building_its_points():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=7)
+    scales = geometric_scales(P12, 2, 6)
+    with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+        est = beurling_dim_estimate(pre, scales, centers="sample:16", seed=3)
+        counts = [count_in_ball(pre, pre.point(40), h) for h in scales]
+    pts = list(pre.points)
+    assert est == beurling_dim_estimate(pts, scales, P12, centers="sample:16", seed=3)
+    assert counts == [count_in_ball(pts, pts[40 + pre.index_bound], h, P12) for h in scales]
 
 
 def test_beurling_estimate_guards():

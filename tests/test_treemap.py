@@ -377,11 +377,16 @@ def test_canonical_columns_past_int64_are_exact():
     # coordinates past 2^62 take object columns
     pre = assert_columns_match_child_steps(MatrixParams(10**9, 10**9), level_index_bound(3))
     assert pre.points.int64_columns is None and pre.points.xs.dtype == object
-    # object columns whose values all fit are narrowed to int64
-    narrow = MatrixParams(1_100_000_000, 1_100_000_000)
-    pre = assert_columns_match_child_steps(narrow, 2)
-    assert pre.points.int64_columns is not None
-    assert max(abs(c) for pt in pre.points for c in pt.value.base) > 2**61
+
+
+@pytest.mark.parametrize("p", [P12, MatrixParams(10**9, 10**9)], ids=str)
+def test_canonical_columns_are_read_only(p):
+    pre = enumerate_spectrum(CanonicalMapping(), p, level=3)
+    first = pre.point(1)
+    for column in (pre.points.xs, pre.points.ys):
+        with pytest.raises(ValueError, match="read-only"):
+            column[pre.index_bound + 1] = 0
+    assert pre.point(1) == first and pre.points == tuple(pre.points)
 
 
 def test_empty_kick_table_keeps_the_parent_steps():
