@@ -350,6 +350,8 @@ def cmd_dim(args) -> int:
         raise InputError(f"--scale-exps expects LO:HI, got {args.scale_exps!r}") from exc
     scales = geometric_scales(p, j_lo, j_hi)
     est = beurling_dim_estimate(points, scales, p, centers=args.centers, seed=args.seed)
+    if args.stats:
+        print(json.dumps({"stats": est.stats}), file=sys.stderr)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["h", "count", "log_h", "log_count"])
@@ -450,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     dim.add_argument("--centers", type=str, default="sample:64")
     dim.add_argument("--closed-forms-only", action="store_true")
     dim.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    dim.add_argument("--stats", action="store_true",
+                     help="print the estimator's pair counts as one JSON line on stderr")
     dim.set_defaults(func=cmd_dim)
 
     con = subs.add_parser("construct", help="intermediate-dimension families")

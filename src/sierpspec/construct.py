@@ -19,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dimension import Beatty
 from .lattice import MatrixParams, Vec, enumerate_digit_sets
 from .treemap import (
@@ -79,22 +81,23 @@ def pattern_lattice_points(
     max_x = max(abs(d[0]) for d in digits) * sum(p.base_x ** (j - 1) for j in active)
     max_y = max(abs(d[1]) for d in digits) * sum(p.base_y ** (j - 1) for j in active)
     if max(max_x, max_y, 1).bit_length() < 62:
-        import numpy as np
-
         arr = np.zeros((1, 2), dtype=np.int64)
         base = np.array(digits, dtype=np.int64)
         for j in active:
             scaled = base * np.array([p.base_x ** (j - 1), p.base_y ** (j - 1)])
             arr = (arr[:, None, :] + scaled[None, :, :]).reshape(-1, 2)
-        points = {(int(x), int(y)) for x, y in arr}
-    else:
-        points = set()
-        for combo in itertools.product(digits, repeat=len(active)):
-            x = y = 0
-            for j, (dx, dy) in zip(active, combo):
-                x += p.base_x ** (j - 1) * dx
-                y += p.base_y ** (j - 1) * dy
-            points.add((x, y))
+        # sorted by (x, y); a row equal to the one before it is a repeat
+        xs, ys = arr[np.lexsort((arr[:, 1], arr[:, 0]))].T
+        keep = np.ones(len(xs), dtype=bool)
+        keep[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+        return list(zip(xs[keep].tolist(), ys[keep].tolist()))
+    points = set()
+    for combo in itertools.product(digits, repeat=len(active)):
+        x = y = 0
+        for j, (dx, dy) in zip(active, combo):
+            x += p.base_x ** (j - 1) * dx
+            y += p.base_y ** (j - 1) * dy
+        points.add((x, y))
     return sorted(points)
 
 

@@ -7,7 +7,9 @@ candidate centers are the origin plus generated points; this is a documented
 heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
 paths.  Concrete points against integer centers, all coordinates below 2^30,
-are counted in int64 numpy columns.  Any other pair is first screened by
+are counted in int64 numpy columns sorted by y, each ball only over the slab
+of rows its radius can reach; a canonical prefix hands its stored columns
+over as they are.  Any other pair is first screened by
 magnitude bounds: when those put point and center more than the largest scale
 apart on some axis, the pair is dropped unexpanded, so the huge coordinates of
 kicked points are never subtracted or squared.  The pairs left get one exact
@@ -20,6 +22,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,11 +48,27 @@ _SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
 _OFF = (_I64_COORD, _I64_COORD)  # column filler for a point off the int64 path
 
 
+class _ColumnValues(Sequence):
+    """A canonical prefix's point values over its coordinate columns: reading
+    one builds one ``SymVec``, and the kernel reads the columns themselves."""
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i) -> SymVec:
+        return SymVec((int(self.xs[i]), int(self.ys[i])))
+
+
 def _as_symvecs(points, p=None):
     if isinstance(points, SpectrumPrefix):
-        pts = points.points  # a canonical prefix's values come from its columns
-        vecs = pts.values() if isinstance(pts, _CanonicalPoints) else [pt.value for pt in pts]
-        return vecs, points.params
+        points, p = points.points, points.params
+    if isinstance(points, _CanonicalPoints):
+        return _ColumnValues(points.xs, points.ys), p
     out = []
     for item in points:
         if isinstance(item, SpectrumPoint):
@@ -84,12 +103,15 @@ def _small_columns(vecs):
         flat = itertools.chain.from_iterable(bases)
         return np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
 
-    try:
-        xs, ys = columns(v.base if not v.terms else _OFF for v in vecs)
-    except OverflowError:  # a concrete coordinate beyond int64
-        xs, ys = columns(v.base if _is_small(v) else _OFF for v in vecs)
+    if isinstance(vecs, _ColumnValues):
+        xs, ys = vecs.xs, vecs.ys  # int64, or exact objects past 2^62
+    else:
+        try:
+            xs, ys = columns(v.base if not v.terms else _OFF for v in vecs)
+        except OverflowError:  # a concrete coordinate beyond int64
+            xs, ys = columns(v.base if _is_small(v) else _OFF for v in vecs)
     small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
-    return xs[small], ys[small], small
+    return xs[small].astype(np.int64, copy=False), ys[small].astype(np.int64, copy=False), small
 
 
 def _log2_bounds(v: SymVec, p) -> list[tuple[float, float]]:
@@ -105,7 +127,9 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     pair takes one of three paths, tallied in the returned stats:
 
     * int64: a concrete point and an integer center, every coordinate below
-      2^30, counted in numpy for the whole scale grid;
+      2^30, counted in numpy.  The columns are sorted by y once per call, and
+      per center and scale only the slab |y - cy| < ceil(h) is compared: a
+      point with |dy| >= h lies in no ball of radius h;
     * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``,
       shifted by log2 den for den * v) put den * v and num more than den times
       the largest scale apart on some axis.  A bound only drops a pair that
@@ -113,17 +137,27 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
     Bounds are computed only when some point or center is off the int64 path.
+    ``vecs`` may be a canonical prefix's ``_ColumnValues``: its columns go to
+    the int64 path as they are, and a ``SymVec`` is built only for a point off
+    that path or facing a center off it.
     """
     n = len(vecs)
     xs, ys, small = _small_columns(vecs)
     off = np.flatnonzero(~small)
+    off_vecs = [vecs[i] for i in off]
+    small_vecs = None  # built when a center off the int64 path first needs them
     h2s = [Fraction(h) ** 2 for h in scales]
+    # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
+    # |dy| < 2^31 for any two coordinates below 2^30, so wider slabs are all points
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**31) for h in scales],
+                     dtype=np.int64)
+    order = None  # the int64 columns sorted by y, made for the first int64 center
     # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
     reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
     lo = hi = None  # magnitude bounds of the points off the int64 path
     center_parts = [_center_parts(center) for center in centers]
     # no point on the int64 path carries a symbolic term
-    maybe_symbolic = [vecs[i] for i in off] + [c for c, _ in center_parts]
+    maybe_symbolic = off_vecs + [c for c, _ in center_parts]
     stats = {
         "pairs_int64": 0,
         "pairs_screened": 0,
@@ -138,7 +172,7 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             rest = []
         else:
             if lo is None:
-                bnds = np.array([_log2_bounds(vecs[i], p) for i in off]).reshape(-1, 2, 2)
+                bnds = np.array([_log2_bounds(v, p) for v in off_vecs]).reshape(-1, 2, 2)
                 lo, hi = bnds[:, :, 0], bnds[:, :, 1]
             c_lo, c_hi = np.array(_log2_bounds(c, p)).T
             # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
@@ -146,10 +180,12 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             v_lo, v_hi, r = lo + (den.bit_length() - 1), hi + up, reach_log2 + up
             # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
             far = ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any(1)
-            rest = [vecs[i] for i in off[~far]]
+            rest = list(itertools.compress(off_vecs, ~far))
             # the int64-counted points, |den v| < 2^(30 + up), face this center exactly
             if not fast and not (c_lo >= max(_SMALL_LOG2 + up, r) + 1).any():
-                rest += [vecs[i] for i in np.flatnonzero(small)]
+                if small_vecs is None:
+                    small_vecs = [vecs[i] for i in np.flatnonzero(small)]
+                rest += small_vecs
         if fast:
             stats["pairs_int64"] += len(xs)
         stats["pairs_exact"] += len(rest)
@@ -170,14 +206,23 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
                 d2s.append(coords[0] ** 2 + coords[1] ** 2)
         d2s.sort()
         if fast:
-            dx, dy = xs - c.base[0], ys - c.base[1]
+            if order is None:
+                order = np.argsort(ys, kind="stable")
+                xs_s, ys_s = xs[order], ys[order]
+            cx, cy = c.base
+            # slab i holds the points with |y - cy| < radii[i], sorted rows [los[i], his[i])
+            los = np.searchsorted(ys_s, cy - radii, side="right").tolist()
+            his = np.searchsorted(ys_s, cy + radii, side="left").tolist()
+            start, stop = min(los), max(his)
+            dx, dy = xs_s[start:stop] - cx, ys_s[start:stop] - cy
             d2 = dx * dx + dy * dy
         for i, h2 in enumerate(h2s):
             # an integer is below den^2 h^2 exactly when it is below its ceiling
             bound = -(-h2.numerator * den * den // h2.denominator)
             n_in = bisect_left(d2s, bound)
             if fast:
-                n_in += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
+                slab = d2[los[i] - start:his[i] - start]
+                n_in += int(np.count_nonzero(slab < min(bound, _I64_MAX)))
             best[i] = max(best[i], n_in)
     return best, stats
 
@@ -231,9 +276,11 @@ def _resolve_centers(vecs, policy, seed):
                 f"centers must be 'origin', 'points' or 'sample:N' with N >= 0, "
                 f"got {policy!r}"
             )
-        rng = random.Random(seed)
-        chosen = list(vecs) if len(vecs) <= int(n) else rng.sample(list(vecs), int(n))
-        return [sym((0, 0))] + chosen
+        if len(vecs) <= int(n):
+            return [sym((0, 0))] + list(vecs)
+        # the same draw as rng.sample(list(vecs), n), which reads only len and [i]
+        chosen = random.Random(seed).sample(range(len(vecs)), int(n))
+        return [sym((0, 0))] + [vecs[i] for i in chosen]
     return list(policy)
 
 

@@ -372,12 +372,9 @@ class _CanonicalPoints(Sequence):
     def _tuple(self) -> tuple[SpectrumPoint, ...]:
         if self._points is None:
             ks = range(-self.bound, self.bound + 1)
-            self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks), self.values()))
+            values = map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
+            self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks), values))
         return self._points
-
-    def values(self) -> list[SymVec]:
-        """The points' values in order, built from the columns without the points."""
-        return list(map(SymVec, zip(self.xs.tolist(), self.ys.tolist())))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _CanonicalPoints)):

@@ -133,13 +133,14 @@ def check_orthogonality(
 
 
 def _points_and_params(prefix, p):
-    """The points, as a sequence, and their params.  A prefix's points are
-    passed on as they are, so a canonical prefix builds none up front."""
+    """The points, as a sequence, and their params.  A prefix's points, and a
+    canonical prefix's points passed bare, are passed on as they are, so a
+    canonical prefix builds none up front."""
     if isinstance(prefix, SpectrumPrefix):
         return prefix.points, prefix.params
     if p is None:
         raise ValueError("params required when passing a bare point list")
-    return list(prefix), p
+    return (prefix if isinstance(prefix, _CanonicalPoints) else list(prefix)), p
 
 
 def _columns(points):
@@ -278,14 +279,19 @@ def gram_unitarity(
             ax = ax * p.base_x + dx
             ay = ay * p.base_y + dy
         atoms.append((ax, ay))
-    lams = [pt.concrete(p) for pt in points]
+    if isinstance(points, _CanonicalPoints):  # the stored columns, no point built
+        cols = points.xs, points.ys
+    else:
+        lams = [pt.concrete(p) for pt in points]
+        cols = [np.array([v[axis] for v in lams], dtype=object) for axis in (0, 1)]
     size = 3**n
     phase = np.zeros((size, size), dtype=float)
     for axis, den in ((0, denx), (1, deny)):
         # (lam mod den) * atom < den^2: int64 when that fits, Python ints otherwise
         dtype = np.int64 if den * den < 2**63 else object
         a = np.array([atom[axis] for atom in atoms], dtype=dtype)
-        lam = np.array([v[axis] % den for v in lams], dtype=dtype)
+        col = cols[axis] if dtype is np.int64 else cols[axis].astype(object)
+        lam = (col % den).astype(dtype, copy=False)
         prod = np.multiply.outer(a, lam) % den
         phase += (prod / den).astype(float, copy=False)  # correctly rounded quotients
         del prod
@@ -339,14 +345,17 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     coordinates; kicked points with huge exponents are rejected.
     """
     points, p = _points_and_params(prefix, p)
-    coords = []
-    for pt in points:
-        if not pt.value.is_concrete:
-            raise ValueError(
-                "q_sum needs float-representable points; got a symbolic kick term"
-            )
-        coords.append(pt.value.base)
-    arr = np.array(coords, dtype=float)
+    if isinstance(points, _CanonicalPoints):  # the stored columns, no point built
+        arr = np.column_stack((points.xs.astype(float), points.ys.astype(float)))
+    else:
+        coords = []
+        for pt in points:
+            if not pt.value.is_concrete:
+                raise ValueError(
+                    "q_sum needs float-representable points; got a symbolic kick term"
+                )
+            coords.append(pt.value.base)
+        arr = np.array(coords, dtype=float)
     if arr.size == 0:
         return np.zeros(0), np.zeros(0), 1
     arr = arr + np.asarray(xi, dtype=float)

@@ -185,6 +185,22 @@ def test_dim_on_a_generated_prefix_matches_its_file(tmp_path):
     assert generated.stdout == from_file.stdout
 
 
+
+def test_dim_stats_flag_prints_pair_counts_on_stderr():
+    flags = ["dim", "--q1", "1", "--q2", "2", "--level", "6", "--scale-exps", "2:5",
+             "--centers", "sample:9"]
+    plain = run_cli(flags)
+    traced = run_cli(flags + ["--stats"])
+    assert plain.returncode == traced.returncode == 0
+    assert traced.stdout == plain.stdout
+    assert not any(line.startswith('{"stats"') for line in plain.stderr.splitlines())
+    stats = [json.loads(line)["stats"] for line in traced.stderr.splitlines()
+             if line.startswith('{"stats"')]
+    assert len(stats) == 1
+    paths = stats[0]["pairs_int64"] + stats[0]["pairs_screened"] + stats[0]["pairs_exact"]
+    assert paths == 729 * 10  # points x (the origin and 9 sampled centers)
+    assert stats[0]["max_exponent"] == 0
+
 def test_verify_unitarity_and_qsum_flags():
     res = run_cli(["verify", "--q1", "1", "--q2", "1", "--level", "3",
                    "--unitarity", "2", "--qsum", "3"])

@@ -1,8 +1,11 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sierpspec.construct import (
+    MAX_PATTERN_POINTS,
     build_intermediate_spectrum,
     coherent_perturbation_report,
     family_variants,
@@ -10,7 +13,12 @@ from sierpspec.construct import (
     pattern_lattice_points,
     t_max,
 )
-from sierpspec.dimension import beurling_dim_estimate, geometric_scales, lacunary_check
+from sierpspec.dimension import (
+    Periodic,
+    beurling_dim_estimate,
+    geometric_scales,
+    lacunary_check,
+)
 from sierpspec.lattice import MatrixParams, enumerate_digit_sets, sym_diff, sym_is_zero
 from sierpspec.treemap import CanonicalMapping, enumerate_spectrum, validate_tree_mapping
 from sierpspec.verify import check_orthogonality
@@ -130,3 +138,74 @@ def test_variants_keep_offsets_increasing():
             if m:
                 assert m > last
                 last = m
+
+
+def _oracle_pattern_lattice_points(p, pattern, depth, digit_set=None):
+    """``pattern_lattice_points`` before the int64 rows were deduplicated in
+    numpy: every row goes through a set of tuples."""
+    digits = tuple(digit_set) if digit_set is not None else enumerate_digit_sets(p).l_set
+    active = [j for j in range(1, depth + 1) if pattern.active(j)]
+    if len(digits) ** len(active) > MAX_PATTERN_POINTS:
+        raise ValueError("pattern set too large to enumerate")
+    max_x = max(abs(d[0]) for d in digits) * sum(p.base_x ** (j - 1) for j in active)
+    max_y = max(abs(d[1]) for d in digits) * sum(p.base_y ** (j - 1) for j in active)
+    if max(max_x, max_y, 1).bit_length() < 62:
+        arr = np.zeros((1, 2), dtype=np.int64)
+        base = np.array(digits, dtype=np.int64)
+        for j in active:
+            scaled = base * np.array([p.base_x ** (j - 1), p.base_y ** (j - 1)])
+            arr = (arr[:, None, :] + scaled[None, :, :]).reshape(-1, 2)
+        points = {(int(x), int(y)) for x, y in arr}
+    else:
+        points = set()
+        for combo in itertools.product(digits, repeat=len(active)):
+            x = y = 0
+            for j, (dx, dy) in zip(active, combo):
+                x += p.base_x ** (j - 1) * dx
+                y += p.base_y ** (j - 1) * dy
+            points.add((x, y))
+    return sorted(points)
+
+
+def _same_points(got, want):
+    assert got == want
+    assert all(type(x) is int and type(y) is int for x, y in got)
+
+
+# (period, active positions) of the benchmark's periodic patterns
+BENCH_PATTERN_SHAPES = ((2, 1), (3, 2), (4, 3), (6, 3), (6, 4))
+
+
+@pytest.mark.parametrize("shape", BENCH_PATTERN_SHAPES, ids=str)
+def test_pattern_points_match_set_oracle(shape):
+    period, count = shape
+    for on in itertools.combinations(range(period), count):
+        pattern = Periodic(tuple(int(j in on) for j in range(period)))
+        for depth in range(1, 13):
+            _same_points(pattern_lattice_points(P12, pattern, depth),
+                         _oracle_pattern_lattice_points(P12, pattern, depth))
+
+
+def test_pattern_points_edge_cases_match_set_oracle():
+    # no active position: the single empty sum
+    for depth in (1, 5):
+        got = pattern_lattice_points(P12, Periodic((0,)), depth)
+        assert got == [(0, 0)]
+        _same_points(got, _oracle_pattern_lattice_points(P12, Periodic((0,)), depth))
+    # digit base_x at position j equals digit 1 at position j + 1: sums collide
+    for p in (P12, P48):
+        digits = [(0, 0), (1, 0), (p.base_x, 0), (0, -1)]
+        for bits in ((1,), (1, 1, 0), (0, 1, 1)):
+            for depth in (2, 5, 8):
+                got = pattern_lattice_points(p, Periodic(bits), depth, digits)
+                want = _oracle_pattern_lattice_points(p, Periodic(bits), depth, digits)
+                _same_points(got, want)
+                active = [j for j in range(1, depth + 1) if Periodic(bits).active(j)]
+                if any(j + 1 in active for j in active):
+                    assert len(got) < len(digits) ** len(active)
+    # coordinates past 2^62: the exact object branch
+    big = MatrixParams(1, 1000)
+    for bits, depth in (((1,), 7), ((1, 0), 12), ((0, 1, 1), 9)):
+        got = pattern_lattice_points(big, Periodic(bits), depth)
+        assert max(abs(y) for _, y in got).bit_length() > 62
+        _same_points(got, _oracle_pattern_lattice_points(big, Periodic(bits), depth))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -31,6 +32,7 @@ from sierpspec.lattice import (
     SymVec,
     enumerate_digit_sets,
     scalar_abs_lt,
+    scalar_log2_bounds,
     scalar_materialize,
     scalar_parts,
     sym,
@@ -40,6 +42,7 @@ from sierpspec.treemap import (
     CanonicalMapping,
     KickedMapping,
     SpectrumPoint,
+    SpectrumPrefix,
     TableOffsets,
     _CanonicalPoints,
     enumerate_spectrum,
@@ -324,6 +327,208 @@ def test_screened_counts_property(data):
                                                 for c in centers))]
     paths = stats["pairs_int64"] + stats["pairs_screened"] + stats["pairs_exact"]
     assert paths == len(vecs) * len(centers)
+
+
+
+# The ball-counting kernel before slab counting, kept as the oracle for it: it
+# counts every int64-path point against every int64 center, and reads a
+# canonical prefix as the list of SymVecs built from its columns.
+_OFF = (_I64_COORD, _I64_COORD)
+_SMALL_LOG2 = 30.0
+
+
+def _oracle_as_symvecs(points, p=None):
+    if isinstance(points, SpectrumPrefix):
+        pts = points.points  # a canonical prefix's values come from its columns
+        if isinstance(pts, _CanonicalPoints):  # what _CanonicalPoints.values() returned
+            vecs = list(map(SymVec, zip(pts.xs.tolist(), pts.ys.tolist())))
+        else:
+            vecs = [pt.value for pt in pts]
+        return vecs, points.params
+    out = []
+    for item in points:
+        if isinstance(item, SpectrumPoint):
+            out.append(item.value)
+        elif isinstance(item, SymVec):
+            out.append(item)
+        else:
+            x, y = item
+            out.append(sym((int(x), int(y))))
+    return out, p
+
+
+def _oracle_small_columns(vecs):
+    def columns(bases):
+        flat = itertools.chain.from_iterable(bases)
+        return np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
+
+    try:
+        xs, ys = columns(v.base if not v.terms else _OFF for v in vecs)
+    except OverflowError:  # a concrete coordinate beyond int64
+        xs, ys = columns(v.base if _is_small(v) else _OFF for v in vecs)
+    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    return xs[small], ys[small], small
+
+
+def _oracle_log2_bounds(v, p):
+    return [scalar_log2_bounds(*scalar_parts(v, p, axis)) for axis in (0, 1)]
+
+
+def _oracle_max_ball_counts(vecs, centers, scales, p):
+    n = len(vecs)
+    xs, ys, small = _oracle_small_columns(vecs)
+    off = np.flatnonzero(~small)
+    h2s = [Fraction(h) ** 2 for h in scales]
+    reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
+    lo = hi = None
+    center_parts = [_center_parts(center) for center in centers]
+    maybe_symbolic = [vecs[i] for i in off] + [c for c, _ in center_parts]
+    stats = {
+        "pairs_int64": 0,
+        "pairs_screened": 0,
+        "pairs_exact": 0,
+        "max_exponent": max((e for v in maybe_symbolic for e, _ in v.terms), default=0),
+    }
+    best = [0] * len(scales)
+    for c, den in center_parts:
+        reach = Fraction(max(scales)) * den
+        fast = den == 1 and _is_small(c)
+        if fast and not off.size:
+            rest = []
+        else:
+            if lo is None:
+                bnds = np.array([_oracle_log2_bounds(vecs[i], p) for i in off]).reshape(-1, 2, 2)
+                lo, hi = bnds[:, :, 0], bnds[:, :, 1]
+            c_lo, c_hi = np.array(_oracle_log2_bounds(c, p)).T
+            up = (den - 1).bit_length()
+            v_lo, v_hi, r = lo + (den.bit_length() - 1), hi + up, reach_log2 + up
+            far = ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any(1)
+            rest = [vecs[i] for i in off[~far]]
+            if not fast and not (c_lo >= max(_SMALL_LOG2 + up, r) + 1).any():
+                rest += [vecs[i] for i in np.flatnonzero(small)]
+        if fast:
+            stats["pairs_int64"] += len(xs)
+        stats["pairs_exact"] += len(rest)
+        stats["pairs_screened"] += n - len(rest) - (len(xs) if fast else 0)
+        d2s = []
+        for v in rest:
+            if den != 1:
+                v = SymVec((v.base[0] * den, v.base[1] * den),
+                           tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+            d = sym_diff(v, c)
+            coords = []
+            for axis in (0, 1):
+                b, terms, B = scalar_parts(d, p, axis)
+                if not scalar_abs_lt(b, terms, B, reach):
+                    break
+                coords.append(scalar_materialize(b, terms, B))
+            else:
+                d2s.append(coords[0] ** 2 + coords[1] ** 2)
+        d2s.sort()
+        if fast:
+            dx, dy = xs - c.base[0], ys - c.base[1]
+            d2 = dx * dx + dy * dy
+        for i, h2 in enumerate(h2s):
+            bound = -(-h2.numerator * den * den // h2.denominator)
+            n_in = bisect_left(d2s, bound)
+            if fast:
+                n_in += int(np.count_nonzero(d2 < min(bound, _I64_MAX)))
+            best[i] = max(best[i], n_in)
+    return best, stats
+
+
+P18 = MatrixParams(1, 8)
+
+
+def _slab_cases():
+    """(id, points, centers, scales, params); points may be a canonical prefix."""
+    rng = random.Random(20261018)
+    for size, span in ((60, 12), (300, 1000), (400, 2**29), (300, 2**31)):
+        pts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(size)]
+        pts += pts[:15]  # coincident points
+        centers = [(0, 0), (span // 3, -span // 2)] + rng.sample(pts, 5)
+        scales = sorted(rng.sample(range(1, 3 * span), 5))
+        yield (f"random span {span}", pts, centers, scales, P11)
+    # the slab edges: |dy| = h - 1, h, ceil(h), ceil(h) + 1 for integer and
+    # fractional h, points at distance exactly h, and the widest slab
+    cx, cy = 3, -5
+    offsets = [(dx, dy) for dx in (-4, -1, 0, 1, 3) for dy in range(-12, 13)]
+    offsets += [(3 * s, 4 * t) for s in (1, -1) for t in (1, -1)]  # distance 5
+    offsets += [(4 * s, 3 * t) for s in (1, -1) for t in (1, -1)]
+    edge = [(cx + dx, cy + dy) for dx, dy in offsets]
+    edge += edge[::7]
+    centers = [(cx, cy), (0, 0), (cx, -cy), (cx + 1, cy - 10), (Fraction(7, 2), -5),
+               (Fraction(6), Fraction(-10, 2))]
+    yield ("slab edges", edge, centers, [Fraction(9, 2), 5, 7, 7.5, 8, 10], P11)
+    yield ("slab edges, reach 11", edge, centers, [1, 3, 5.5, 11], P11)
+    # coordinates at +-(2^30 - 1) and +-2^30, slabs wider than any |dy|
+    coords = sorted({s * e for e in (0, 1, 2**30 - 2, 2**30 - 1, 2**30) for s in (1, -1)})
+    border = [(x, y) for x in coords for y in coords] + [(2**30 - 1, 2**30 - 1)] * 3
+    centers = [(0, 0), (2**30 - 1, 1 - 2**30), (1 - 2**30, 0), (2**30, 0),
+               (-(2**30), 2**30), (Fraction(2**31 - 1, 2), 0)]
+    yield ("int64 border", border, centers, [1, 2, 2**30 - 1, 2**30, 2**31, 2**31 + 1, 2**33],
+           P11)
+    yield ("int64 border, huge scales", border, centers, [3, 2**62, 2**70, 6**400], P11)
+    # partly off the int64 path: |y| up to about 3.2 10^9
+    pre = enumerate_spectrum(CanonicalMapping(), P18, level=7)
+    centers = [(0, 0), pre.point(5), pre.point(-1000), pre.point(1093), (Fraction(1, 3), 7),
+               (2**31, -(2**31)), (10**12, 0)]
+    yield ("canonical (1,8) L7", pre, centers, geometric_scales(P18, 1, 7), P18)
+    listed = list(enumerate_spectrum(CanonicalMapping(), P18, level=7).points)
+    yield ("canonical (1,8) L7 list", listed, centers, geometric_scales(P18, 2, 6), P18)
+    # both kicked families, with symbolic and rational centers
+    for t in (0.15, 0.3):
+        spec = build_intermediate_spectrum(t, P48)
+        prefix = spec.prefix(364)
+        f_part, kicked = spec.split(prefix)
+        centers = [(0, 0), (Fraction(1, 3), Fraction(-7, 2))]
+        centers += rng.sample(kicked, 3) + rng.sample(f_part, 3)
+        yield (f"kicked family t={t}", prefix, centers, geometric_scales(P48, 1, 6), P48)
+    # unsorted, repeated and Fraction scales
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=6)
+    centers = [(0, 0), pre.point(40), pre.point(-300), (Fraction(5, 2), Fraction(-1, 3))]
+    scales = [216, 6, Fraction(73, 2), 216, 0.75, 1296, Fraction(1, 3), 2**40]
+    yield ("unsorted repeated scales", pre, centers, scales, P12)
+
+
+@pytest.mark.parametrize("case", list(_slab_cases()), ids=lambda c: c[0])
+def test_slab_kernel_matches_oracle(case):
+    _, points, centers, scales, p = case
+    old_vecs, _ = _oracle_as_symvecs(points, p)
+    want = _oracle_max_ball_counts(old_vecs, centers, scales, p)
+    vecs, _ = _as_symvecs(points, p)
+    assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
+    assert _max_ball_counts(old_vecs, centers, scales, p) == want
+    if isinstance(points, SpectrumPrefix) and isinstance(points.points, _CanonicalPoints):
+        assert points.points._points is None  # no point was built
+
+
+# (1,8) L7 runs up to 24^6: its points past 2^30 are screened, not expanded,
+# against the sampled centers (the slab kernel test expands them)
+@pytest.mark.parametrize("p, level, top", [(P12, 6, 6), (P12, 9, 9), (P18, 7, 6),
+                                           (MatrixParams(1, 10**7), 3, 4)],
+                         ids=["(1,2) L6", "(1,2) L9", "(1,8) L7", "(1,10^7) L3"])
+def test_prefix_estimate_equals_list_estimate(p, level, top):
+    pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
+    n = len(pre)
+    scales = geometric_scales(p, 1, top)
+    samples = ["sample:5", "sample:12"]
+    if n <= 729:  # every point a center
+        samples += [f"sample:{n - 1}", f"sample:{n}", f"sample:{n + 4}", "points"]
+    # an explicit list and a rational center; a seed picks only sampled centers
+    runs = [(c, seed) for c in samples for seed in (0, 11)] + [
+        ("origin", 0), ([(0, 0), pre.point(1), pre.point(-7)], 0), ([(Fraction(1, 2), -3)], 0)]
+    got = [beurling_dim_estimate(pre, scales, centers=c, seed=s) for c, s in runs]
+    balls = [count_in_ball(pre, c, h) for c in ((0, 0), pre.point(-4)) for h in scales]
+    balls.append(count_in_ball(pre, (0.5, 1.25), scales[2]))
+    assert pre.points._points is None  # no point was built
+    pts = list(pre.points)
+    for (centers, seed), est in zip(runs, got):
+        want = beurling_dim_estimate(pts, scales, p, centers=centers, seed=seed)
+        assert est == want
+        assert est.stats == want.stats
+    want = [count_in_ball(pts, c, h, p) for c in ((0, 0), pts[n // 2 - 4]) for h in scales]
+    assert balls == want + [count_in_ball(pts, (0.5, 1.25), scales[2], p)]
 
 
 def test_beurling_estimate_canonical():

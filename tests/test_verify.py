@@ -825,3 +825,26 @@ def test_q_sum_terms_match_per_point_tails():
                     assert got[2] == want[2]
                     assert got[0].tolist() == want[0].tolist()
                     assert got[1].tolist() == want[1].tolist()
+
+
+def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
+    # int64 columns, and exact object columns: q2 = 1000 at level 6 and
+    # q2 = 10^7 at level 3 pass 2^62 (q-sums cannot run at q2 = 10^7, whose
+    # tail bound overflows a float)
+    big = MatrixParams(1, 10**7)
+    cases = [(P12, 4, True), (P35, 3, True), (MatrixParams(1, 1000), 6, True),
+             (big, 2, False), (big, 3, False)]
+    for p, n, with_q_sums in cases:
+        pre = enumerate_spectrum(CanonicalMapping(), p, level=n)
+        xis = SamplingBox.for_params(p).samples(3, seed=5) + [(0.0, 0.0)]
+        dev = gram_unitarity(n, pre)
+        terms = [q_sum_terms(xi, pre) for xi in xis] if with_q_sums else []
+        assert pre.points._points is None  # no point was built
+        assert (pre.points.xs.dtype == object) == (p.base_y**n >= 2**63)
+        pts = list(pre.points)
+        assert dev == _oracle_gram_unitarity(n, pts, p)
+        for xi, got in zip(xis, terms):
+            want = _oracle_q_sum_terms(xi, pts, p)
+            assert got[2] == want[2]
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
