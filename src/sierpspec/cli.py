@@ -36,6 +36,7 @@ from .treemap import (
     SpectrumPoint,
     SpectrumPrefix,
     TableOffsets,
+    _CanonicalPoints,
     enumerate_spectrum,
     index_to_word,
     level_index_bound,
@@ -313,7 +314,10 @@ def cmd_verify(args) -> int:
     if args.unitarity is not None:
         n = args.unitarity
         bound = level_index_bound(n)
-        slice_pts = [pt for pt in points if abs(pt.k) <= bound]
+        if isinstance(points, _CanonicalPoints):  # the middle columns, no point built
+            slice_pts = points.central(min(bound, points.bound))
+        else:
+            slice_pts = [pt for pt in points if abs(pt.k) <= bound]
         dev = gram_unitarity(n, slice_pts, p)
         print(f"unitarity n={n}: max deviation {dev:.3e}")
         failed |= dev > args.tolerance

@@ -60,10 +60,28 @@ def tail_bound(xi, p: MatrixParams, depth: int) -> float:
     s <= 1/2, beyond which +inf is returned.
     """
     s = (2.0 * math.pi / 3.0) * (
-        abs(xi[0]) / (p.base_x**depth * (p.base_x - 1))
-        + abs(xi[1]) / (p.base_y**depth * (p.base_y - 1))
+        _tail_quotient(abs(xi[0]), p.base_x, depth)
+        + _tail_quotient(abs(xi[1]), p.base_y, depth)
     )
     return 2.0 * s if s <= 0.5 else INF
+
+
+def _tail_quotient(x, base: int, depth: int):
+    """x / (base^depth * (base - 1)) for an int, a float or a float array x.
+
+    An int is divided exactly (correctly rounded), a float by the divisor
+    converted to float.  A divisor past the float range is cut to its top
+    1,000 bits instead, and the quotient scaled back with ldexp.
+    """
+    den = base**depth * (base - 1)
+    if isinstance(x, int):
+        return x / den
+    try:
+        return x / float(den)
+    except OverflowError:
+        shift = den.bit_length() - 1000
+        q = x / float(den >> shift)
+        return np.ldexp(q, -shift) if isinstance(q, np.ndarray) else math.ldexp(q, -shift)
 
 
 def mu_hat(xi, p: MatrixParams, depth: int) -> TruncatedTransform:

@@ -365,6 +365,11 @@ class _CanonicalPoints(Sequence):
         k = j - self.bound
         return SpectrumPoint(k, index_to_word(k), SymVec((int(self.xs[j]), int(self.ys[j]))))
 
+    def central(self, bound: int) -> "_CanonicalPoints":
+        """The points with |k| <= bound <= self.bound, as views of the columns."""
+        middle = slice(self.bound - bound, self.bound + bound + 1)
+        return _CanonicalPoints(self.xs[middle], self.ys[middle], bound)
+
     def __iter__(self):
         # a generator, so that only the first next() builds the points
         yield from self._tuple()

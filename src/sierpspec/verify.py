@@ -10,11 +10,13 @@ point is concrete with coordinates below 2^62, the walk runs on int64 columns
 (a few numpy operations per level); symbolic or larger points take the
 object walk.  Either walk yields the same events, the failing nodes' parts
 and the groups of equal points, and the violations are listed from those
-events alone.  The projection checks run the same walks per axis, and the
-unitarity phases and q-sum tails are computed as numpy arrays.  Completeness
-is never certified: the quadratic sums of the transform over a prefix give
-evidence (bounded by 1, nondecreasing), and maximality is probed per candidate
-with three-valued verdicts.
+events alone.  The projection checks run the same walks per axis.  Level-n
+unitarity multiplies the Gram matrix out of per-level rank-3 factors, one
+row block at a time, with no character matrix built; the q-sum tails are
+computed as numpy arrays.  Completeness is never certified: the quadratic
+sums of the transform over a prefix give evidence (bounded by 1,
+nondecreasing), and maximality is probed per candidate with three-valued
+verdicts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .fourier import (
     _on_x,
     _residue_events,
     _step_sign,
+    _tail_quotient,
     in_zero_set_sym,
     tail_bound,
 )
@@ -163,6 +166,9 @@ class LineReport:
     shared_y: tuple[tuple[int, int], ...]
 
 
+_KEY_PRIME = 2**61 - 1  # symbolic coordinates are bucketed by their value mod this prime
+
+
 def _coord_cmp(p: MatrixParams, axis: int):
     def cmp(a: SpectrumPoint, b: SpectrumPoint) -> int:
         d = sym_diff(a.value, b.value)
@@ -171,15 +177,52 @@ def _coord_cmp(p: MatrixParams, axis: int):
     return cmp
 
 
+def _equal_coordinate_groups(points, p: MatrixParams, axis: int) -> list[list[int]]:
+    """The index lists, each ascending, of two or more points sharing a coordinate on
+    ``axis``, ordered by that coordinate: the runs of a stable sort by it.
+
+    Concrete coordinates are their own keys.  When some point is symbolic,
+    every coordinate is keyed by its value mod ``_KEY_PRIME`` (equal values,
+    equal keys); the exact comparator splits each bucket into groups of equal
+    values and orders the groups, so it runs only on points that share a key.
+    """
+    parts = [scalar_parts(pt.value, p, axis) for pt in points]
+    exact = not any(terms for _, terms, _ in parts)
+    if exact:
+        keys = [b for b, _, _ in parts]
+    else:
+        keys = [
+            (b + sum(c * pow(base, e, _KEY_PRIME) for e, c in terms)) % _KEY_PRIME
+            for b, terms, base in parts
+        ]
+    buckets: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    if exact:
+        return sorted((m for m in buckets.values() if len(m) > 1), key=lambda m: keys[m[0]])
+    cmp = _coord_cmp(p, axis)
+    groups = []
+    for rest in buckets.values():
+        while len(rest) > 1:  # split off the points equal to the first
+            first = points[rest[0]]
+            same = [cmp(first, points[i]) == 0 for i in rest]
+            if sum(same) > 1:
+                groups.append([i for i, s in zip(rest, same) if s])
+            rest = [i for i, s in zip(rest, same) if not s]
+    by_value = functools.cmp_to_key(lambda g, h: cmp(points[g[0]], points[h[0]]))
+    return sorted(groups, key=by_value)
+
+
 def check_distinct_lines(
     prefix: SpectrumPrefix | list[SpectrumPoint], p: MatrixParams | None = None
 ) -> LineReport:
     """Report any two points sharing an x- or a y-coordinate (exact comparison).
 
-    Per axis the points are sorted stably by coordinate and each pair of equal
-    neighbours is a witness.  When every point is concrete and below 2^62 the
-    sort runs on int64 columns, and only the witnesses' points are read;
-    otherwise an exact comparator gives the same order.
+    Per axis each pair of equal neighbours in a stable sort by coordinate is
+    a witness.  When every point is concrete and below 2^62 the sort runs on
+    int64 columns, and only the witnesses' points are read; otherwise the
+    points are grouped by exact coordinate keys (``_equal_coordinate_groups``)
+    and only the groups of equal coordinates are ordered.
     """
     points, p = _points_and_params(prefix, p)
     cols = _columns(points)
@@ -190,11 +233,8 @@ def check_distinct_lines(
             ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
             shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
             continue
-        ordered = sorted(points, key=functools.cmp_to_key(_coord_cmp(p, axis)))
-        cmp = _coord_cmp(p, axis)
-        for a, b in zip(ordered, ordered[1:]):
-            if cmp(a, b) == 0:
-                shared[axis].append((a.k, b.k))
+        for group in _equal_coordinate_groups(points, p, axis):
+            shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
     return LineReport(
         passed=not shared[0] and not shared[1],
         shared_x=tuple(shared[0]),
@@ -253,7 +293,48 @@ def check_projection_orthogonality(
 # Finite-level unitarity
 # ---------------------------------------------------------------------------
 
-DIGITS = ((0, 0), (1, 0), (0, 1))
+_GRAM_ROWS = 32  # Gram rows per block: three block-sized complex arrays stay in cache
+
+
+def _level_phases(col, base: int, n: int) -> np.ndarray:
+    """Row j - 1 holds e^(-2 pi i (lam mod B^j) / B^j) for j = 1..n, one entry per point.
+
+    The remainders are exact, int64 while B^j < 2^53 and Python ints past
+    that, so each quotient is correctly rounded.
+    """
+    out = np.empty((n, len(col)), dtype=complex)
+    for j in range(1, n + 1):
+        den = base**j
+        if col.dtype == np.int64 and den < 2**53:
+            frac = (col % den) / den
+        else:
+            frac = (col.astype(object) % den / den).astype(float)
+        out[j - 1] = np.exp(-2j * np.pi * frac)
+    return out
+
+
+def _gram_blocks(n: int, cols, p: MatrixParams):
+    """The upper triangle of the level-n Gram matrix, as (r0, G[r0:r1, r0:]) row blocks.
+
+    G[lam, lam'] = prod_j m(A^-j (lam' - lam)), m the mask, and each factor is
+    (1 + conj(ex_j(lam)) ex_j(lam') + conj(ey_j(lam)) ey_j(lam')) / 3 with the
+    per-level phases of ``_level_phases``; the 1/3 rides on the conjugated
+    row phases.  The lower triangle is the conjugate transpose.
+    """
+    ex, ey = _level_phases(cols[0], p.base_x, n), _level_phases(cols[1], p.base_y, n)
+    cx, cy = ex.conj() / 3, ey.conj() / 3
+    size = len(cols[0])
+    for r0 in range(0, size, _GRAM_ROWS):
+        rows = slice(r0, min(r0 + _GRAM_ROWS, size))
+        g = np.ones((rows.stop - r0, size - r0), dtype=complex)
+        t, u = np.empty_like(g), np.empty_like(g)
+        for j in range(n):
+            np.multiply(cx[j, rows, None], ex[j, None, r0:], out=t)
+            np.multiply(cy[j, rows, None], ey[j, None, r0:], out=u)
+            t += u
+            t += 1 / 3
+            g *= t
+        yield r0, g
 
 
 def gram_unitarity(
@@ -263,41 +344,29 @@ def gram_unitarity(
 
     The 3^n atoms are the digit sums sum_j A^-j d_j; against a spectrum slice
     of 3^n points the matrix U[a, lam] = 3^(-n/2) e^(-2 pi i <lam, a>) must be
-    unitary.  Phases are computed from exact fractional parts, so the returned
-    deviation carries no argument-reduction noise.
+    unitary.  Its Gram matrix is the product over the levels j = 1..n of
+    rank-3 factors (``_gram_blocks``), so neither U nor the atoms are built:
+    about 3 n N^2 complex multiply-adds for N = 3^n points, in row blocks of
+    O(N) memory, over the upper triangle only (|G - I| is symmetric).
+    Phases come from exact remainders, so the returned deviation carries no
+    argument-reduction noise.
     """
     points, p = _points_and_params(prefix, p)
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(points) != 3**n:
         raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(points)}")
-    denx, deny = p.base_x**n, p.base_y**n
-    atoms = []
-    for digits in itertools.product(DIGITS, repeat=n):
-        ax = ay = 0
-        for dx, dy in digits:  # position j contributes d_j * B^(n-j)
-            ax = ax * p.base_x + dx
-            ay = ay * p.base_y + dy
-        atoms.append((ax, ay))
     if isinstance(points, _CanonicalPoints):  # the stored columns, no point built
         cols = points.xs, points.ys
     else:
         lams = [pt.concrete(p) for pt in points]
         cols = [np.array([v[axis] for v in lams], dtype=object) for axis in (0, 1)]
-    size = 3**n
-    phase = np.zeros((size, size), dtype=float)
-    for axis, den in ((0, denx), (1, deny)):
-        # (lam mod den) * atom < den^2: int64 when that fits, Python ints otherwise
-        dtype = np.int64 if den * den < 2**63 else object
-        a = np.array([atom[axis] for atom in atoms], dtype=dtype)
-        col = cols[axis] if dtype is np.int64 else cols[axis].astype(object)
-        lam = (col % den).astype(dtype, copy=False)
-        prod = np.multiply.outer(a, lam) % den
-        phase += (prod / den).astype(float, copy=False)  # correctly rounded quotients
-        del prod
-    u = np.exp(-2j * np.pi * phase) / math.sqrt(size)
-    gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(size))))
+    dev = 0.0
+    for _, g in _gram_blocks(n, cols, p):
+        diag = np.arange(len(g))
+        g[diag, diag] -= 1
+        dev = max(dev, float(np.max(np.abs(g))))
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +442,8 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
         prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
     # tail_bound per point, in the same float operations
     s = (2.0 * math.pi / 3.0) * (
-        np.abs(arr[:, 0]) / float(p.base_x**depth * (p.base_x - 1))
-        + np.abs(arr[:, 1]) / float(p.base_y**depth * (p.base_y - 1))
+        _tail_quotient(np.abs(arr[:, 0]), p.base_x, depth)
+        + _tail_quotient(np.abs(arr[:, 1]), p.base_y, depth)
     )
     tails = np.where(s <= 0.5, 2.0 * s, math.inf)
     values = np.abs(prod) ** 2

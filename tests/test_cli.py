@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +209,40 @@ def test_verify_unitarity_and_qsum_flags():
     assert res.returncode == 0
     assert "unitarity n=2" in res.stdout
     assert "qsum" in res.stdout
+
+
+def test_verify_unitarity_reads_the_middle_columns(capsys):
+    """--unitarity on a canonical prefix slices its columns: the same stdout as the
+    point slice, and no point built."""
+    from sierpspec import cli
+    from sierpspec.treemap import SpectrumPrefix
+
+    made, sliced = [], []
+
+    def prefix(args, as_tuple):
+        pre = real(args)
+        made.append(pre)
+        return dataclasses.replace(pre, points=tuple(pre.points)) if as_tuple else pre
+
+    def gram(n, points, p):
+        sliced.append(tuple(points))  # builds the slice's own points only
+        return real_gram(n, points, p)
+
+    real, real_gram = cli._prefix_from_args, cli.gram_unitarity
+    for argv in (["--level", "6", "--unitarity", "4", "--qsum", "2"],
+                 ["--range", "13", "--unitarity", "3"],
+                 ["--range", "12", "--unitarity", "3"],  # too few points: exit 2
+                 ["--level", "2", "--unitarity", "0", "--checks", "orthogonality"]):
+        outs = []
+        for as_tuple in (False, True):
+            with mock.patch.object(cli, "_prefix_from_args",
+                                   lambda args, t=as_tuple: prefix(args, t)), \
+                    mock.patch.object(cli, "gram_unitarity", gram):
+                code = main(["verify", "--q1", "1", "--q2", "2", *argv])
+            outs.append((code, capsys.readouterr().out))
+        assert outs[0] == outs[1] and sliced[-2] == sliced[-1]
+        assert isinstance(made[-2], SpectrumPrefix) and made[-2].points._points is None
+    assert [o[0] for o in outs] == [0, 0]
 
 
 def test_construct_family_descriptors(tmp_path):

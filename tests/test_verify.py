@@ -3,7 +3,12 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -164,6 +169,48 @@ def test_distinct_lines_match_comparator():
     for points, p in cases:
         rng.shuffle(points)
         assert check_distinct_lines(points, p) == _comparator_lines(points, p)
+
+
+def test_distinct_lines_by_keys_match_comparator():
+    """Points off the int64 path: key buckets against the comparator sort."""
+    rng = random.Random(8)
+    p = MatrixParams(4, 8)
+    e = 10**6
+    big = 2**1_000_000
+    sym = SymVec
+    cases = [
+        # three and more symbolic points sharing a coordinate, some coincident
+        _pts([sym((5, y), ((e, (1, 2)),)) for y in (0, 3, 0, 7, 3, 0)] + [sym((5, 0))]),
+        # kicked points with equal exponents, equal on one axis only
+        _pts([sym((1, 0), ((e, (1, -2)),)), sym((1, 0), ((e, (-1, 2)),)),
+              sym((1, 5), ((e, (1, -2)),)), sym((2, 0), ((e, (-1, 2)),)),
+              sym((1, 0), ((e - 1, (1, -2)),)), sym((1, 0), ((e, (1, -2)),))]),
+        # equal values written apart: 12^70 - 12^71 = -11 * 12^70, and a
+        # concrete coordinate equal to a symbolic one
+        _pts([sym((0, 0), ((70, (1, 0)), (71, (-1, 0)))), sym((0, 1), ((70, (-11, 0)),)),
+              sym((-11 * 12**70, 2), ()), sym((3, 1), ((70, (0, 1)),)),
+              sym((3, 1 + 24**70), ())]),
+        # megabit concrete coordinates: ties, coincident points, negatives
+        _pts([sym((big + 1, 2)), sym((big + 1, -big)), sym((-big, 2)),
+              sym((big + 1, 2)), sym((7, -big)), sym((-big, big))]),
+    ]
+    for _ in range(60):  # small values and spaced exponents: many ties, cheap comparisons
+        vals = []
+        for _ in range(rng.randint(2, 30)):
+            exps = sorted(rng.sample([80, 300, e], rng.randint(0, 2)))
+            terms = tuple((x, v) for x in exps
+                          for v in [(rng.randint(-1, 1), rng.randint(-1, 1))] if v != (0, 0))
+            vals.append(sym((rng.randint(-3, 3), rng.randint(-3, 3)), terms))
+        vals += [rng.choice(vals) for _ in range(rng.randint(0, 3))]
+        cases.append(_pts(vals))
+    cases += [_concrete([(rng.randint(-3, 3) * 2**70, rng.randint(-3, 3)) for _ in range(30)])]
+    for points in cases:
+        rng.shuffle(points)
+        want = _comparator_lines(points, p)
+        assert check_distinct_lines(points, p) == want
+        with mock.patch.object(verify, "_KEY_PRIME", 3):  # every bucket mixes values
+            assert check_distinct_lines(points, p) == want
+    assert sum(not check_distinct_lines(pts, p).passed for pts in cases) > 30
 
 
 def test_projection_orthogonality():
@@ -758,10 +805,14 @@ def test_column_reports_equal_point_reports():
 # ---------------------------------------------------------------------------
 
 
-def _oracle_gram_unitarity(n, points, p):
+DIGITS = ((0, 0), (1, 0), (0, 1))
+
+
+def _oracle_gram_matrix(n, points, p):
+    """The Gram matrix u.conj().T @ u of the 3^n x 3^n character matrix, entry by entry."""
     denx, deny = p.base_x**n, p.base_y**n
     atoms = []
-    for digits in itertools.product(verify.DIGITS, repeat=n):
+    for digits in itertools.product(DIGITS, repeat=n):
         ax = ay = 0
         for dx, dy in digits:
             ax = ax * p.base_x + dx
@@ -774,8 +825,53 @@ def _oracle_gram_unitarity(n, points, p):
         for c, (lx, ly) in enumerate(lams):
             phase[r, c] = ((lx * ax) % denx) / denx + ((ly * ay) % deny) / deny
     u = np.exp(-2j * np.pi * phase) / math.sqrt(size)
-    gram = u.conj().T @ u
-    return float(np.max(np.abs(gram - np.eye(size))))
+    return u.conj().T @ u
+
+
+def _oracle_gram_unitarity(n, points, p):
+    gram = _oracle_gram_matrix(n, points, p)
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
+
+
+def _gram_matrix(n, points, p):
+    """The full Gram matrix from ``verify._gram_blocks``' upper-triangle row blocks,
+    on the columns ``gram_unitarity`` reads."""
+    if isinstance(points, _CanonicalPoints):
+        cols = points.xs, points.ys
+    else:
+        cols = [np.array([pt.concrete(p)[axis] for pt in points], dtype=object) for axis in (0, 1)]
+    gram = np.zeros((3**n, 3**n), dtype=complex)
+    for r0, block in verify._gram_blocks(n, cols, p):
+        gram[r0 : r0 + len(block), r0:] = block
+    upper = np.triu(np.ones(gram.shape, dtype=bool))
+    return np.where(upper, gram, gram.conj().T)
+
+
+def _gram_error_bound(n):
+    """A first-order bound on |product-form G - oracle G| in any entry.
+
+    Unit roundoff u = 2^-53.  Oracle: each phase sum carries <= 4 u, which
+    2 pi and exp turn into < 42 u on each entry of U (scaled by 3^(-n/2)),
+    < 90 u on each of the 3^n products, and the sum of 3^n terms of modulus
+    3^-n adds < 3^n u.  Product form: each level's phase carries < 15 u, each
+    rank-3 factor < 30 u, and n factors of modulus <= 1 add < 31 n u.  At
+    n <= 6 this is below 1.2e-13, far under the 1e-9 and 0.1 thresholds the
+    checks use.
+    """
+    return (100 + 3**n + 32 * n) * 2.0**-53
+
+
+def _assert_gram_matches_oracle(n, points, p, gram=None):
+    """Every Gram entry within ``_gram_error_bound`` of the oracle's, and
+    ``gram_unitarity`` the largest |G - I| over them."""
+    gram = _gram_matrix(n, points, p) if gram is None else gram
+    pts = list(points)
+    assert np.max(np.abs(gram - _oracle_gram_matrix(n, pts, p))) <= _gram_error_bound(n)
+    dev = gram_unitarity(n, points, p)
+    # numpy's complex abs may round the last bit differently by array layout
+    assert math.isclose(dev, np.max(np.abs(gram - np.eye(len(gram)))), rel_tol=1e-15)
+    assert abs(dev - _oracle_gram_unitarity(n, pts, p)) <= _gram_error_bound(n)
+    return dev
 
 
 def test_gram_unitarity_matches_loop():
@@ -790,16 +886,103 @@ def test_gram_unitarity_matches_loop():
     cases += [(2, huge, P12), (2, huge, big)]
     kicked = build_intermediate_spectrum(0.3, MatrixParams(4, 4)).prefix(4).points
     cases.append((2, kicked, MatrixParams(4, 4)))
-    for n, pts, p in cases:
-        assert gram_unitarity(n, pts, p) == _oracle_gram_unitarity(n, pts, p)
+    # non-spectra: Gram entries far from 0, on int64 columns and Python ints
+    for n, size in ((1, 40), (3, 40), (4, 3000)):
+        vals = [(rng.randint(-size, size), rng.randint(-size, size)) for _ in range(3**n)]
+        cases.append((n, _concrete(vals), P12))
+        cols = [np.array(c, dtype=np.int64) for c in zip(*vals)]
+        cases.append((n, _CanonicalPoints(*cols, (3**n - 1) // 2), P23))
+    devs = [_assert_gram_matches_oracle(n, pts, p) for n, pts, p in cases]
+    assert max(devs[:16] + devs[18:19]) < 1e-9  # the canonical and kicked spectra
+    assert min(devs[16:18] + devs[19:]) > 0.1  # random points
 
 
-def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9):
+def test_level_phases_use_correctly_rounded_quotients():
+    rng = random.Random(21)
+    for base, n, dtype in ((6, 5, np.int64), (300_000, 3, np.int64), (7, 30, object)):
+        vals = [rng.randint(-(2**62) + 1, 2**62 - 1) for _ in range(200)] + [0, -1, 1]
+        phases = verify._level_phases(np.array(vals, dtype=dtype), base, n)
+        for j in range(1, n + 1):
+            want = [np.exp(-2j * np.pi * ((v % base**j) / base**j)) for v in vals]
+            assert phases[j - 1].tolist() == want
+
+
+def test_gram_unitarity_at_level_8_in_a_child_process():
+    # 6,561 points; the character-matrix product held three 6,561^2 arrays
+    # (over 1.5 GB), the row blocks hold O(32 * 6,561) entries.  The child
+    # reports VmHWM, the peak resident set of its own image: its ru_maxrss
+    # would also count the test process it was forked from (Linux keeps the
+    # larger figure across exec).
+    code = (
+        "import os\n"
+        "from sierpspec.lattice import MatrixParams\n"
+        "from sierpspec.treemap import CanonicalMapping, enumerate_spectrum\n"
+        "from sierpspec.verify import gram_unitarity\n"
+        "pre = enumerate_spectrum(CanonicalMapping(), MatrixParams(1, 2), level=8)\n"
+        "dev = gram_unitarity(8, pre)\n"
+        "status = '/proc/self/status'\n"
+        "peak = [line.split()[1] for line in open(status) if line.startswith('VmHWM:')]"
+        " if os.path.exists(status) else []\n"
+        "print(dev, *peak)\n"
+    )
+    root = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    dev, *peak_kib = res.stdout.split()
+    assert float(dev) < 1e-9
+    for kib in peak_kib:  # where the kernel reports it
+        assert int(kib) < 200 * 1024  # the whole child process, numpy included
+
+
+def _oracle_tail_bound(xi, p, depth):
+    """``fourier.tail_bound`` before its divisor went to log space: float / int."""
+    s = (2.0 * math.pi / 3.0) * (
+        abs(xi[0]) / (p.base_x**depth * (p.base_x - 1))
+        + abs(xi[1]) / (p.base_y**depth * (p.base_y - 1))
+    )
+    return 2.0 * s if s <= 0.5 else math.inf
+
+
+def test_tail_bound_matches_the_float_division_and_never_overflows():
+    rng = random.Random(13)
+    same = overflowed = 0
+    for _ in range(3000):
+        q1 = rng.choice([1, 2, 5])
+        p = MatrixParams(q1, rng.choice([q1, 8, 1000, 10**7]))
+        depth = rng.randint(1, 90)
+        xi = tuple(rng.choice([float(rng.uniform(-1e6, 1e6)), rng.uniform(-1, 1),
+                               rng.randint(-10**30, 10**30), 0.0])
+                   for _ in range(2))
+        got = tail_bound(xi, p, depth)
+        try:
+            want = _oracle_tail_bound(xi, p, depth)
+        except OverflowError:  # a divisor past the float range
+            overflowed += 1
+            exact = sum(Fraction(abs(c)) / (b**depth * (b - 1))
+                        for c, b in zip(xi, (p.base_x, p.base_y)))
+            s = (2.0 * math.pi / 3.0) * float(exact)
+            if s > 0.5:
+                assert got == math.inf
+            else:
+                assert math.isclose(got, 2.0 * s, rel_tol=1e-12, abs_tol=1e-300)
+            continue
+        same += 1
+        assert got == want
+    assert same > 1000 and overflowed > 300
+    # the array form used by q_sum_terms gives the same floats as the scalar form
+    xs = [rng.uniform(0, 10.0**rng.randint(-5, 300)) for _ in range(200)] + [0.0]
+    for base, depth in ((3, 40), (30_000_000, 10), (30_000_000, 60), (24, 300)):
+        want = [fourier._tail_quotient(x, base, depth) for x in xs]
+        assert fourier._tail_quotient(np.array(xs), base, depth).tolist() == want
+
+
+def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9, bound=_oracle_tail_bound):
     arr = np.array([pt.value.base for pt in points], dtype=float) + np.asarray(xi, dtype=float)
     xmax = float(np.max(np.abs(arr)))
     per_term = tail_target / (3.0 * max(1, len(points)))
     depth = 1
-    while tail_bound((xmax, xmax), p, depth) > per_term:
+    while bound((xmax, xmax), p, depth) > per_term:
         depth += 1
     prod = np.ones(len(points), dtype=complex)
     x, y = arr[:, 0].copy(), arr[:, 1].copy()
@@ -807,7 +990,7 @@ def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9):
         x /= p.base_x
         y /= p.base_y
         prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
-    tails = np.array([tail_bound((float(c[0]), float(c[1])), p, depth) for c in arr])
+    tails = np.array([bound((float(c[0]), float(c[1])), p, depth) for c in arr])
     return np.abs(prod) ** 2, tails * (2.0 * np.abs(prod) + tails), depth
 
 
@@ -829,22 +1012,26 @@ def test_q_sum_terms_match_per_point_tails():
 
 def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
     # int64 columns, and exact object columns: q2 = 1000 at level 6 and
-    # q2 = 10^7 at level 3 pass 2^62 (q-sums cannot run at q2 = 10^7, whose
-    # tail bound overflows a float)
+    # q2 = 10^7 at level 3 pass 2^62.  At q2 = 10^7 the tail divisors pass the
+    # float range (the old float division raised OverflowError), and the
+    # oracle takes fourier.tail_bound; level 3 there has coordinates past
+    # 2^53, where float q-sums lose the phases, so it runs unitarity only
     big = MatrixParams(1, 10**7)
     cases = [(P12, 4, True), (P35, 3, True), (MatrixParams(1, 1000), 6, True),
-             (big, 2, False), (big, 3, False)]
+             (big, 2, True), (big, 3, False)]
     for p, n, with_q_sums in cases:
         pre = enumerate_spectrum(CanonicalMapping(), p, level=n)
         xis = SamplingBox.for_params(p).samples(3, seed=5) + [(0.0, 0.0)]
         dev = gram_unitarity(n, pre)
+        gram = _gram_matrix(n, pre.points, p)
         terms = [q_sum_terms(xi, pre) for xi in xis] if with_q_sums else []
         assert pre.points._points is None  # no point was built
         assert (pre.points.xs.dtype == object) == (p.base_y**n >= 2**63)
         pts = list(pre.points)
-        assert dev == _oracle_gram_unitarity(n, pts, p)
+        assert _assert_gram_matches_oracle(n, pts, p, gram) == dev < 1e-9
+        bound = tail_bound if p is big else _oracle_tail_bound
         for xi, got in zip(xis, terms):
-            want = _oracle_q_sum_terms(xi, pts, p)
+            want = _oracle_q_sum_terms(xi, pts, p, bound=bound)
             assert got[2] == want[2]
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tolist() == want[1].tolist()
