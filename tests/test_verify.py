@@ -1028,7 +1028,8 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
         assert pre.points._points is None  # no point was built
         assert (pre.points.xs.dtype == object) == (p.base_y**n >= 2**63)
         pts = list(pre.points)
-        assert _assert_gram_matches_oracle(n, pts, p, gram) == dev < 1e-9
+        assert _assert_gram_matches_oracle(n, pts, p, gram) == dev
+        assert dev < 1e-9
         bound = tail_bound if p is big else _oracle_tail_bound
         for xi, got in zip(xis, terms):
             want = _oracle_q_sum_terms(xi, pts, p, bound=bound)
