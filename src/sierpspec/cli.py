@@ -36,7 +36,7 @@ from .treemap import (
     SpectrumPoint,
     SpectrumPrefix,
     TableOffsets,
-    _CanonicalPoints,
+    central_points,
     enumerate_spectrum,
     index_to_word,
     level_index_bound,
@@ -52,6 +52,7 @@ from .verify import (
 
 USAGE_ERROR = 2
 VIOLATION = 1
+VERIFY_CHECKS = ("orthogonality", "lines", "projections")
 
 class InputError(Exception):
     """Malformed input file or inconsistent flags (exit code 2)."""
@@ -286,12 +287,17 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     _echo_config(args)
     p = _params(args)
+    checks = args.checks.split(",") if args.checks else list(VERIFY_CHECKS)
+    unknown = [name for name in checks if name not in VERIFY_CHECKS]
+    if unknown:
+        raise InputError(f"unknown check {unknown[0]!r}; choose from {', '.join(VERIFY_CHECKS)}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.input:
         prefix = points = _read_points(args.input, p)
     else:  # the checks read a canonical prefix's columns, not its points
         prefix = _prefix_from_args(args)
         points = prefix.points
-    checks = args.checks.split(",") if args.checks else ["orthogonality", "lines", "projections"]
     failed = False
     if "orthogonality" in checks:
         rep = check_orthogonality(prefix, p)
@@ -314,11 +320,7 @@ def cmd_verify(args) -> int:
     if args.unitarity is not None:
         n = args.unitarity
         bound = level_index_bound(n)
-        if isinstance(points, _CanonicalPoints):  # the middle columns, no point built
-            slice_pts = points.central(min(bound, points.bound))
-        else:
-            slice_pts = [pt for pt in points if abs(pt.k) <= bound]
-        dev = gram_unitarity(n, slice_pts, p)
+        dev = gram_unitarity(n, central_points(points, bound), p)
         print(f"unitarity n={n}: max deviation {dev:.3e}")
         failed |= dev > args.tolerance
     if args.qsum:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimension import Beatty
-from .lattice import MatrixParams, Vec, enumerate_digit_sets
+from .lattice import MatrixParams, Vec
 from .treemap import (
     KickedMapping,
     SpectrumPoint,
@@ -74,7 +74,9 @@ def pattern_lattice_points(
     With the canonical three-element digit set this generates exactly the
     dimension-t sublattice family used by the closed-form oracles.
     """
-    digits = tuple(digit_set) if digit_set is not None else enumerate_digit_sets(p).l_set
+    if digit_set is None:  # the canonical three digits, without building Gamma
+        digit_set = ((0, 0), (p.q1, -p.q2), (-p.q1, p.q2))
+    digits = tuple(digit_set)
     active = [j for j in range(1, depth + 1) if pattern.active(j)]
     if len(digits) ** len(active) > MAX_PATTERN_POINTS:
         raise ValueError("pattern set too large to enumerate")

@@ -8,7 +8,8 @@ heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
 paths.  Concrete points against integer centers, all coordinates below 2^30,
 are counted in int64 numpy columns sorted by y, each ball only over the slab
-of rows its radius can reach; a canonical prefix hands its stored columns
+of rows its radius can reach.  The columns come from
+``lattice.value_columns``, which hands a canonical prefix's stored columns
 over as they are.  Any other pair is first screened by
 magnitude bounds: when those put point and center more than the largest scale
 apart on some axis, the pair is dropped unexpanded, so the huge coordinates of
@@ -22,7 +23,6 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,48 +37,22 @@ from .lattice import (
     scalar_parts,
     sym,
     sym_diff,
+    value_columns,
 )
-from .treemap import SpectrumPoint, SpectrumPrefix, _CanonicalPoints
+from .treemap import SpectrumPoint, SpectrumPrefix, point_values
 
 # Concrete coordinates strictly below this in absolute value take the int64
 # branch: two differences of them square and add to less than 2^63.
 _I64_COORD = 2**30
 _I64_MAX = 2**63 - 1
 _SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
-_OFF = (_I64_COORD, _I64_COORD)  # column filler for a point off the int64 path
-
-
-class _ColumnValues(Sequence):
-    """A canonical prefix's point values over its coordinate columns: reading
-    one builds one ``SymVec``, and the kernel reads the columns themselves."""
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys = xs, ys
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-    def __getitem__(self, i) -> SymVec:
-        return SymVec((int(self.xs[i]), int(self.ys[i])))
+_OFF = SymVec((_I64_COORD, _I64_COORD))  # stands in for a symbolic point in the columns
 
 
 def _as_symvecs(points, p=None):
     if isinstance(points, SpectrumPrefix):
         points, p = points.points, points.params
-    if isinstance(points, _CanonicalPoints):
-        return _ColumnValues(points.xs, points.ys), p
-    out = []
-    for item in points:
-        if isinstance(item, SpectrumPoint):
-            out.append(item.value)
-        elif isinstance(item, SymVec):
-            out.append(item)
-        else:
-            x, y = item
-            out.append(sym((int(x), int(y))))
-    return out, p
+    return point_values(points), p
 
 
 def _center_parts(center) -> tuple[SymVec, int]:
@@ -98,18 +72,10 @@ def _is_small(v: SymVec) -> bool:
 
 def _small_columns(vecs):
     """x and y int64 columns of the points counted in int64, and which points those are."""
-
-    def columns(bases):
-        flat = itertools.chain.from_iterable(bases)
-        return np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
-
-    if isinstance(vecs, _ColumnValues):
-        xs, ys = vecs.xs, vecs.ys  # int64, or exact objects past 2^62
-    else:
-        try:
-            xs, ys = columns(v.base if not v.terms else _OFF for v in vecs)
-        except OverflowError:  # a concrete coordinate beyond int64
-            xs, ys = columns(v.base if _is_small(v) else _OFF for v in vecs)
+    cols = value_columns(vecs)  # int64, or exact objects past 2^62
+    if cols is None:
+        cols = value_columns([v if v.is_concrete else _OFF for v in vecs])
+    xs, ys = cols
     small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
     return xs[small].astype(np.int64, copy=False), ys[small].astype(np.int64, copy=False), small
 
@@ -137,9 +103,9 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
     Bounds are computed only when some point or center is off the int64 path.
-    ``vecs`` may be a canonical prefix's ``_ColumnValues``: its columns go to
-    the int64 path as they are, and a ``SymVec`` is built only for a point off
-    that path or facing a center off it.
+    ``vecs`` may be a canonical prefix's ``lattice.ColumnValues``: its columns
+    go to the int64 path as they are, and a ``SymVec`` is built only for a
+    point off that path or facing a center off it.
     """
     n = len(vecs)
     xs, ys, small = _small_columns(vecs)

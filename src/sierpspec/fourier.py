@@ -11,23 +11,22 @@ walks exact objects (SymVecs with Python-int bases and kick terms) depth
 first and yields every node where vectors part.  ``_int64_residue_walk``
 walks int64 columns level by level in numpy and yields the same events for
 the nodes where some pair fails, and for the groups of equal vectors.
-``_residue_events`` picks the int64 walk when every vector is concrete with
-coordinates below 2^62 (``_int64_columns``, which hands a canonical prefix's
-stored columns over as they are) and its node keys fit int64, and the
-object walk otherwise.
+``_residue_events`` reads the vectors' columns through
+``lattice.value_columns`` (a canonical prefix's stored columns as they are)
+and picks the int64 walk when those are int64, every vector concrete with
+coordinates below 2^62, and the node keys fit int64; the object walk
+otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MatrixParams, SymVec, Vec
-from .treemap import _I64_COORD, _CanonicalPoints
+from .lattice import MatrixParams, SymVec, Vec, value_columns
 
 INF = float("inf")
 
@@ -168,25 +167,6 @@ def _residue_walk(vecs, bases):
         stack.extend((gs, shift + 1) for gs in parts.values())
 
 
-def _int64_columns(vecs):
-    """The vectors' x and y as int64 columns, or None unless every one is concrete and small.
-
-    Small means |coordinate| < 2^62, so x + b//2 cannot overflow for any
-    base the int64 walk accepts.  Given a canonical prefix's points in place
-    of vectors, returns their stored columns without building a point.
-    """
-    if isinstance(vecs, _CanonicalPoints):
-        return vecs.int64_columns
-    if any(v.terms for v in vecs):
-        return None
-    try:
-        flat = itertools.chain.from_iterable(v.base for v in vecs)
-        cols = np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
-    except OverflowError:
-        return None
-    return cols if ((cols < _I64_COORD) & (cols > -_I64_COORD)).all() else None
-
-
 def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
     """``_residue_walk``'s events on int64 columns, breadth first, for failing nodes only.
 
@@ -240,12 +220,13 @@ def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
         idx, node, x, y = idx[live], renumber[inv[live]], x[live], y[live]
 
 
-def _residue_events(cols, vecs, step: Vec, bases: Vec):
-    """The residue walk's events: on the int64 columns ``cols`` (or None) when
-    they exist and n * bx * by < 2^63, else on the exact vectors ``vecs``,
-    any iterable, which the int64 walk never reads."""
+def _residue_events(vecs, step: Vec, bases: Vec):
+    """The residue walk's events on a sequence of SymVecs: on their
+    ``value_columns`` when those are int64 and n * bx * by < 2^63, else on
+    the vectors themselves."""
     bx, by = bases
-    if cols is not None and len(cols[0]) * bx * by < 2**63:
+    cols = value_columns(vecs)
+    if cols is not None and cols[0].dtype == np.int64 and len(vecs) * bx * by < 2**63:
         return _int64_residue_walk(*cols, step, bases)
     return _residue_walk(vecs, bases)
 

@@ -1,17 +1,23 @@
 """Exact integer lattice arithmetic for the diagonal expansion matrix A = diag(3*q1, 3*q2).
 
-Everything here is pure, exact and hashable: signed-digit radix expansions,
+Everything here is pure and exact: signed-digit radix expansions,
 A-adic digit expansions, the residue digit sets used by the spectrum
 constructions, and a symbolic vector type that keeps kick terms ``A^e * v``
 unexpanded so that astronomically large coordinates stay cheap to compare.
+``value_columns`` is the one place that turns a sequence of such vectors into
+the numpy coordinate columns every certifier and the ball counter read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 Vec = tuple[int, int]
 
@@ -105,6 +111,11 @@ def a_adic_expansion(w: Vec, p: MatrixParams) -> list[Vec]:
 def in_gamma(v: Vec, p: MatrixParams) -> bool:
     bx, by = p.base_x, p.base_y
     return -(bx // 2) <= v[0] < bx - bx // 2 and -(by // 2) <= v[1] < by - by // 2
+
+
+def in_e_q1(v: Vec, p: MatrixParams) -> bool:
+    """Membership in the coset leaders E_q1, without building Gamma."""
+    return in_gamma(v, p) and -(p.q1 // 2) <= v[0] < p.q1 - p.q1 // 2
 
 
 def reconstruct(digits, p: MatrixParams) -> Vec:
@@ -232,6 +243,50 @@ class SymVec:
             x += p.base_x**e * vx
             y += p.base_y**e * vy
         return (x, y)
+
+
+# Value columns are int64 when every coordinate is strictly below this in
+# absolute value: x + b//2 then cannot overflow in fourier's int64 walk.
+I64_COORD = 2**62
+
+
+class ColumnValues(Sequence):
+    """Concrete values kept as two coordinate columns: reading one builds one
+    ``SymVec``, and ``value_columns`` hands the columns over as they are."""
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i) -> SymVec:
+        return SymVec((int(self.xs[i]), int(self.ys[i])))
+
+
+def value_columns(values) -> tuple[np.ndarray, np.ndarray] | None:
+    """The x and y columns of a sequence of SymVecs, or None when one carries a kick term.
+
+    A ``ColumnValues`` hands over its stored columns.  Other values give int64
+    columns when every coordinate is below 2^62 in absolute value, and object
+    columns of exact Python ints when one is larger.
+    """
+    if isinstance(values, ColumnValues):
+        return values.xs, values.ys
+    bases = [v.base for v in values if not v.terms]
+    if len(bases) < len(values):
+        return None
+    try:
+        xs, ys = (np.fromiter(map(operator.itemgetter(axis), bases), np.int64, len(bases))
+                  for axis in (0, 1))
+        if ((xs < I64_COORD) & (xs > -I64_COORD) & (ys < I64_COORD) & (ys > -I64_COORD)).all():
+            return xs, ys
+    except OverflowError:  # a coordinate past int64
+        pass
+    xs, ys = np.array(bases, dtype=object).T  # some value failed, so this is 2 x n
+    return xs, ys
 
 
 def sym(v: Vec) -> SymVec:

@@ -34,11 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
+    I64_COORD,
+    ColumnValues,
     LatticeError,
     MatrixParams,
     SymVec,
     Vec,
-    enumerate_digit_sets,
+    in_e_q1,
     in_gamma,
     make_sym,
     mod_a_reduce,
@@ -49,10 +51,6 @@ from .lattice import (
 Word = tuple[int, ...]
 
 MAX_ENUMERATION_POINTS = 10_000_000
-
-# Canonical columns are int64 when every coordinate is strictly below this in
-# absolute value: x + b//2 then cannot overflow in fourier's int64 walk.
-_I64_COORD = 2**62
 
 
 class WordError(ValueError):
@@ -190,8 +188,7 @@ class KickedMapping:
                     "from E_q1 minus the origin"
                 )
             return (p.q1 // 4, -(p.q2 // 4))
-        cat = enumerate_digit_sets(p)
-        if self.kick == (0, 0) or self.kick not in cat.e_q1:
+        if self.kick == (0, 0) or not in_e_q1(self.kick, p):
             raise KickError(
                 f"kick digit {self.kick} must lie in E_q1 \\ {{(0,0)}} for "
                 f"(q1, q2) = ({p.q1}, {p.q2})"
@@ -336,9 +333,10 @@ class _CanonicalPoints(Sequence):
 
     ``xs[i]``, ``ys[i]`` are the coordinates of lambda(i - bound): int64 arrays
     when every coordinate is below 2^62 in absolute value, object arrays of
-    Python ints otherwise.  Reading one item builds one ``SpectrumPoint``; the
-    first full iteration builds the tuple of all of them once and keeps it.
-    Compares and hashes like that tuple.
+    Python ints otherwise; ``point_values`` hands them on as
+    ``lattice.ColumnValues``.  Reading one item builds one ``SpectrumPoint``;
+    the first full iteration builds the tuple of all of them once and keeps
+    it.  Compares and hashes like that tuple.
     """
 
     __slots__ = ("xs", "ys", "bound", "_points")
@@ -347,10 +345,6 @@ class _CanonicalPoints(Sequence):
         xs.flags.writeable = ys.flags.writeable = False  # the points must not drift
         self.xs, self.ys, self.bound = xs, ys, bound
         self._points: tuple[SpectrumPoint, ...] | None = None
-
-    @property
-    def int64_columns(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return (self.xs, self.ys) if self.xs.dtype == np.int64 else None
 
     def __len__(self) -> int:
         return 2 * self.bound + 1
@@ -364,11 +358,6 @@ class _CanonicalPoints(Sequence):
             raise IndexError(f"point index {i} out of range for {len(self)} points")
         k = j - self.bound
         return SpectrumPoint(k, index_to_word(k), SymVec((int(self.xs[j]), int(self.ys[j]))))
-
-    def central(self, bound: int) -> "_CanonicalPoints":
-        """The points with |k| <= bound <= self.bound, as views of the columns."""
-        middle = slice(self.bound - bound, self.bound + bound + 1)
-        return _CanonicalPoints(self.xs[middle], self.ys[middle], bound)
 
     def __iter__(self):
         # a generator, so that only the first next() builds the points
@@ -391,6 +380,33 @@ class _CanonicalPoints(Sequence):
 
     def __repr__(self) -> str:
         return f"_CanonicalPoints(bound={self.bound}, dtype={self.xs.dtype})"
+
+
+def central_points(points: Sequence[SpectrumPoint], bound: int) -> Sequence[SpectrumPoint]:
+    """The points with |k| <= bound; a canonical prefix's as views of its columns."""
+    if isinstance(points, _CanonicalPoints):
+        bound = min(bound, points.bound)
+        middle = slice(points.bound - bound, points.bound + bound + 1)
+        return _CanonicalPoints(points.xs[middle], points.ys[middle], bound)
+    return [pt for pt in points if abs(pt.k) <= bound]
+
+
+def point_values(points) -> Sequence[SymVec]:
+    """The values of points, ``SymVec``s or integer pairs, in order: a view over
+    a canonical prefix's columns, else a list."""
+    if isinstance(points, _CanonicalPoints):
+        return ColumnValues(points.xs, points.ys)
+    return [
+        item.value if isinstance(item, SpectrumPoint)
+        else item if isinstance(item, SymVec)
+        else _pair_value(item)
+        for item in points
+    ]
+
+
+def _pair_value(pair) -> SymVec:
+    x, y = pair
+    return SymVec((int(x), int(y)))
 
 
 def _peel(bound: int):
@@ -419,7 +435,7 @@ def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
     word, which decides int64 or exact object columns up front.
     """
     d0, rest, slices = _peel(bound)
-    dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * _I64_COORD else object
+    dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * I64_COORD else object
     d0 = d0.astype(dtype, copy=False)
     xs, ys = np.zeros(len(d0), dtype=dtype), np.zeros(len(d0), dtype=dtype)
     for s in slices:
@@ -515,8 +531,6 @@ def validate_tree_mapping(mapping: Mapping, p: MatrixParams, depth: int) -> Tree
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    cat = enumerate_digit_sets(p)
-    e_q1 = set(cat.e_q1)
     step = p.primary_digit
     violations: list[TreeMappingViolation] = []
     nodes = 0
@@ -546,7 +560,7 @@ def validate_tree_mapping(mapping: Mapping, p: MatrixParams, depth: int) -> Tree
                         )
                 continue
             leader = mod_a_reduce(children[0], p)
-            ok = leader in e_q1 and all(
+            ok = in_e_q1(leader, p) and all(
                 mod_a_reduce(
                     (children[j][0] - j * step[0], children[j][1] - j * step[1]), p
                 )

@@ -10,13 +10,15 @@ point is concrete with coordinates below 2^62, the walk runs on int64 columns
 (a few numpy operations per level); symbolic or larger points take the
 object walk.  Either walk yields the same events, the failing nodes' parts
 and the groups of equal points, and the violations are listed from those
-events alone.  The projection checks run the same walks per axis.  Level-n
-unitarity multiplies the Gram matrix out of per-level rank-3 factors, one
-row block at a time, with no character matrix built; the q-sum tails are
-computed as numpy arrays.  Completeness is never certified: the quadratic
-sums of the transform over a prefix give evidence (bounded by 1,
-nondecreasing), and maximality is probed per candidate with three-valued
-verdicts.
+events alone.  The projection checks run the same walks per axis.  Every
+check reads the points' coordinates through one call,
+``lattice.value_columns``, which hands a canonical prefix's stored columns
+over without building a point.  Level-n unitarity multiplies the Gram
+matrix out of per-level rank-3 factors, one row block at a time, with no
+character matrix built; the q-sum tails are computed as numpy arrays.
+Completeness is never certified: the quadratic sums of the transform over a
+prefix give evidence (bounded by 1, nondecreasing), and maximality is probed
+per candidate with three-valued verdicts.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import heapq
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .fourier import (
-    _int64_columns,
     _on_x,
     _residue_events,
     _step_sign,
@@ -41,8 +43,16 @@ from .fourier import (
     in_zero_set_sym,
     tail_bound,
 )
-from .lattice import MatrixParams, SymVec, scalar_parts, scalar_sign, sym_diff
-from .treemap import SpectrumPoint, SpectrumPrefix, _CanonicalPoints
+from .lattice import (
+    ColumnValues,
+    MatrixParams,
+    SymVec,
+    scalar_parts,
+    scalar_sign,
+    sym_diff,
+    value_columns,
+)
+from .treemap import SpectrumPoint, SpectrumPrefix, point_values
 
 
 @dataclass(frozen=True)
@@ -117,16 +127,12 @@ def check_orthogonality(
     ``pairs_checked`` is n(n-1)/2, or the rank of the last listed violation
     plus one when the list was cut there.
     """
-    points, p = _points_and_params(prefix, p)
+    points, values, p = _points_and_params(prefix, p)
     n = len(points)
     step, bases = p.primary_digit, (p.base_x, p.base_y)
-    vecs = (pt.value for pt in points)  # read by the object walk only
-    events = _residue_events(_columns(points), vecs, step, bases)
-    bad = _violating_pairs(events, step, bases, max_violations)
+    bad = _violating_pairs(_residue_events(values, step, bases), step, bases, max_violations)
     violations = tuple(
-        PairViolation(
-            points[i].k, points[j].k, sym_diff(points[i].value, points[j].value), reason
-        )
+        PairViolation(points[i].k, points[j].k, sym_diff(values[i], values[j]), reason)
         for i, j, reason in bad
     )
     checked = n * (n - 1) // 2
@@ -136,22 +142,15 @@ def check_orthogonality(
 
 
 def _points_and_params(prefix, p):
-    """The points, as a sequence, and their params.  A prefix's points, and a
-    canonical prefix's points passed bare, are passed on as they are, so a
-    canonical prefix builds none up front."""
+    """The points, as a sequence, their values (``treemap.point_values``) and
+    their params.  A prefix's points, and a canonical prefix's points passed
+    bare, are passed on as they are, so a canonical prefix builds none."""
     if isinstance(prefix, SpectrumPrefix):
-        return prefix.points, prefix.params
-    if p is None:
+        prefix, p = prefix.points, prefix.params
+    elif p is None:
         raise ValueError("params required when passing a bare point list")
-    return (prefix if isinstance(prefix, _CanonicalPoints) else list(prefix)), p
-
-
-def _columns(points):
-    """``fourier._int64_columns`` of the points' values: a canonical prefix's
-    stored columns, else columns built from every point."""
-    if isinstance(points, _CanonicalPoints):
-        return _int64_columns(points)
-    return _int64_columns([pt.value for pt in points])
+    points = prefix if isinstance(prefix, Sequence) else list(prefix)
+    return points, point_values(points), p
 
 
 # ---------------------------------------------------------------------------
@@ -169,47 +168,32 @@ class LineReport:
 _KEY_PRIME = 2**61 - 1  # symbolic coordinates are bucketed by their value mod this prime
 
 
-def _coord_cmp(p: MatrixParams, axis: int):
-    def cmp(a: SpectrumPoint, b: SpectrumPoint) -> int:
-        d = sym_diff(a.value, b.value)
-        return scalar_sign(*scalar_parts(d, p, axis))
-
-    return cmp
-
-
-def _equal_coordinate_groups(points, p: MatrixParams, axis: int) -> list[list[int]]:
-    """The index lists, each ascending, of two or more points sharing a coordinate on
+def _equal_coordinate_groups(values, p: MatrixParams, axis: int) -> list[list[int]]:
+    """The index lists, each ascending, of two or more values sharing a coordinate on
     ``axis``, ordered by that coordinate: the runs of a stable sort by it.
 
-    Concrete coordinates are their own keys.  When some point is symbolic,
-    every coordinate is keyed by its value mod ``_KEY_PRIME`` (equal values,
+    Every coordinate is keyed by its value mod ``_KEY_PRIME`` (equal values,
     equal keys); the exact comparator splits each bucket into groups of equal
-    values and orders the groups, so it runs only on points that share a key.
+    values and orders the groups, so it runs only on values that share a key.
     """
-    parts = [scalar_parts(pt.value, p, axis) for pt in points]
-    exact = not any(terms for _, terms, _ in parts)
-    if exact:
-        keys = [b for b, _, _ in parts]
-    else:
-        keys = [
-            (b + sum(c * pow(base, e, _KEY_PRIME) for e, c in terms)) % _KEY_PRIME
-            for b, terms, base in parts
-        ]
     buckets: dict[int, list[int]] = {}
-    for i, key in enumerate(keys):
+    for i, v in enumerate(values):
+        b, terms, base = scalar_parts(v, p, axis)
+        key = (b + sum(c * pow(base, e, _KEY_PRIME) for e, c in terms)) % _KEY_PRIME
         buckets.setdefault(key, []).append(i)
-    if exact:
-        return sorted((m for m in buckets.values() if len(m) > 1), key=lambda m: keys[m[0]])
-    cmp = _coord_cmp(p, axis)
+
+    def cmp(a: SymVec, b: SymVec) -> int:
+        return scalar_sign(*scalar_parts(sym_diff(a, b), p, axis))
+
     groups = []
     for rest in buckets.values():
-        while len(rest) > 1:  # split off the points equal to the first
-            first = points[rest[0]]
-            same = [cmp(first, points[i]) == 0 for i in rest]
+        while len(rest) > 1:  # split off the values equal to the first
+            first = values[rest[0]]
+            same = [cmp(first, values[i]) == 0 for i in rest]
             if sum(same) > 1:
                 groups.append([i for i, s in zip(rest, same) if s])
             rest = [i for i, s in zip(rest, same) if not s]
-    by_value = functools.cmp_to_key(lambda g, h: cmp(points[g[0]], points[h[0]]))
+    by_value = functools.cmp_to_key(lambda g, h: cmp(values[g[0]], values[h[0]]))
     return sorted(groups, key=by_value)
 
 
@@ -219,13 +203,14 @@ def check_distinct_lines(
     """Report any two points sharing an x- or a y-coordinate (exact comparison).
 
     Per axis each pair of equal neighbours in a stable sort by coordinate is
-    a witness.  When every point is concrete and below 2^62 the sort runs on
-    int64 columns, and only the witnesses' points are read; otherwise the
-    points are grouped by exact coordinate keys (``_equal_coordinate_groups``)
-    and only the groups of equal coordinates are ordered.
+    a witness.  When every point is concrete the sort runs on its
+    ``value_columns`` (int64, or exact objects past 2^62), and only the
+    witnesses' points are read; otherwise the points are grouped by
+    coordinate keys mod a prime (``_equal_coordinate_groups``) and only the
+    groups of equal coordinates are ordered exactly.
     """
-    points, p = _points_and_params(prefix, p)
-    cols = _columns(points)
+    points, values, p = _points_and_params(prefix, p)
+    cols = value_columns(values)
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
     for axis in (0, 1):
         if cols is not None:
@@ -233,7 +218,7 @@ def check_distinct_lines(
             ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
             shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
             continue
-        for group in _equal_coordinate_groups(points, p, axis):
+        for group in _equal_coordinate_groups(values, p, axis):
             shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
     return LineReport(
         passed=not shared[0] and not shared[1],
@@ -259,22 +244,23 @@ def check_projection_orthogonality(
 
     The x-projections are tested against the base-3*q1 zero set, the
     y-projections against base-3*q2, by the residue walk of
-    ``check_orthogonality`` run once per axis (on the int64 columns of the
-    points when they have them); exact arithmetic throughout.  A zero
-    projected difference between distinct points is a violation too.  Pairs
-    are taken in itertools.combinations order, and the lists stop at the
-    first pair where either one reaches ``max_violations``.
+    ``check_orthogonality`` run once per axis (on one of the points'
+    ``value_columns`` when they are concrete); exact arithmetic throughout.
+    A zero projected difference between distinct points is a violation too.
+    Pairs are taken in itertools.combinations order, and the lists stop at
+    the first pair where either one reaches ``max_violations``.
     """
-    points, p = _points_and_params(prefix, p)
+    points, values, p = _points_and_params(prefix, p)
     n = len(points)
-    cols = _columns(points)
+    cols = value_columns(values)
     bad = []
     for axis, q in ((0, p.q1), (1, p.q2)):
         step, bases = (q, 0), (3 * q, 3 * q)
-        axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
-        # read by the object walk only
-        axis_vecs = (_on_x(*scalar_parts(pt.value, p, axis)[:2]) for pt in points)
-        events = _residue_events(axis_cols, axis_vecs, step, bases)
+        if cols is not None:
+            axis_vecs = ColumnValues(cols[axis], np.zeros(n, dtype=np.int64))
+        else:
+            axis_vecs = [_on_x(*scalar_parts(v, p, axis)[:2]) for v in values]
+        events = _residue_events(axis_vecs, step, bases)
         bad.append(_violating_pairs(events, step, bases, max_violations))
     cut = min(
         (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
@@ -351,16 +337,14 @@ def gram_unitarity(
     Phases come from exact remainders, so the returned deviation carries no
     argument-reduction noise.
     """
-    points, p = _points_and_params(prefix, p)
+    _, values, p = _points_and_params(prefix, p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if len(points) != 3**n:
-        raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(points)}")
-    if isinstance(points, _CanonicalPoints):  # the stored columns, no point built
-        cols = points.xs, points.ys
-    else:
-        lams = [pt.concrete(p) for pt in points]
-        cols = [np.array([v[axis] for v in lams], dtype=object) for axis in (0, 1)]
+    if len(values) != 3**n:
+        raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(values)}")
+    cols = value_columns(values)
+    if cols is None:  # kick terms, expanded
+        cols = value_columns([SymVec(v.materialize(p)) for v in values])
     dev = 0.0
     for _, g in _gram_blocks(n, cols, p):
         diag = np.arange(len(g))
@@ -411,29 +395,27 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     """Per-point |transform(xi + lambda)|^2 with certified per-term error bounds.
 
     Returns (values, errors, depth).  Points must have float-representable
-    coordinates; kicked points with huge exponents are rejected.
+    coordinates, so kicked points with symbolic terms are rejected; xi must
+    be finite and tail_target positive and finite.
     """
-    points, p = _points_and_params(prefix, p)
-    if isinstance(points, _CanonicalPoints):  # the stored columns, no point built
-        arr = np.column_stack((points.xs.astype(float), points.ys.astype(float)))
-    else:
-        coords = []
-        for pt in points:
-            if not pt.value.is_concrete:
-                raise ValueError(
-                    "q_sum needs float-representable points; got a symbolic kick term"
-                )
-            coords.append(pt.value.base)
-        arr = np.array(coords, dtype=float)
+    if not np.isfinite(np.asarray(xi, dtype=float)).all():
+        raise ValueError(f"q_sum needs a finite frequency, got {tuple(xi)}")
+    if not 0 < tail_target < math.inf:
+        raise ValueError(f"q_sum needs a positive finite tail_target, got {tail_target}")
+    _, values, p = _points_and_params(prefix, p)
+    cols = value_columns(values)
+    if cols is None:
+        raise ValueError("q_sum needs float-representable points; got a symbolic kick term")
+    arr = np.column_stack(cols).astype(float)
     if arr.size == 0:
         return np.zeros(0), np.zeros(0), 1
     arr = arr + np.asarray(xi, dtype=float)
-    xmax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    per_term = tail_target / (3.0 * max(1, len(points)))
+    xmax = float(np.max(np.abs(arr)))
+    per_term = tail_target / (3.0 * max(1, len(values)))
     depth = 1
     while tail_bound((xmax, xmax), p, depth) > per_term:
         depth += 1
-    prod = np.ones(len(points), dtype=complex)
+    prod = np.ones(len(values), dtype=complex)
     x = arr[:, 0].copy()
     y = arr[:, 1].copy()
     for _ in range(depth):
@@ -489,15 +471,16 @@ def maximality_probe(
     INCONCLUSIVE means no finite certificate exists at this prefix size.
     Maximality itself is never certified from a finite prefix.
     """
-    points, p = _points_and_params(prefix, p)
-    members = {pt.value.base for pt in points if pt.value.is_concrete}
+    points, values, p = _points_and_params(prefix, p)
+    members = {v.base for v in values if v.is_concrete}
     verdicts = []
     for cand in itertools.product(range(-box[0], box[0] + 1), range(-box[1], box[1] + 1)):
         if cand in members:
             verdicts.append(ProbeVerdict(cand, "member"))
             continue
         c = SymVec(base=cand)
-        hit = next((pt.k for pt in points if in_zero_set_sym(sym_diff(c, pt.value), p) is None), None)
+        hit = next((pt.k for pt, v in zip(points, values)
+                    if in_zero_set_sym(sym_diff(c, v), p) is None), None)
         status = "inconclusive" if hit is None else "conflict"
         verdicts.append(ProbeVerdict(cand, status, conflict_with=hit))
     return verdicts

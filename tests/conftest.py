@@ -1,0 +1,81 @@
+"""Inputs shared by the differential tests of ``lattice.value_columns``."""
+
+import dataclasses
+import random
+
+import pytest
+
+from sierpspec.construct import build_intermediate_spectrum
+from sierpspec.lattice import MatrixParams, SymVec
+from sierpspec.treemap import (
+    CanonicalMapping,
+    KickedMapping,
+    SpectrumPoint,
+    TableOffsets,
+    _CanonicalPoints,
+    central_points,
+    enumerate_spectrum,
+)
+
+
+def _listed(values):
+    return [SpectrumPoint(k=i, word=(), value=SymVec(base=v)) for i, v in enumerate(values)]
+
+
+def _moved(pre, i, dx):
+    """The canonical prefix with point i moved by (dx, 0), its points still columns."""
+    xs = pre.points.xs.copy()
+    xs[i] += dx
+    return dataclasses.replace(pre, points=_CanonicalPoints(xs, pre.points.ys, pre.index_bound))
+
+
+@pytest.fixture
+def value_column_cases():
+    """(id, points, params, (n, slice)) for every kind of value column, built
+    afresh per test.
+
+    ``points`` is a prefix or a bare point list, and ``slice`` its middle 3^n
+    points, for unitarity.  The canonical prefixes keep their points, and
+    their slices, as columns.
+    """
+    p12, p44, p48 = MatrixParams(1, 2), MatrixParams(4, 4), MatrixParams(4, 8)
+    rng = random.Random(20261019)
+    pre = enumerate_spectrum(CanonicalMapping(), p12, level=9)
+    built = enumerate_spectrum(CanonicalMapping(), p12, level=9)  # pre builds no point
+    middle = pre.index_bound + rng.randint(-121, 121)  # inside the unitarity slice
+    cases = [
+        ("canonical (1,2) L9", pre, p12, 5),
+        ("canonical (1,2) L9 bare points",
+         enumerate_spectrum(CanonicalMapping(), p12, level=9).points, p12, 5),
+        ("canonical (1,2) L9 tuple", dataclasses.replace(built, points=tuple(built.points)),
+         p12, 5),
+        ("canonical (1,2) L9 moved by 1", _moved(pre, middle, 1), p12, 5),
+        ("canonical (1,2) L9 moved by A^6", _moved(pre, middle, p12.base_x**6), p12, 5),
+        ("canonical (10^9,10^9) L3 objects",
+         enumerate_spectrum(CanonicalMapping(), MatrixParams(10**9, 10**9), level=3),
+         MatrixParams(10**9, 10**9), 3),
+        ("kicked t=0.15 (4,8) |k|<=364",
+         build_intermediate_spectrum(0.15, p48).prefix(364), p48, 5),
+        ("literal (4,4) {1:1} L3",
+         enumerate_spectrum(KickedMapping(TableOffsets({1: 1}), mode="literal"), p44, level=3),
+         p44, 3),
+    ]
+    canon = [pt.value.base for pt in enumerate_spectrum(CanonicalMapping(), p12, level=3).points]
+    cases.append(("coincident points", _listed(canon[:20] + canon[3:10]), p12, 3))
+    for top in (2**62 - 1, 2**62):
+        coords = (0, top, -top, top - 1, 1 - top)
+        vals = [(x, y) for x in coords for y in coords] + [(top, 1), (-1, top)]
+        cases.append((f"values at +-{top}", _listed(vals), p12, 3))
+    megabit = [tuple(rng.choice((1, -1)) * rng.getrandbits(2**20) for _ in range(2))
+               for _ in range(200)]
+    cases.append(("200 megabit points", _listed(megabit), p48, 4))  # as cli-roundtrip
+    return [(name, points, p, (n, _middle(points, n))) for name, points, p, n in cases]
+
+
+def _middle(points, n):
+    """The middle 3^n of a k-ordered prefix or point list."""
+    points = getattr(points, "points", points)
+    if isinstance(points, _CanonicalPoints):
+        return central_points(points, (3**n - 1) // 2)
+    start = (len(points) - 3**n) // 2
+    return points[start:start + 3**n]

@@ -245,6 +245,41 @@ def test_verify_unitarity_reads_the_middle_columns(capsys):
     assert [o[0] for o in outs] == [0, 0]
 
 
+def test_verify_unknown_check_is_usage_error(capsys):
+    literal = ["verify", "--q1", "4", "--q2", "4", "--offsets", "1:1", "--mode", "literal",
+               "--level", "3", "--checks"]
+    assert main(literal + ["orthogonality"]) == 1
+    assert "violations=18" in capsys.readouterr().out
+    for checks in ("orthogonalty", "orthogonality,line", "lines,"):
+        assert main(literal + [checks]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown check" in err
+
+
+def test_verify_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
+    path = tmp_path / "three.jsonl"
+    path.write_text("".join(json.dumps({"k": k, "lambda": [str(x), str(y)]}) + "\n"
+                            for k, (x, y) in ((0, (0, 0)), (1, (3, 2)), (-1, (2, 4)))))
+    argv = ["verify", "--q1", "1", "--q2", "1", "--input", str(path), "--checks", "lines",
+            "--unitarity", "1"]
+    assert main(argv) == 1  # a deviation of 5.774e-01
+    assert "max deviation 5.774e-01" in capsys.readouterr().out
+    assert main(argv + ["--tolerance", "0.6"]) == 0
+    assert main(argv + ["--tolerance", "0"]) == 1
+    capsys.readouterr()
+    for bad in ("nan", "inf", "-inf", "-1e-9"):
+        assert main(argv + [f"--tolerance={bad}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--tolerance must be finite and >= 0" in err
+
+
+def test_qsum_non_finite_frequency_is_usage_error():
+    # the tail bound is inf at every depth, so the depth search used to run forever
+    for xi in ("nan,0", "0,inf", "-inf,0.5"):
+        res = run_cli(["qsum", "--q1", "1", "--q2", "2", f"--xi={xi}"], timeout=60)
+        assert res.returncode == 2 and "finite frequency" in res.stderr
+
+
 def test_construct_family_descriptors(tmp_path):
     res = run_cli(["construct", "--q1", "4", "--q2", "8", "--t", "0.15",
                    "--count", "3"], cwd=tmp_path)

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from sierpspec.dimension import (
     geometric_scales,
     lacunary_check,
 )
+import sierpspec
 from sierpspec.lattice import MatrixParams, enumerate_digit_sets, sym_diff, sym_is_zero
 from sierpspec.treemap import CanonicalMapping, enumerate_spectrum, validate_tree_mapping
 from sierpspec.verify import check_orthogonality
@@ -209,3 +214,41 @@ def test_pattern_points_edge_cases_match_set_oracle():
         got = pattern_lattice_points(big, Periodic(bits), depth)
         assert max(abs(y) for _, y in got).bit_length() > 62
         _same_points(got, _oracle_pattern_lattice_points(big, Periodic(bits), depth))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the child's own size")
+def test_digits_of_a_huge_residue_box_never_build_it():
+    # Gamma has 9 q1 q2 digits: 9 * 10^7 tuples at (1, 10^7), far past the
+    # child's address-space cap, set once numpy and the package are mapped
+    code = """
+import itertools
+import resource
+from sierpspec.construct import pattern_lattice_points
+from sierpspec.dimension import Periodic
+from sierpspec.lattice import MatrixParams
+from sierpspec.treemap import (CanonicalMapping, KickError, KickedMapping, TableOffsets,
+                               validate_tree_mapping)
+cap = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 2**29
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+pts = pattern_lattice_points(MatrixParams(1, 10**7), Periodic((1,)), 4)
+digits = ((0, 0), (1, -10**7), (-1, 10**7))
+want = {(sum(d[0] * 3**j for j, d in enumerate(c)),
+         sum(d[1] * (3 * 10**7) ** j for j, d in enumerate(c)))
+        for c in itertools.product(digits, repeat=4)}
+assert len(pts) == 81 and set(pts) == want
+p = MatrixParams(4, 10**7)
+offsets = TableOffsets({1: 1, -4: 2})
+for mapping, passed in ((CanonicalMapping(), True), (KickedMapping(offsets), True),
+                        (KickedMapping(offsets, kick=(1, 5), mode="literal"), False)):
+    assert validate_tree_mapping(mapping, p, 4).passed is passed
+try:
+    KickedMapping(offsets, kick=(2, 0)).resolve_kick(p)
+except KickError:
+    print("ok")
+"""
+    root = str(Path(sierpspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0 and res.stdout.split() == ["ok"], res.stderr[-2000:]

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -26,7 +27,7 @@ from sierpspec.dimension import (
     relative_density_check,
     support_hausdorff_dim,
 )
-from sierpspec.dimension import _as_symvecs, _max_ball_counts
+from sierpspec.dimension import _as_symvecs, _max_ball_counts, _resolve_centers
 from sierpspec.lattice import (
     MatrixParams,
     SymVec,
@@ -538,6 +539,41 @@ def test_beurling_estimate_canonical():
     pre11 = enumerate_spectrum(CanonicalMapping(), P11, level=11)
     est11 = beurling_dim_estimate(pre11, geometric_scales(P11, 4, 10), centers="sample:32")
     assert abs(est11.slope - 1.0) < 0.08
+
+
+def _oracle_estimate(points, scales, p, centers, seed=0):
+    """``beurling_dim_estimate`` as it read its points before ``lattice.value_columns``."""
+    vecs, p = _oracle_as_symvecs(points, p)
+    scales = sorted(scales)
+    center_list = _resolve_centers(vecs, centers, seed)
+    counts, stats = _oracle_max_ball_counts(vecs, center_list, scales, p)
+    xs = np.array([math.log(h) for h in scales])
+    ys = np.log(np.array(counts, dtype=float))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    return DimensionEstimate(tuple(scales), tuple(counts), float(slope), resid,
+                             len(center_list), stats)
+
+
+def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
+    """Ball counts and estimates, stats included, as before ``lattice.value_columns``;
+    on a canonical prefix no point is built."""
+    for name, points, p, _ in value_column_cases:
+        pts = getattr(points, "points", points)
+        scales = geometric_scales(p, 1, 6)
+        centers = [(0, 0), pts[len(pts) // 3].value, (Fraction(1, 2), -3), pts[-1]]
+        runs = [("sample:8", 3), (centers, 0)]
+        canonical = isinstance(pts, _CanonicalPoints)
+        builds = mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError)
+        with builds if canonical else contextlib.nullcontext():
+            got = [beurling_dim_estimate(points, scales, p, centers=c, seed=s) for c, s in runs]
+            balls = [count_in_ball(points, c, h, p) for c in centers for h in scales[:3]]
+        want = [_oracle_estimate(points, scales, p, c, s) for c, s in runs]
+        vecs, _ = _oracle_as_symvecs(points, p)
+        assert balls == [_oracle_max_ball_counts(vecs, [c], [h], p)[0][0]
+                         for c in centers for h in scales[:3]], name
+        for est, ref in zip(got, want):
+            assert est == ref and est.stats == ref.stats, name
 
 
 def test_canonical_prefix_counts_without_building_its_points():

@@ -1,21 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sierpspec.lattice import (
     MATERIALIZE_EXPONENT_LIMIT,
+    ColumnValues,
     LatticeError,
     MatrixParams,
+    SymVec,
     a_adic_expansion,
     enumerate_digit_sets,
+    in_e_q1,
     mod_a_reduce,
     reconstruct,
     scalar_log2_bounds,
     scalar_materialize,
     signed_expansion,
     signed_value,
+    value_columns,
     verify_residue_decomposition,
 )
 
@@ -210,3 +215,35 @@ def test_log2_bounds_enclose(b, terms, B, kind):
         assert lo == -math.inf
     else:
         _assert_encloses(value, lo, hi)
+
+
+def test_value_columns_at_the_int64_border():
+    top = 2**62
+    for vals, dtype in (([(top - 1, 1 - top), (0, 5), (0, 5)], np.int64), ([], np.int64),
+                        ([(top, 0), (1, 1)], object), ([(0, -top)], object),
+                        ([(2**70, 1)], object), ([(-(2**64), 0), (3, -3)], object)):
+        xs, ys = value_columns([SymVec(v) for v in vals])
+        assert xs.dtype == ys.dtype == dtype
+        assert list(zip(xs.tolist(), ys.tolist())) == vals
+    kicked = SymVec((1, 2), ((70, (1, 0)),))
+    assert value_columns([SymVec((0, 0)), kicked]) is None
+    assert value_columns([kicked, SymVec((2**70, 0))]) is None
+
+
+def test_column_values_hand_over_their_columns():
+    for dtype in (np.int64, object):
+        xs = np.array([0, -4, 2**40], dtype=dtype)
+        ys = np.array([7, 1, -3], dtype=dtype)
+        view = ColumnValues(xs, ys)
+        got = value_columns(view)
+        assert got[0] is xs and got[1] is ys
+        assert len(view) == 3 and list(view) == [SymVec((0, 7)), SymVec((-4, 1)),
+                                                 SymVec((2**40, -3))]
+        assert view[-1] == SymVec((2**40, -3)) and type(view[1].base[0]) is int
+
+
+@pytest.mark.parametrize("p", [P11, P12, P22, MatrixParams(3, 7), MatrixParams(4, 8)], ids=str)
+def test_e_q1_predicate_matches_the_catalog(p):
+    cat = enumerate_digit_sets(p)
+    box = range(-p.base_y, p.base_y + 1)
+    assert {(x, y) for x in box for y in box if in_e_q1((x, y), p)} == set(cat.e_q1)

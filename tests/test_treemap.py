@@ -4,6 +4,7 @@ import pickle
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -368,7 +369,7 @@ def assert_columns_match_child_steps(p, bound):
 def test_canonical_columns_match_child_steps(p):
     for level in range(10):
         pre = assert_columns_match_child_steps(p, level_index_bound(level))
-        assert pre.points.int64_columns is not None
+        assert pre.points.xs.dtype == np.int64
     for bound in (3, 7, 59, 365, 2001):
         assert_columns_match_child_steps(p, bound)
 
@@ -376,7 +377,7 @@ def test_canonical_columns_match_child_steps(p):
 def test_canonical_columns_past_int64_are_exact():
     # coordinates past 2^62 take object columns
     pre = assert_columns_match_child_steps(MatrixParams(10**9, 10**9), level_index_bound(3))
-    assert pre.points.int64_columns is None and pre.points.xs.dtype == object
+    assert pre.points.xs.dtype == pre.points.ys.dtype == object
 
 
 @pytest.mark.parametrize("p", [P12, MatrixParams(10**9, 10**9)], ids=str)

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -17,7 +18,6 @@ import pytest
 from sierpspec import fourier, verify
 from sierpspec.construct import build_intermediate_spectrum
 from sierpspec.fourier import (
-    _int64_columns,
     _int64_residue_walk,
     _residue_events,
     _residue_walk,
@@ -35,11 +35,13 @@ from sierpspec.lattice import (
     scalar_parts,
     scalar_sign,
     sym_diff,
+    value_columns,
 )
 from sierpspec.treemap import (
     CanonicalMapping,
     KickedMapping,
     SpectrumPoint,
+    SpectrumPrefix,
     TableOffsets,
     _CanonicalPoints,
     enumerate_spectrum,
@@ -223,6 +225,37 @@ def test_projection_orthogonality():
     assert not rep2.passed and rep2.y_violations  # zero y-difference
 
 
+def test_q_sum_rejects_a_non_finite_frequency_or_tail_target():
+    # a tail bound of inf at every depth (xi infinite), or a negative target,
+    # kept the depth search running forever: the child's timeout turns that
+    # into a failure
+    code = (
+        "import math\n"
+        "from sierpspec.lattice import MatrixParams\n"
+        "from sierpspec.treemap import CanonicalMapping, enumerate_spectrum\n"
+        "from sierpspec.verify import q_sum, q_sum_terms\n"
+        "p = MatrixParams(1, 2)\n"
+        "pre = enumerate_spectrum(CanonicalMapping(), p, level=2)\n"
+        "for xi in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)):\n"
+        "    for points in (pre, list(pre.points)):\n"
+        "        try:\n"
+        "            q_sum_terms(xi, points, p)\n"
+        "        except ValueError as exc:\n"
+        "            print('finite frequency' in str(exc))\n"
+        "for target in (-1.0, 0.0, math.nan, math.inf):\n"
+        "    try:\n"
+        "        q_sum((0.1, 0.2), pre, tail_target=target)\n"
+        "    except ValueError as exc:\n"
+        "        print('tail_target' in str(exc))\n"
+    )
+    root = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert res.stdout.split() == ["True"] * 10
+
+
 def test_maximality_probe():
     pre = enumerate_spectrum(CanonicalMapping(), P11, level=2)
     verdicts = {v.candidate: v for v in maximality_probe(pre, box=(2, 2))}
@@ -352,12 +385,14 @@ def _witness(w):
 
 
 def _takes_int64_path(points):
-    return _int64_columns([pt.value for pt in points]) is not None
+    cols = value_columns([pt.value for pt in points])
+    return cols is not None and cols[0].dtype == np.int64
 
 
 def _object_walk_reports(points, p, max_violations=100):
-    """Both reports from the object walk alone, with the int64 columns turned off."""
-    with mock.patch.object(verify, "_int64_columns", lambda vecs: None):
+    """Both reports from the object walk alone, with the value columns turned off."""
+    with mock.patch.object(fourier, "value_columns", lambda values: None), \
+            mock.patch.object(verify, "value_columns", lambda values: None):
         return (
             check_orthogonality(points, p, max_violations=max_violations),
             check_projection_orthogonality(points, p, max_violations=max_violations),
@@ -604,10 +639,10 @@ def test_int64_walk_at_the_coordinate_border():
     vecs = [pt.value for pt in pts]
     bases = (huge.base_x, huge.base_y)
     assert len(pts) * bases[0] * bases[1] >= 2**63 > bases[0] * bases[1]
-    events = _residue_events(_int64_columns(vecs), vecs, huge.primary_digit, bases)
+    events = _residue_events(vecs, huge.primary_digit, bases)
     assert events.gi_code is _residue_walk.__code__
-    assert _residue_events(_int64_columns(vecs[:1]), vecs[:1], huge.primary_digit,
-                           bases).gi_code is _int64_residue_walk.__code__
+    one = _residue_events(vecs[:1], huge.primary_digit, bases)
+    assert one.gi_code is _int64_residue_walk.__code__
     with mock.patch.object(fourier, "_int64_residue_walk", side_effect=AssertionError):
         _assert_matches_oracle(pts, huge)
 
@@ -748,13 +783,13 @@ def test_level_11_is_certified_exactly():
     rep = check_orthogonality(pre)
     assert not rep.sampled and rep.pairs_checked == n * (n - 1) // 2 and rep.passed
     walk = (P12.primary_digit, (P12.base_x, P12.base_y))
-    assert list(_int64_residue_walk(*_int64_columns([pt.value for pt in pre.points]), *walk)) == []
+    assert list(_int64_residue_walk(*value_columns([pt.value for pt in pre.points]), *walk)) == []
     # one point moved by A^6 (1, 0): only pairs inside its level-7 node change
     i = random.Random(11).randrange(n)
     pts = list(pre.points)
     x, y = pts[i].value.base
     pts[i] = dataclasses.replace(pts[i], value=SymVec((x + P12.base_x**6, y)))
-    events = list(_int64_residue_walk(*_int64_columns([pt.value for pt in pts]), *walk))
+    events = list(_int64_residue_walk(*value_columns([pt.value for pt in pts]), *walk))
     told = {j for _, parts in events for _, part in parts for j in part}
     assert i in told and len(told) <= 3**5  # only that node fails
     _assert_moved_point_listed(pts, i, P12)
@@ -1036,3 +1071,178 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
             assert got[2] == want[2]
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tolist() == want[1].tolist()
+
+
+# ---------------------------------------------------------------------------
+# The checks as they read their columns before lattice.value_columns, kept as
+# the oracle for it: int64 columns for the walks and the line sort only when
+# every point is concrete and below 2^62 (a canonical prefix's when int64),
+# exact keys for other concrete lines, and a canonical prefix's stored
+# columns, else the points' own values, for unitarity and q-sums
+# ---------------------------------------------------------------------------
+
+
+def _old_points(prefix, p):
+    if isinstance(prefix, SpectrumPrefix):
+        return prefix.points, prefix.params
+    return (prefix if isinstance(prefix, _CanonicalPoints) else list(prefix)), p
+
+
+def _old_columns(points):
+    if isinstance(points, _CanonicalPoints):
+        return (points.xs, points.ys) if points.xs.dtype == np.int64 else None
+    vecs = [pt.value for pt in points]
+    if any(v.terms for v in vecs):
+        return None
+    try:
+        flat = itertools.chain.from_iterable(v.base for v in vecs)
+        cols = np.fromiter(flat, dtype=np.int64, count=2 * len(vecs)).reshape(-1, 2).T
+    except OverflowError:
+        return None
+    return cols if ((cols < 2**62) & (cols > -(2**62))).all() else None
+
+
+def _old_events(cols, vecs, step, bases):
+    if cols is not None and len(cols[0]) * bases[0] * bases[1] < 2**63:
+        return _int64_residue_walk(*cols, step, bases)
+    return _residue_walk(vecs, bases)
+
+
+def _old_orthogonality(prefix, p=None, max_violations=100):
+    points, p = _old_points(prefix, p)
+    n = len(points)
+    step, bases = p.primary_digit, (p.base_x, p.base_y)
+    events = _old_events(_old_columns(points), (pt.value for pt in points), step, bases)
+    bad = verify._violating_pairs(events, step, bases, max_violations)
+    violations = tuple(
+        verify.PairViolation(points[i].k, points[j].k,
+                             sym_diff(points[i].value, points[j].value), reason)
+        for i, j, reason in bad
+    )
+    checked = n * (n - 1) // 2
+    if len(bad) == max_violations:
+        checked = verify._pair_rank(*bad[-1][:2], n) + 1
+    return verify.OrthogonalityReport(checked, violations, False)
+
+
+def _old_projections(prefix, p=None, max_violations=100):
+    points, p = _old_points(prefix, p)
+    n = len(points)
+    cols = _old_columns(points)
+    bad = []
+    for axis, q in ((0, p.q1), (1, p.q2)):
+        step, bases = (q, 0), (3 * q, 3 * q)
+        axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
+        axis_vecs = (fourier._on_x(*scalar_parts(pt.value, p, axis)[:2]) for pt in points)
+        events = _old_events(axis_cols, axis_vecs, step, bases)
+        bad.append(verify._violating_pairs(events, step, bases, max_violations))
+    cut = min((verify._pair_rank(*pairs[-1][:2], n) for pairs in bad
+               if len(pairs) == max_violations), default=math.inf)
+    x_bad, y_bad = (
+        tuple((points[i].k, points[j].k) for i, j, _ in pairs
+              if verify._pair_rank(i, j, n) <= cut)
+        for pairs in bad
+    )
+    return verify.ProjectionReport(not x_bad and not y_bad, x_bad, y_bad)
+
+
+def _old_coordinate_groups(points, p, axis):
+    parts = [scalar_parts(pt.value, p, axis) for pt in points]
+    exact = not any(terms for _, terms, _ in parts)
+    prime = 2**61 - 1
+    if exact:
+        keys = [b for b, _, _ in parts]
+    else:
+        keys = [(b + sum(c * pow(base, e, prime) for e, c in terms)) % prime
+                for b, terms, base in parts]
+    buckets = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    if exact:
+        return sorted((m for m in buckets.values() if len(m) > 1), key=lambda m: keys[m[0]])
+
+    def cmp(a, b):
+        return scalar_sign(*scalar_parts(sym_diff(a.value, b.value), p, axis))
+
+    groups = []
+    for rest in buckets.values():
+        while len(rest) > 1:
+            same = [cmp(points[rest[0]], points[i]) == 0 for i in rest]
+            if sum(same) > 1:
+                groups.append([i for i, s in zip(rest, same) if s])
+            rest = [i for i, s in zip(rest, same) if not s]
+    by_value = functools.cmp_to_key(lambda g, h: cmp(points[g[0]], points[h[0]]))
+    return sorted(groups, key=by_value)
+
+
+def _old_lines(prefix, p=None):
+    points, p = _old_points(prefix, p)
+    cols = _old_columns(points)
+    shared = {0: [], 1: []}
+    for axis in (0, 1):
+        if cols is not None:
+            order = np.argsort(cols[axis], kind="stable")
+            ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
+            shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
+            continue
+        for group in _old_coordinate_groups(points, p, axis):
+            shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
+    return verify.LineReport(not shared[0] and not shared[1],
+                             tuple(shared[0]), tuple(shared[1]))
+
+
+def _old_gram_unitarity(n, prefix, p=None):
+    points, p = _old_points(prefix, p)
+    if isinstance(points, _CanonicalPoints):
+        cols = points.xs, points.ys
+    else:
+        lams = [pt.concrete(p) for pt in points]
+        cols = [np.array([v[axis] for v in lams], dtype=object) for axis in (0, 1)]
+    dev = 0.0
+    for _, g in verify._gram_blocks(n, cols, p):
+        diag = np.arange(len(g))
+        g[diag, diag] -= 1
+        dev = max(dev, float(np.max(np.abs(g))))
+    return dev
+
+
+def _old_q_sum_terms(xi, prefix, p=None):
+    points, p = _old_points(prefix, p)
+    if any(not pt.value.is_concrete for pt in points):
+        raise ValueError("q_sum needs float-representable points; got a symbolic kick term")
+    return _oracle_q_sum_terms(xi, list(points), p, bound=tail_bound)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _q_sum_outcome(f, xi, points, p):
+    got = _outcome(f, xi, points, p)
+    return got if isinstance(got[0], type) else tuple(a.tolist() for a in got[:2]) + got[2:]
+
+
+def test_value_columns_leave_every_report_unchanged(value_column_cases):
+    """Every check reads its columns through lattice.value_columns with the
+    parent's results, to the order of violations and witnesses; on a
+    canonical prefix no check builds a point."""
+    xis = [(0.0, 0.0), (0.31, -0.27)]
+    for name, points, p, (n, middle) in value_column_cases:
+        canonical = isinstance(getattr(points, "points", points), _CanonicalPoints)
+        builds = mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError)
+        with builds if canonical else contextlib.nullcontext():
+            got = [check_orthogonality(points, p, max_violations=mv) for mv in (7, 100)]
+            got += [check_projection_orthogonality(points, p, max_violations=mv)
+                    for mv in (7, 100)]
+            got += [check_distinct_lines(points, p), _outcome(gram_unitarity, n, middle, p)]
+            got += [_q_sum_outcome(q_sum_terms, xi, points, p) for xi in xis]
+        want = [_old_orthogonality(points, p, mv) for mv in (7, 100)]
+        want += [_old_projections(points, p, mv) for mv in (7, 100)]
+        want += [_old_lines(points, p), _outcome(_old_gram_unitarity, n, middle, p)]
+        want += [_q_sum_outcome(_old_q_sum_terms, xi, points, p) for xi in xis]
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a == b, (name, i)
