@@ -233,9 +233,11 @@ def _residue_events(vecs, step: Vec, bases: Vec):
 
 def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:
     """+1 when d = step mod diag(bases), -1 when d = -step, 0 otherwise."""
-    for sign in (1, -1):
-        if all((x - sign * s) % b == 0 for x, s, b in zip(d, step, bases)):
-            return sign
+    (dx, dy), (sx, sy), (bx, by) = d, step, bases
+    if (dx - sx) % bx == 0 and (dy - sy) % by == 0:
+        return 1
+    if (dx + sx) % bx == 0 and (dy + sy) % by == 0:
+        return -1
     return 0
 
 

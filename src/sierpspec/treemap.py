@@ -409,39 +409,37 @@ def _pair_value(pair) -> SymVec:
     return SymVec((int(x), int(y)))
 
 
-def _peel(bound: int):
-    """Split each k = -bound..bound as k = d_0 + 3 r, d_0 its first balanced-ternary letter.
-
-    Returns d_0 and the position r + bound of r for every k (so that
-    word(k) = (d_0,) + word(r) and lambda(k) = d_0 (q1, -q2) + A lambda(r)),
-    and the slices of positions holding the words of length 1, 2, ... in
-    that order: r is one letter shorter than k, so it comes first.
-    """
-    ks = np.arange(-bound, bound + 1, dtype=np.int64)
-    d0 = (ks + 1) % 3 - 1
-    slices = []
-    lo = 1
-    while lo <= bound:
-        hi = min(3 * lo - 2, bound)  # the |k| in [lo, hi] have words of one length
-        slices += [slice(bound + lo, bound + hi + 1), slice(bound - hi, bound - lo + 1)]
-        lo = hi + 1
-    return d0, (ks - d0) // 3 + bound, slices
-
-
 def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
     """lambda(k) = sum_j d_j(k) A^j (q1, -q2) for all |k| <= bound, one word length at a time.
 
     |lambda(k)| < (3 q2)^n / 2 per coordinate, n the length of the longest
     word, which decides int64 or exact object columns up front.
     """
-    d0, rest, slices = _peel(bound)
     dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * I64_COORD else object
-    d0 = d0.astype(dtype, copy=False)
-    xs, ys = np.zeros(len(d0), dtype=dtype), np.zeros(len(d0), dtype=dtype)
-    for s in slices:
-        xs[s] = p.base_x * xs[rest[s]] + d0[s] * p.q1
-        ys[s] = p.base_y * ys[rest[s]] - d0[s] * p.q2
-    return _CanonicalPoints(xs, ys, bound)
+    return _CanonicalPoints(*_canonical_columns(p, bound, dtype), bound)
+
+
+def _canonical_columns(p: MatrixParams, bound: int, dtype):
+    """The x and y columns of lambda(k), k = -bound..bound in order.
+
+    Write k = 3 r + d_0, d_0 in {-1, 0, 1} its first balanced-ternary letter:
+    lambda(k) = A lambda(r) + d_0 (q1, -q2), and k runs through the rows of a
+    (2 R + 1) x 3 array, r = -R..R with R = (bound + 1) // 3, in order.  So
+    each word length takes three strided additions to the columns of the
+    next shorter ones, and the arrays made along the way add up to about
+    half the output.
+    """
+    if bound == 0:
+        return np.zeros(1, dtype=dtype), np.zeros(1, dtype=dtype)
+    rx, ry = _canonical_columns(p, (bound + 1) // 3, dtype)
+    rx *= p.base_x  # A lambda(r), in place: the shorter columns are not kept
+    ry *= p.base_y
+    xs, ys = np.empty(3 * len(rx), dtype=dtype), np.empty(3 * len(ry), dtype=dtype)
+    for j, d0 in enumerate((-1, 0, 1)):
+        np.add(rx, d0 * p.q1, out=xs[j::3])
+        np.add(ry, -d0 * p.q2, out=ys[j::3])
+    middle = slice(len(xs) // 2 - bound, len(xs) // 2 + bound + 1)  # k = 0 sits in the middle
+    return xs[middle], ys[middle]
 
 
 def level_index_bound(level: int) -> int:

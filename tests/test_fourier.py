@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sierpspec.fourier import (
+    _step_sign,
     in_zero_set,
     in_zero_set_sym,
     mask,
@@ -136,3 +137,27 @@ def test_zero_set_1d_sym():
     for base, e, c in ((5, 3, 1), (0, 4, 2), (-2, 2, -1), (7, 5, 1)):
         concrete = base + b**e * c
         assert zero_set_1d_sym(base, ((e, c),), b, q) == zero_set_1d(concrete, q)
+
+
+def test_step_sign_matches_its_definition():
+    # +1 when d = step mod diag(bases), -1 when d = -step, 0 otherwise; in the
+    # plane and on one axis (step (q, 0), bases (3q, 3q)), with big and
+    # negative entries
+    rng = random.Random(7)
+    for q1, q2 in ((1, 1), (1, 2), (4, 8), (3, 5), (10**9, 10**12)):
+        bases = (3 * q1, 3 * q2)
+        for step, bs in (((q1, -q2), bases), ((q1, 0), (3 * q1, 3 * q1))):
+            for _ in range(300):
+                sign = rng.choice((1, -1, 0))
+                lift = (rng.randint(-5, 5) * bs[0], rng.randint(-(2**70), 2**70) * bs[1])
+                d = (sign * step[0] + lift[0], sign * step[1] + lift[1])
+                if sign == 0:
+                    d = (d[0] + rng.randint(0, bs[0] - 1), d[1] + rng.randint(0, bs[1] - 1))
+                want = next(
+                    (s for s in (1, -1)
+                     if all((x - s * t) % b == 0 for x, t, b in zip(d, step, bs))),
+                    0,
+                )
+                assert _step_sign(d, step, bs) == want
+                if sign:
+                    assert want == sign
