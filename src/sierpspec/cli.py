@@ -109,11 +109,15 @@ def _add_gen_flags(sub, require_bound=True):
 
 def _prefix_from_args(args) -> SpectrumPrefix:
     p = _params(args)
-    if args.level is None and args.index_range is None:
-        raise InputError("one of --level / --range is required")
+    if (args.level is None) == (args.index_range is None):
+        raise InputError("exactly one of --level / --range is required")
     bound = args.index_range if args.index_range is not None else level_index_bound(args.level)
     kick = _parse_vec(args.kick) if args.kick else None
-    bits = tuple(int(c) for c in args.variant_bits) if args.variant_bits else ()
+    if args.variant_bits and args.construct_t is None:
+        raise InputError("--variant-bits needs --construct-t")
+    if not set(args.variant_bits) <= {"0", "1"}:
+        raise InputError(f"--variant-bits takes a string of 0s and 1s, got {args.variant_bits!r}")
+    bits = tuple(int(c) for c in args.variant_bits)
     if args.construct_t is not None:
         spec = build_intermediate_spectrum(
             args.construct_t, p, kick=kick, mode=args.mode, variant_bits=bits
@@ -293,6 +297,8 @@ def cmd_verify(args) -> int:
         raise InputError(f"unknown check {unknown[0]!r}; choose from {', '.join(VERIFY_CHECKS)}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.qsum is not None and args.qsum < 1:  # a check of nothing must not pass
+        raise InputError(f"--qsum must be >= 1, got {args.qsum}")
     if args.input:
         prefix = points = _read_points(args.input, p)
     else:  # the checks read a canonical prefix's columns, not its points
@@ -396,6 +402,9 @@ def cmd_construct(args) -> int:
 def cmd_qsum(args) -> int:
     _echo_config(args)
     p = _params(args)
+    for flag, count in (("--num-xi", args.num_xi), ("--n-max", args.n_max)):
+        if count < 1:  # a check of nothing must not pass
+            raise InputError(f"{flag} must be >= 1, got {count}")
     box = SamplingBox.for_params(p)
     if args.xi:
         xis = [_parse_vec_float(args.xi)]

@@ -46,7 +46,6 @@ from .treemap import SpectrumPoint, SpectrumPrefix, point_values
 _I64_COORD = 2**30
 _I64_MAX = 2**63 - 1
 _SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
-_OFF = SymVec((_I64_COORD, _I64_COORD))  # stands in for a symbolic point in the columns
 
 
 def _as_symvecs(points, p=None):
@@ -72,11 +71,10 @@ def _is_small(v: SymVec) -> bool:
 
 def _small_columns(vecs):
     """x and y int64 columns of the points counted in int64, and which points those are."""
-    cols = value_columns(vecs)  # int64, or exact objects past 2^62
-    if cols is None:
-        cols = value_columns([v if v.is_concrete else _OFF for v in vecs])
-    xs, ys = cols
+    xs, ys, terms = value_columns(vecs)  # int64, or exact objects past 2^62
     small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    if terms is not None:
+        small[terms.index] = False
     return xs[small].astype(np.int64, copy=False), ys[small].astype(np.int64, copy=False), small
 
 
@@ -632,16 +630,16 @@ def relative_density_check(points, p: MatrixParams | None = None, pexp: int = 1)
     Reported, never asserted: boundedness of this statistic (as the prefix
     grows) is the hypothesis under which generated spectra attain the optimal
     dimension; for lacunary families it grows with the prefix instead.
+    Values with a kick term are rejected: their coordinates pass any float.
     """
     vecs, p = _as_symvecs(points, p)
     if not vecs:
         raise ValueError("empty prefix")
     if pexp < 1:
         raise ValueError("pexp must be >= 1")
-    coords = []
-    for v in vecs:
-        x, y = v.materialize(p) if not v.is_concrete else v.base
-        coords.append((_to_float(x), _to_float(y)))
+    if any(v.terms for v in vecs):
+        raise ValueError("relative density needs concrete points; got a symbolic kick term")
+    coords = [(_to_float(x), _to_float(y)) for x, y in (v.base for v in vecs)]
     arr = np.array(coords, dtype=float)
     scaled = arr / np.array([float(p.base_x**pexp), float(p.base_y**pexp)])
     worst = 0.0

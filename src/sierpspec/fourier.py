@@ -6,16 +6,13 @@ in the zero set is decided by stripping A factors and testing the centered
 residue against the two admissible classes, entirely in integer arithmetic,
 including for symbolic vectors whose kick terms carry huge exponents.
 
-The residue walk comes in two forms with one event stream.  ``_residue_walk``
-walks exact objects (SymVecs with Python-int bases and kick terms) depth
-first and yields every node where vectors part.  ``_int64_residue_walk``
-walks int64 columns level by level in numpy and yields the same events for
-the nodes where some pair fails, and for the groups of equal vectors.
-``_residue_events`` reads the vectors' columns through
-``lattice.value_columns`` (a canonical prefix's stored columns as they are)
-and picks the int64 walk when those are int64, every vector concrete with
-coordinates below 2^62, and the node keys fit int64; the object walk
-otherwise.
+One residue walk, ``_residue_walk``, takes every kind of value: the base
+columns and kick-term table of ``lattice.value_columns``, int64 or exact
+objects.  It walks the trie of the values' centered residues level by level in
+numpy, adding each kick term when its node reaches the term's exponent and
+jumping over runs of zero digits, and yields the nodes where some pair fails
+and the groups of values equal in value.  ``_first_residue`` runs the same
+test on one symbolic vector as a scalar loop.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MatrixParams, SymVec, Vec, value_columns
+from .lattice import MatrixParams, SymVec, Vec, centered_mod
 
 INF = float("inf")
 
@@ -109,97 +106,65 @@ class ZeroSetWitness:
     residue_class: str  # "Q12" | "Q24"
 
 
-def _residue_walk(vecs, bases):
-    """Walk the trie of centered residues of exact vectors, yielding where they part.
+def _residue_walk(xs, ys, terms, step: Vec, bases: Vec):
+    """Walk the trie of the values' centered residues mod diag(bases) breadth first,
+    yielding the nodes where some pair fails and the groups of values equal in value.
 
-    A SymVec stands for ``base + sum diag(bx, by)^e * v`` over its terms; a
-    one-dimensional value rides in x with y = 0.  Each node groups its vectors
-    by centered residue mod (bx, by), strips it and descends into each group
-    of two or more, jumping to the next kick exponent when a group's bases are
-    all zero.  Identical vectors are hashed together and walked once, so the
-    cost is O(n * depth).
-
-    Yields ``(level, parts)``, ``parts`` a list of ``(residue, indices)``: two
-    vectors in different parts first differ at A^(level-1), by residue_a -
-    residue_b.  Residue None marks vectors equal in value, identical inside a
-    part.  Every pair of indices is split at exactly one node or shares a None part.
+    The values are ``lattice.value_columns`` output; a one-dimensional value
+    rides in x with y = 0.  Per level, a node adds the terms due at its shift
+    (the exponent of A it has reached), or first jumps to its points' least
+    pending exponent when they are all zero; a point's node and centered
+    residue code then give its child (``np.unique``).  A node whose m distinct
+    codes hold m(m-1)/2 pairs differing by +-step mod diag(bases) is clean,
+    counted as the codes c with c + step also a code there (c - c' = step and
+    c' - c = step cannot both hold).  Every other node yields ``(level,
+    parts)``, one ``(residue, indices)`` part per child: values in different
+    parts first differ at A^(level-1), by residue_a - residue_b.  Points
+    sharing a child with no term pending, all zero or (every 64th level) all
+    equal, are equal in value and yield ``(level, [(None, indices)])``; a
+    point alone in its child drops out.  Columns and node keys are int64, or
+    exact objects when the columns are or n * bx * by reaches 2^63.
     """
     bx, by = bases
-    hx, hy = bx // 2, by // 2
-    items: dict[SymVec, list[int]] = {}
-    for i, v in enumerate(vecs):
-        items.setdefault(v, []).append(i)
-    members = list(items.values())
-    cur = [v.base for v in items]
-    terms = [v.terms for v in items]
-    pos = [0] * len(members)  # each vector's first term not yet added to cur
-    stack = [(list(range(len(members))), 0)]
-    while stack:
-        group, shift = stack.pop()
-        if len(group) < 2:  # one vector, maybe repeated: nothing left to part
-            if group and len(members[group[0]]) > 1:
-                yield shift + 1, [(None, members[group[0]])]
-            continue
-        for g in group:
-            t, k = terms[g], pos[g]
-            while k < len(t) and t[k][0] == shift:
-                cur[g] = (cur[g][0] + t[k][1][0], cur[g][1] + t[k][1][1])
-                k += 1
-            pos[g] = k
-        if not any(cur[g] != (0, 0) for g in group):
-            ahead = [terms[g][pos[g]][0] for g in group if pos[g] < len(terms[g])]
-            if ahead:
-                stack.append((group, min(ahead)))
-            else:
-                yield shift + 1, [(None, members[g]) for g in group]
-            continue
-        parts: dict[Vec, list[int]] = {}
-        for g in group:
-            x, y = cur[g]
-            rx = (x + hx) % bx - hx
-            ry = (y + hy) % by - hy
-            cur[g] = ((x - rx) // bx, (y - ry) // by)
-            parts.setdefault((rx, ry), []).append(g)
-        if len(parts) > 1:
-            yield shift + 1, [
-                (r, [i for g in gs for i in members[g]]) for r, gs in parts.items()
-            ]
-        stack.extend((gs, shift + 1) for gs in parts.values())
-
-
-def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
-    """``_residue_walk``'s events on int64 columns, breadth first, for failing nodes only.
-
-    Each level takes a few numpy operations on the live points.  A point's
-    node and centered residue code give its child node (``np.unique``); a
-    node whose m distinct codes hold m(m-1)/2 pairs differing by +-step mod
-    diag(bases) is clean, counted as the codes c with c + step also a code
-    there (c - c' = step and c' - c = step cannot both hold).  Every other
-    node yields ``(level, parts)``, one part per child.  Points still sharing
-    a child once all of them reach (0, 0) are identical and yield
-    ``(level, [(None, indices)])``; a point alone in its child drops out.
-    The caller keeps the node keys n * bx * by below 2^63.
-    """
-    bx, by = bases
-    codes = bx * by
-    hx, hy = bx // 2, by // 2
-    sx, sy = step
-    idx = np.arange(len(xs))
-    node = np.zeros(len(xs), dtype=np.int64)
-    x, y = xs, ys
-    level = 0
+    codes, hx, hy, (sx, sy) = bx * by, bx // 2, by // 2, step
+    dtype = np.int64 if xs.dtype == np.int64 and len(xs) * codes < 2**63 else object
+    idx, node = np.arange(len(xs)), np.zeros(len(xs), dtype=np.int64)
+    x, y = xs.astype(dtype), ys.astype(dtype)  # copies: terms are added in place
+    tpos, texp, tx, ty = (np.zeros(0, dtype=np.int64),) * 4 if terms is None else terms
+    tx, ty = tx.astype(dtype), ty.astype(dtype)
+    shift = np.zeros(1, dtype=texp.dtype)  # per node
+    rounds = 0
     while idx.size:
-        level += 1
-        x, cx = np.divmod(x + hx, bx)  # cx - hx is x's centered residue
-        y, cy = np.divmod(y + hy, by)
-        child, inv = np.unique(node * codes + cx * by + cy, return_inverse=True)
-        parent, code = np.divmod(child, codes)
+        rounds += 1
+        if tpos.size:
+            tnode = node[tpos]
+            idle = np.bincount(node, weights=(x != 0) | (y != 0), minlength=len(shift)) == 0
+            jump = idle[tnode]
+            shift[tnode[jump]] = texp[jump]  # one pending exponent, then the least
+            np.minimum.at(shift, tnode[jump], texp[jump])
+            due = texp == shift[tnode]
+            x[tpos[due]] += tx[due]
+            y[tpos[due]] += ty[due]
+            tpos, texp, tx, ty = tpos[~due], texp[~due], tx[~due], ty[~due]
+        x, cx = _divmod(x + hx, bx)  # cx - hx is x's centered residue
+        y, cy = _divmod(y + hy, by)
+        child, inv = np.unique(node.astype(dtype, copy=False) * codes + cx * by + cy,
+                               return_inverse=True)
+        parent, code = _divmod(child, codes)
         plus = parent * codes + (code // by + sx) % bx * by + (code % by + sy) % by
         hit = child[np.minimum(np.searchsorted(child, plus), len(child) - 1)] == plus
+        parent = parent.astype(np.int64, copy=False)
         m = np.bincount(parent)
         failing = (np.bincount(parent[hit], minlength=len(m)) < m * (m - 1) // 2)[parent]
         shared = np.bincount(inv) > 1
-        moving = np.bincount(inv, weights=(x != 0) | (y != 0)) > 0
+        x0 = y0 = 0
+        if rounds % 64 == 0:  # equal points part nowhere, but would walk all their digits
+            some = np.empty(len(child), dtype=np.int64)
+            some[inv] = np.arange(len(inv))
+            x0, y0 = x[some[inv]], y[some[inv]]
+        stirs = (x != x0) | (y != y0)
+        stirs[tpos] = True  # a point with a term pending moves on
+        moving = np.bincount(inv, weights=stirs) > 0
         same = shared & ~moving
         told = (failing | same)[inv]
         if told.any():  # one sort groups the points to report by child
@@ -208,27 +173,25 @@ def _int64_residue_walk(xs, ys, step: Vec, bases: Vec):
             cuts = np.flatnonzero(np.diff(kids)) + 1
             events = {}
             for kid, part in zip(kids[np.r_[0, cuts]], np.split(idx[told][order], cuts)):
-                part = part.tolist()
+                level = int(shift[parent[kid]]) + 1
                 if same[kid]:
-                    yield level, [(None, part)]
+                    yield level, [(None, part.tolist())]
                 if failing[kid]:
                     r = (int(code[kid] // by - hx), int(code[kid] % by - hy))
-                    events.setdefault(parent[kid], []).append((r, part))
-            yield from ((level, parts) for parts in events.values())
-        live = (shared & moving)[inv]
-        renumber = np.cumsum(shared & moving) - 1
-        idx, node, x, y = idx[live], renumber[inv[live]], x[live], y[live]
+                    events.setdefault(parent[kid], (level, []))[1].append((r, part.tolist()))
+            yield from events.values()
+        kept = shared & moving
+        live = kept[inv]
+        shift = shift[parent[kept]] + 1
+        if tpos.size:
+            on = live[tpos]
+            tpos, texp, tx, ty = (np.cumsum(live) - 1)[tpos[on]], texp[on], tx[on], ty[on]
+        idx, node, x, y = idx[live], (np.cumsum(kept) - 1)[inv[live]], x[live], y[live]
 
 
-def _residue_events(vecs, step: Vec, bases: Vec):
-    """The residue walk's events on a sequence of SymVecs: on their
-    ``value_columns`` when those are int64 and n * bx * by < 2^63, else on
-    the vectors themselves."""
-    bx, by = bases
-    cols = value_columns(vecs)
-    if cols is not None and cols[0].dtype == np.int64 and len(vecs) * bx * by < 2**63:
-        return _int64_residue_walk(*cols, step, bases)
-    return _residue_walk(vecs, bases)
+def _divmod(a, b):
+    """np.divmod, which object arrays lack."""
+    return np.divmod(a, b) if a.dtype != object else (a // b, a % b)
 
 
 def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:
@@ -242,10 +205,25 @@ def _step_sign(d: Vec, step: Vec, bases: Vec) -> int:
 
 
 def _first_residue(v: SymVec, step: Vec, bases: Vec) -> tuple[int, int] | None:
-    """(level, sign) when v's first nonzero residue is sign * step; else None."""
-    level, parts = next(_residue_walk([v, SymVec(base=(0, 0))], bases))
-    sign = parts[0][0] is not None and _step_sign(parts[0][0], step, bases)  # v's part
-    return (level, sign) if sign else None
+    """(level, sign) when v's first nonzero residue is sign * step; else None:
+    strips one level at a time, adds each term at its exponent and jumps to
+    the next exponent while the value is zero."""
+    (x, y), (bx, by), terms = v.base, bases, sorted(v.terms, reverse=True)
+    shift = 0
+    while True:
+        while terms and terms[-1][0] == shift:
+            _, (vx, vy) = terms.pop()
+            x, y = x + vx, y + vy
+        if x == 0 and y == 0:
+            if not terms:
+                return None
+            shift = terms[-1][0]
+            continue
+        rx, ry = centered_mod(x, bx), centered_mod(y, by)
+        if rx or ry:
+            sign = _step_sign((rx, ry), step, bases)
+            return (shift + 1, sign) if sign else None
+        x, y, shift = x // bx, y // by, shift + 1
 
 
 def in_zero_set(v: Vec, p: MatrixParams) -> ZeroSetWitness | None:
@@ -257,7 +235,7 @@ def in_zero_set_sym(v: SymVec, p: MatrixParams) -> ZeroSetWitness | None:
     """Zero-set membership for a symbolic vector, without expanding huge kick terms.
 
     v lies in the zero set exactly when its first nonzero centered residue
-    mod A is (q1, -q2) or (-q1, q2), as found by the residue walk.
+    mod A is (q1, -q2) or (-q1, q2), as found by ``_first_residue``.
     """
     first = _first_residue(v, p.primary_digit, (p.base_x, p.base_y))
     return first and ZeroSetWitness(first[0], "Q12" if first[1] > 0 else "Q24")
@@ -267,7 +245,7 @@ def zero_set_1d(v: int, q: int) -> bool:
     """Exact membership of v in the zero set of the base-3q one-dimensional transform.
 
     That zero set is the union over k >= 1 of (3q)^(k-1) * (+-q + 3q*Z);
-    decided by the same residue walk as the planar case.
+    decided by the same residue loop as the planar case.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
@@ -279,9 +257,5 @@ def zero_set_1d_sym(b0: int, terms, B: int, q: int) -> bool:
     b = 3 * q
     if B != b and terms:
         raise ValueError("symbolic scalar base must match 3q")
-    return _first_residue(_on_x(b0, terms), (q, 0), (b, b)) is not None
-
-
-def _on_x(b0: int, terms) -> SymVec:
-    """The scalar b0 + sum c * B^e as a SymVec riding in x, with y = 0."""
-    return SymVec(base=(b0, 0), terms=tuple(sorted((e, (c, 0)) for e, c in terms if c != 0)))
+    on_x = SymVec((b0, 0), tuple(sorted((e, (c, 0)) for e, c in terms if c != 0)))
+    return _first_residue(on_x, (q, 0), (b, b)) is not None

@@ -5,7 +5,8 @@ A-adic digit expansions, the residue digit sets used by the spectrum
 constructions, and a symbolic vector type that keeps kick terms ``A^e * v``
 unexpanded so that astronomically large coordinates stay cheap to compare.
 ``value_columns`` is the one place that turns a sequence of such vectors into
-the numpy coordinate columns every certifier and the ball counter read.
+the numpy coordinate columns, and the table of kick terms, that every
+certifier and the ball counter read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,9 +247,11 @@ class SymVec:
         return (x, y)
 
 
-# Value columns are int64 when every coordinate is strictly below this in
-# absolute value: x + b//2 then cannot overflow in fourier's int64 walk.
+# Value columns are int64 when every base coordinate is below I64_COORD and every
+# kick-term component below I64_TERM in absolute value: in fourier's walk a value
+# plus a term stays below 2^63, and one level on is back below I64_COORD.
 I64_COORD = 2**62
+I64_TERM = 2**61
 
 
 class ColumnValues(Sequence):
@@ -266,27 +270,48 @@ class ColumnValues(Sequence):
         return SymVec((int(self.xs[i]), int(self.ys[i])))
 
 
-def value_columns(values) -> tuple[np.ndarray, np.ndarray] | None:
-    """The x and y columns of a sequence of SymVecs, or None when one carries a kick term.
+class KickTerms(NamedTuple):
+    """Kick terms as columns, one row per term in value and exponent order: value
+    ``index`` carries A^exponent * (x, y).  The exponents are int64 below
+    I64_COORD, else exact ints; x and y have the dtype of the base columns."""
+
+    index: np.ndarray
+    exponent: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+def value_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
+    """The x and y columns of the bases of a sequence of SymVecs, and their kick
+    terms (None when no value has one).
 
     A ``ColumnValues`` hands over its stored columns.  Other values give int64
-    columns when every coordinate is below 2^62 in absolute value, and object
-    columns of exact Python ints when one is larger.
+    columns, term components included, within the I64_COORD and I64_TERM
+    bounds, and object columns of exact Python ints otherwise.
     """
     if isinstance(values, ColumnValues):
-        return values.xs, values.ys
+        return values.xs, values.ys, None
     bases = [v.base for v in values if not v.terms]
-    if len(bases) < len(values):
-        return None
+    rows = []
+    if len(bases) < len(values):  # kick terms
+        bases = [v.base for v in values]
+        rows = [(i, e, *vec) for i, v in enumerate(values) for e, vec in v.terms]
+    index, exps, tx, ty = map(list, zip(*rows)) if rows else ([],) * 4
     try:
-        xs, ys = (np.fromiter(map(operator.itemgetter(axis), bases), np.int64, len(bases))
-                  for axis in (0, 1))
-        if ((xs < I64_COORD) & (xs > -I64_COORD) & (ys < I64_COORD) & (ys > -I64_COORD)).all():
-            return xs, ys
+        cols = [np.fromiter(map(operator.itemgetter(axis), bases), np.int64, len(bases))
+                for axis in (0, 1)] + [np.fromiter(c, np.int64, len(c)) for c in (tx, ty)]
+        bounds = (I64_COORD, I64_COORD, I64_TERM, I64_TERM)
+        fits = all(((c < b) & (c > -b)).all() for c, b in zip(cols, bounds))
     except OverflowError:  # a coordinate past int64
-        pass
-    xs, ys = np.array(bases, dtype=object).T  # some value failed, so this is 2 x n
-    return xs, ys
+        fits = False
+    if not fits:  # some value failed, so bases is n x 2 with n >= 1
+        cols = [*np.array(bases, dtype=object).T, np.array(tx, dtype=object),
+                np.array(ty, dtype=object)]
+    xs, ys, tx, ty = cols
+    if not rows:
+        return xs, ys, None
+    exps = np.array(exps, dtype=np.int64 if max(exps) < I64_COORD else object)
+    return xs, ys, KickTerms(np.array(index, dtype=np.int64), exps, tx, ty)
 
 
 def sym(v: Vec) -> SymVec:

@@ -5,13 +5,13 @@ difference lying in the zero set of the transform: its first nonzero centered
 residue mod A must be +-(q1, -q2).  That residue is the difference of the two
 points' residues where their A-adic digits first part, so one walk over the
 trie of the points' residues decides all n(n-1)/2 pairs exactly, at O(n * depth)
-cost at every size, symbolically for huge kicked coordinates.  When every
-point is concrete with coordinates below 2^62, the walk runs on int64 columns
-(a few numpy operations per level); symbolic or larger points take the
-object walk.  Either walk yields the same events, the failing nodes' parts
-and the groups of equal points, and the violations are listed from those
-events alone.  The projection checks run the same walks per axis.  Every
-check reads the points' coordinates through one call,
+cost at every size, symbolically for huge kicked coordinates.  The walk
+runs on the points' value columns, int64 or exact objects, a few numpy
+operations per level, and adds each kick term when it reaches the term's
+exponent.  It yields the failing nodes' parts and the groups of equal
+points, and the violations are listed from those events alone.  The
+projection checks run the same walk per axis.  Every check reads the
+points' coordinates and kick terms through one call,
 ``lattice.value_columns``, which hands a canonical prefix's stored columns
 over without building a point.  Level-n unitarity multiplies the Gram
 matrix out of per-level rank-3 factors, one row block at a time, with no
@@ -36,15 +36,13 @@ from fractions import Fraction
 import numpy as np
 
 from .fourier import (
-    _on_x,
-    _residue_events,
+    _residue_walk,
     _step_sign,
     _tail_quotient,
     in_zero_set_sym,
     tail_bound,
 )
 from .lattice import (
-    ColumnValues,
     MatrixParams,
     SymVec,
     scalar_parts,
@@ -83,13 +81,14 @@ def _across(a, b, reason):
             yield i, other[t], reason
 
 
-def _violating_pairs(events, step, bases, limit):
+def _violating_pairs(events, values, step, bases, limit):
     """The first ``limit`` pairs (i, j, reason), i < j, whose difference leaves the zero set.
 
-    ``events`` come from either residue walk (``fourier._residue_events``).
+    ``events`` come from the residue walk (``fourier._residue_walk``).
     Pairs come in itertools.combinations order.  A pair fails when its first
     differing residues differ by anything but +-step, or when it is equal in
-    value: "coincident" if the two vectors are identical, else "not-in-zero-set".
+    value: "coincident" if the two values are identical, else (such as a
+    folded base and a kick term) "not-in-zero-set".
     """
     if limit < 1:
         raise ValueError("max_violations must be >= 1")
@@ -97,7 +96,8 @@ def _violating_pairs(events, step, bases, limit):
     for _, parts in events:
         if parts[0][0] is None:
             blocks += [
-                ((i, j, "coincident") for i, j in itertools.combinations(sorted(m), 2))
+                ((i, j, "coincident" if values[i] == values[j] else "not-in-zero-set")
+                 for i, j in itertools.combinations(sorted(m), 2))
                 for _, m in parts
             ]
         for (ra, a), (rb, b) in itertools.combinations(parts, 2):
@@ -119,18 +119,17 @@ def check_orthogonality(
 ) -> OrthogonalityReport:
     """Decide every pairwise difference for zero-set membership, exactly.
 
-    One residue walk decides all n(n-1)/2 pairs at O(n * depth) cost, at
-    every size: ``fourier._int64_residue_walk`` when every point is concrete
-    with coordinates below 2^62, else ``fourier._residue_walk``; the pairs
-    are listed from the walk's events.  The report lists the first
-    ``max_violations`` failing pairs in itertools.combinations order;
-    ``pairs_checked`` is n(n-1)/2, or the rank of the last listed violation
-    plus one when the list was cut there.
+    One residue walk (``fourier._residue_walk``) decides all n(n-1)/2 pairs
+    at O(n * depth) cost, at every size, and the pairs are listed from its
+    events.  The report lists the first ``max_violations`` failing pairs in
+    itertools.combinations order; ``pairs_checked`` is n(n-1)/2, or the rank
+    of the last listed violation plus one when the list was cut there.
     """
     points, values, p = _points_and_params(prefix, p)
     n = len(points)
     step, bases = p.primary_digit, (p.base_x, p.base_y)
-    bad = _violating_pairs(_residue_events(values, step, bases), step, bases, max_violations)
+    events = _residue_walk(*value_columns(values), step, bases)
+    bad = _violating_pairs(events, values, step, bases, max_violations)
     violations = tuple(
         PairViolation(points[i].k, points[j].k, sym_diff(values[i], values[j]), reason)
         for i, j, reason in bad
@@ -203,17 +202,17 @@ def check_distinct_lines(
     """Report any two points sharing an x- or a y-coordinate (exact comparison).
 
     Per axis each pair of equal neighbours in a stable sort by coordinate is
-    a witness.  When every point is concrete the sort runs on its
+    a witness.  When no point has a kick term the sort runs on its
     ``value_columns`` (int64, or exact objects past 2^62), and only the
     witnesses' points are read; otherwise the points are grouped by
     coordinate keys mod a prime (``_equal_coordinate_groups``) and only the
     groups of equal coordinates are ordered exactly.
     """
     points, values, p = _points_and_params(prefix, p)
-    cols = value_columns(values)
+    *cols, terms = value_columns(values)
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
     for axis in (0, 1):
-        if cols is not None:
+        if terms is None:
             order = np.argsort(cols[axis], kind="stable")
             ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
             shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
@@ -244,24 +243,22 @@ def check_projection_orthogonality(
 
     The x-projections are tested against the base-3*q1 zero set, the
     y-projections against base-3*q2, by the residue walk of
-    ``check_orthogonality`` run once per axis (on one of the points'
-    ``value_columns`` when they are concrete); exact arithmetic throughout.
+    ``check_orthogonality`` run once per axis, on one of the points'
+    ``value_columns`` and that axis's kick terms; exact arithmetic throughout.
     A zero projected difference between distinct points is a violation too.
     Pairs are taken in itertools.combinations order, and the lists stop at
     the first pair where either one reaches ``max_violations``.
     """
     points, values, p = _points_and_params(prefix, p)
     n = len(points)
-    cols = value_columns(values)
+    xs, ys, terms = value_columns(values)
     bad = []
-    for axis, q in ((0, p.q1), (1, p.q2)):
+    for col, q, axis in ((xs, p.q1, "x"), (ys, p.q2, "y")):  # riding in x, with y = 0
         step, bases = (q, 0), (3 * q, 3 * q)
-        if cols is not None:
-            axis_vecs = ColumnValues(cols[axis], np.zeros(n, dtype=np.int64))
-        else:
-            axis_vecs = [_on_x(*scalar_parts(v, p, axis)[:2]) for v in values]
-        events = _residue_events(axis_vecs, step, bases)
-        bad.append(_violating_pairs(events, step, bases, max_violations))
+        on_x = terms if terms is None else terms._replace(
+            x=getattr(terms, axis), y=np.zeros_like(terms.y))
+        events = _residue_walk(col, np.zeros_like(col), on_x, step, bases)
+        bad.append(_violating_pairs(events, values, step, bases, max_violations))
     cut = min(
         (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
         default=math.inf,
@@ -342,9 +339,9 @@ def gram_unitarity(
         raise ValueError("n must be >= 0")
     if len(values) != 3**n:
         raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(values)}")
-    cols = value_columns(values)
-    if cols is None:  # kick terms, expanded
-        cols = value_columns([SymVec(v.materialize(p)) for v in values])
+    *cols, terms = value_columns(values)
+    if terms is not None:  # kick terms, expanded
+        *cols, _ = value_columns([SymVec(v.materialize(p)) for v in values])
     dev = 0.0
     for _, g in _gram_blocks(n, cols, p):
         diag = np.arange(len(g))
@@ -403,8 +400,8 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     if not 0 < tail_target < math.inf:
         raise ValueError(f"q_sum needs a positive finite tail_target, got {tail_target}")
     _, values, p = _points_and_params(prefix, p)
-    cols = value_columns(values)
-    if cols is None:
+    *cols, terms = value_columns(values)
+    if terms is not None:
         raise ValueError("q_sum needs float-representable points; got a symbolic kick term")
     arr = np.column_stack(cols).astype(float)
     if arr.size == 0:

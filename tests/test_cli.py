@@ -273,6 +273,40 @@ def test_verify_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
         assert out == "" and "--tolerance must be finite and >= 0" in err
 
 
+def test_generator_flags_that_would_be_ignored_or_misread_are_usage_errors(capsys):
+    kicked = ["gen", "--q1", "4", "--q2", "8", "--construct-t", "0.15", "--range", "3"]
+    assert main(kicked + ["--variant-bits", "0101"]) == 0
+    capsys.readouterr()
+    cases = (
+        (kicked + ["--variant-bits", "0121"], "0s and 1s"),  # int("2") & 1 read as 0
+        (kicked + ["--variant-bits", "01x"], "0s and 1s"),
+        (["gen", "--q1", "1", "--q2", "2", "--level", "1", "--range", "5"], "exactly one"),
+        (["gen", "--q1", "1", "--q2", "2", "--range", "5", "--variant-bits", "01"],
+         "needs --construct-t"),
+        (["verify", "--q1", "1", "--q2", "2", "--level", "2", "--variant-bits", "1"],
+         "needs --construct-t"),
+    )
+    for argv, message in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
+def test_counts_below_one_are_usage_errors(capsys):
+    # each of these used to print no check and exit 0
+    for argv, flag in ((["verify", "--q1", "1", "--q2", "2", "--level", "2", "--qsum", "-3"],
+                        "--qsum"),
+                       (["verify", "--q1", "1", "--q2", "2", "--level", "2", "--qsum", "0"],
+                        "--qsum"),
+                       (["qsum", "--q1", "1", "--q2", "2", "--num-xi", "-1"], "--num-xi"),
+                       (["qsum", "--q1", "1", "--q2", "2", "--n-max", "-2"], "--n-max"),
+                       (["qsum", "--q1", "1", "--q2", "2", "--n-max", "0"], "--n-max")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} must be >= 1" in err
+    assert main(["qsum", "--q1", "1", "--q2", "2", "--n-max", "1", "--num-xi", "1"]) == 0
+
+
 def test_qsum_non_finite_frequency_is_usage_error():
     # the tail bound is inf at every depth, so the depth search used to run forever
     for xi in ("nan,0", "0,inf", "-inf,0.5"):

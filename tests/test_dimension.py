@@ -742,3 +742,9 @@ def test_relative_density():
     s7 = relative_density_check(lvl7, pexp=1)
     assert s6 > 0
     assert abs(s6 - s7) <= 0.1 * max(s6, s7)
+    # a kick term: the expanded coordinates pass any float (this returned inf)
+    kicked = build_intermediate_spectrum(0.15, P48).prefix(40)
+    far = [SymVec((0, 0)), SymVec((1, 0), ((3 * 10**6, (1, -2)),))]  # raised LatticeError
+    for points, p in ((kicked, None), (far, P48)):
+        with pytest.raises(ValueError, match="kick term"):
+            relative_density_check(points, p)

@@ -1,9 +1,13 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import sierpspec
 
 from sierpspec.lattice import (
     MATERIALIZE_EXPONENT_LIMIT,
@@ -222,12 +226,23 @@ def test_value_columns_at_the_int64_border():
     for vals, dtype in (([(top - 1, 1 - top), (0, 5), (0, 5)], np.int64), ([], np.int64),
                         ([(top, 0), (1, 1)], object), ([(0, -top)], object),
                         ([(2**70, 1)], object), ([(-(2**64), 0), (3, -3)], object)):
-        xs, ys = value_columns([SymVec(v) for v in vals])
-        assert xs.dtype == ys.dtype == dtype
+        xs, ys, terms = value_columns([SymVec(v) for v in vals])
+        assert xs.dtype == ys.dtype == dtype and terms is None
         assert list(zip(xs.tolist(), ys.tolist())) == vals
-    kicked = SymVec((1, 2), ((70, (1, 0)),))
-    assert value_columns([SymVec((0, 0)), kicked]) is None
-    assert value_columns([kicked, SymVec((2**70, 0))]) is None
+    kicked = SymVec((1, 2), ((70, (1, 0)), (90, (-3, 4))))
+    for vals, dtype, exp_dtype in (
+        ([SymVec((0, 0)), kicked], np.int64, np.int64),
+        ([kicked, SymVec((2**70, 0))], object, np.int64),
+        ([SymVec((0, 0), ((5, (2**61 - 1, 1 - 2**61)),))], np.int64, np.int64),
+        ([SymVec((0, 0), ((5, (2**61, 0)),)), kicked], object, np.int64),
+        ([kicked, SymVec((0, 0), ((2**62, (1, 0)),))], np.int64, object),
+    ):
+        xs, ys, terms = value_columns(vals)
+        assert xs.dtype == ys.dtype == terms.x.dtype == terms.y.dtype == dtype
+        assert terms.exponent.dtype == exp_dtype and terms.index.dtype == np.int64
+        assert list(zip(xs.tolist(), ys.tolist())) == [v.base for v in vals]
+        rows = list(zip(*(c.tolist() for c in terms)))
+        assert rows == [(i, e, vx, vy) for i, v in enumerate(vals) for e, (vx, vy) in v.terms]
 
 
 def test_column_values_hand_over_their_columns():
@@ -236,7 +251,7 @@ def test_column_values_hand_over_their_columns():
         ys = np.array([7, 1, -3], dtype=dtype)
         view = ColumnValues(xs, ys)
         got = value_columns(view)
-        assert got[0] is xs and got[1] is ys
+        assert got[0] is xs and got[1] is ys and got[2] is None
         assert len(view) == 3 and list(view) == [SymVec((0, 7)), SymVec((-4, 1)),
                                                  SymVec((2**40, -3))]
         assert view[-1] == SymVec((2**40, -3)) and type(view[1].base[0]) is int
@@ -247,3 +262,27 @@ def test_e_q1_predicate_matches_the_catalog(p):
     cat = enumerate_digit_sets(p)
     box = range(-p.base_y, p.base_y + 1)
     assert {(x, y) for x in box for y in box if in_e_q1((x, y), p)} == set(cat.e_q1)
+
+
+def test_module_layering():
+    """lattice imports no sibling module and fourier imports only lattice: the
+    value columns and the residue walk sit below every check."""
+    src = Path(sierpspec.__file__).parent
+    siblings = {path.stem for path in src.glob("*.py")} - {"__init__"}
+
+    def imported(name):
+        names = set()
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):  # from .x import y, from . import x
+                module = node.module or ""
+                if node.level and not module or module == "sierpspec":
+                    names |= {a.name for a in node.names}
+                else:
+                    names.add(module)
+        return {n.removeprefix("sierpspec.").split(".")[0] for n in names} & siblings
+
+    assert {"lattice", "fourier", "verify", "treemap"} <= siblings
+    assert imported("lattice") == set()
+    assert imported("fourier") == {"lattice"}

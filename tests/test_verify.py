@@ -18,8 +18,7 @@ import pytest
 from sierpspec import fourier, verify
 from sierpspec.construct import build_intermediate_spectrum
 from sierpspec.fourier import (
-    _int64_residue_walk,
-    _residue_events,
+    _first_residue,
     _residue_walk,
     _step_sign,
     in_zero_set,
@@ -354,6 +353,72 @@ def _oracle_zero_set_1d_sym(b0, terms, B, q):
         shift += 1
 
 
+def _oracle_residue_walk(vecs, bases):
+    """The depth-first residue walk over SymVecs that the column walk replaced.
+
+    Each node groups its vectors by centered residue mod (bx, by), strips it
+    and descends into each group of two or more, jumping to the next kick
+    exponent when a group's bases are all zero.  Identical vectors are hashed
+    together and walked once.  Yields ``(level, parts)`` at every node where
+    vectors part, and ``(level, [(None, indices), ...])``, one part per form,
+    for vectors equal in value.
+    """
+    bx, by = bases
+    hx, hy = bx // 2, by // 2
+    items = {}
+    for i, v in enumerate(vecs):
+        items.setdefault(v, []).append(i)
+    members = list(items.values())
+    cur = [v.base for v in items]
+    terms = [v.terms for v in items]
+    pos = [0] * len(members)  # each vector's first term not yet added to cur
+    stack = [(list(range(len(members))), 0)]
+    while stack:
+        group, shift = stack.pop()
+        if len(group) < 2:  # one vector, maybe repeated: nothing left to part
+            if group and len(members[group[0]]) > 1:
+                yield shift + 1, [(None, members[group[0]])]
+            continue
+        for g in group:
+            t, k = terms[g], pos[g]
+            while k < len(t) and t[k][0] == shift:
+                cur[g] = (cur[g][0] + t[k][1][0], cur[g][1] + t[k][1][1])
+                k += 1
+            pos[g] = k
+        if not any(cur[g] != (0, 0) for g in group):
+            ahead = [terms[g][pos[g]][0] for g in group if pos[g] < len(terms[g])]
+            if ahead:
+                stack.append((group, min(ahead)))
+            else:
+                yield shift + 1, [(None, members[g]) for g in group]
+            continue
+        parts = {}
+        for g in group:
+            x, y = cur[g]
+            rx = (x + hx) % bx - hx
+            ry = (y + hy) % by - hy
+            cur[g] = ((x - rx) // bx, (y - ry) // by)
+            parts.setdefault((rx, ry), []).append(g)
+        if len(parts) > 1:
+            yield shift + 1, [
+                (r, [i for g in gs for i in members[g]]) for r, gs in parts.items()
+            ]
+        stack.extend((gs, shift + 1) for gs in parts.values())
+
+
+def _oracle_first_residue(v, step, bases):
+    """(level, sign) from the oracle walk's first event on [v, 0]."""
+    level, parts = next(_oracle_residue_walk([v, SymVec(base=(0, 0))], bases))
+    sign = parts[0][0] is not None and _step_sign(parts[0][0], step, bases)  # v's part
+    return (level, sign) if sign else None
+
+
+def _axis_vec(v, p, axis):
+    """One coordinate of v as a SymVec riding in x, with y = 0."""
+    b, terms, _ = scalar_parts(v, p, axis)
+    return SymVec((b, 0), tuple((e, (c, 0)) for e, c in terms))
+
+
 def _oracle_orthogonality(points, p, max_violations=100):
     violations, checked = [], 0
     for a, b in itertools.combinations(points, 2):
@@ -384,26 +449,24 @@ def _witness(w):
     return None if w is None else (w.level, w.residue_class)
 
 
-def _takes_int64_path(points):
-    cols = value_columns([pt.value for pt in points])
-    return cols is not None and cols[0].dtype == np.int64
+def _int64_columns(points):
+    """The points' value columns are int64 and carry no kick term."""
+    xs, _, terms = value_columns([pt.value for pt in points])
+    return terms is None and xs.dtype == np.int64
 
 
 def _object_walk_reports(points, p, max_violations=100):
-    """Both reports from the object walk alone, with the value columns turned off."""
-    with mock.patch.object(fourier, "value_columns", lambda values: None), \
-            mock.patch.object(verify, "value_columns", lambda values: None):
-        return (
-            check_orthogonality(points, p, max_violations=max_violations),
-            check_projection_orthogonality(points, p, max_violations=max_violations),
-        )
+    """Both reports, their events from the depth-first oracle walk."""
+    return (
+        _old_orthogonality(points, p, max_violations),
+        _old_projections(points, p, max_violations),
+    )
 
 
 def _assert_matches_object_walk(points, p, max_violations=100):
     rep = check_orthogonality(points, p, max_violations=max_violations)
     proj = check_projection_orthogonality(points, p, max_violations=max_violations)
-    if _takes_int64_path(points):
-        assert (rep, proj) == _object_walk_reports(points, p, max_violations)
+    assert (rep, proj) == _object_walk_reports(points, p, max_violations)
     return rep, proj
 
 
@@ -611,7 +674,7 @@ def test_int64_walk_matches_object_walk_on_random_concrete_sets():
     for _ in range(100):
         p = rng.choice(PARAMS + (P35,))
         pts = _concrete(_random_concrete_values(rng, p))
-        assert _takes_int64_path(pts)
+        assert _int64_columns(pts)
         _assert_matches_oracle(pts, p, rng.choice([1, 7, 100]))
 
 
@@ -626,25 +689,20 @@ def test_int64_walk_at_the_coordinate_border():
         edge = [(top, -top), (-top, top), (top, top), (-top, -top), (0, 0), (top, -top)]
         for vals in (far, both, edge, both + edge):
             pts = _concrete(vals)
-            assert _takes_int64_path(pts)
+            assert _int64_columns(pts)
             _assert_matches_oracle(pts, p)
         assert _assert_matches_oracle(_concrete(far), p).passed
         for past in ((2**62, 0), (0, -(2**62))):  # one value just past the cutoff
             pts = _concrete(edge + [past])
-            assert not _takes_int64_path(pts)
+            assert not _int64_columns(pts)
             _assert_matches_oracle(pts, p)
-    # node keys n * bx * by past 2^63: the object walk decides
+    # node keys n * bx * by past 2^63: object keys
     huge = MatrixParams(10**9, 10**9)
     pts = _concrete([(0, 0), (10**9, -(10**9)), (1, 0), (0, 1), (5, 5), (10**9, -(10**9))])
-    vecs = [pt.value for pt in pts]
     bases = (huge.base_x, huge.base_y)
     assert len(pts) * bases[0] * bases[1] >= 2**63 > bases[0] * bases[1]
-    events = _residue_events(vecs, huge.primary_digit, bases)
-    assert events.gi_code is _residue_walk.__code__
-    one = _residue_events(vecs[:1], huge.primary_digit, bases)
-    assert one.gi_code is _int64_residue_walk.__code__
-    with mock.patch.object(fourier, "_int64_residue_walk", side_effect=AssertionError):
-        _assert_matches_oracle(pts, huge)
+    _assert_matches_oracle(pts, huge)
+    _assert_matches_oracle(pts[:1], huge)
 
 
 def test_int64_walk_on_coincident_and_value_equal_points():
@@ -664,11 +722,11 @@ def test_int64_walk_on_coincident_and_value_equal_points():
     # a duplicate inside a failing node, equal in value but built apart
     vals = canon[:20] + [(canon[3][0] + 1, canon[3][1]), tuple(canon[7])]
     _assert_matches_oracle(_concrete(vals), p)
-    # equal in value, different in form: the symbolic one sends the set to the object walk
+    # equal in value, different in form: the kicked one carries a term
     folded, kicked = SymVec((p.base_x**30, 0)), SymVec((0, 0), ((30, (1, 0)),))
-    assert _takes_int64_path(_pts([folded, SymVec((0, 0)), folded]))
+    assert _int64_columns(_pts([folded, SymVec((0, 0)), folded]))
     _assert_matches_oracle(_pts([folded, SymVec((0, 0)), folded]), p)
-    assert not _takes_int64_path(_pts([folded, kicked, folded]))
+    assert not _int64_columns(_pts([folded, kicked, folded]))
     rep = _assert_matches_oracle(_pts([folded, kicked, folded]), p)
     assert [v.reason for v in rep.violations] == [
         "not-in-zero-set", "coincident", "not-in-zero-set"
@@ -679,7 +737,7 @@ def test_int64_walk_on_literal_violations():
     literal = KickedMapping(TableOffsets({1: 1, -4: 2}), mode="literal")
     for level in (3, 6):
         pts = list(enumerate_spectrum(literal, MatrixParams(4, 4), level=level).points)
-        assert _takes_int64_path(pts)
+        assert _int64_columns(pts)
         for mv in (1, 5, 100, 10**6):
             rep, _ = _assert_matches_object_walk(pts, MatrixParams(4, 4), mv)
             assert not rep.passed
@@ -689,7 +747,7 @@ def test_int64_walk_on_projections():
     rng = random.Random(17)
     for p in (P12, P48, P35):
         pts = list(enumerate_spectrum(CanonicalMapping(), p, level=5).points)
-        assert _takes_int64_path(pts)
+        assert _int64_columns(pts)
         _, proj = _assert_matches_object_walk(pts, p)
         assert proj.passed
         for _ in range(3):
@@ -706,10 +764,13 @@ def test_int64_walk_on_projections():
 
 
 def _events(events, step, bases, failing_only=False):
-    """Events as a multiset of frozensets of (residue, sorted indices); with
-    ``failing_only``, nodes whose parts all differ by +-step are left out."""
+    """Events as a multiset of frozensets of (residue, sorted indices), the
+    None parts of an event (one per form) merged; with ``failing_only``, nodes
+    whose parts all differ by +-step are left out."""
     out = []
     for _, parts in events:
+        if parts[0][0] is None:
+            parts = [(None, [i for _, m in parts for i in m])]
         clean = parts[0][0] is not None and all(
             _step_sign((ra[0] - rb[0], ra[1] - rb[1]), step, bases)
             for (ra, _), (rb, _) in itertools.combinations(parts, 2)
@@ -720,16 +781,20 @@ def _events(events, step, bases, failing_only=False):
 
 
 def _assert_same_events(vals, p):
-    """The int64 walk's events are the object walk's failing-node and None events,
-    in the plane and on each axis."""
-    cols = np.array(vals, dtype=np.int64).reshape(-1, 2).T
-    walks = [(cols, [SymVec(tuple(v)) for v in vals], p.primary_digit, (p.base_x, p.base_y))]
-    for axis, q in ((0, p.q1), (1, p.q2)):
-        walks.append(((cols[axis], np.zeros(len(vals), dtype=np.int64)),
-                      [SymVec((v[axis], 0)) for v in vals], (q, 0), (3 * q, 3 * q)))
-    for (xs, ys), vecs, step, bases in walks:
-        fast = _events(_int64_residue_walk(xs, ys, step, bases), step, bases)
-        assert fast == _events(_residue_walk(vecs, bases), step, bases, failing_only=True)
+    """The walk's events are the oracle walk's failing-node and None events,
+    in the plane and on each axis; ``vals`` are SymVecs or integer pairs."""
+    vecs = [v if isinstance(v, SymVec) else SymVec(tuple(v)) for v in vals]
+    xs, ys, terms = value_columns(vecs)
+    walks = [((xs, ys, terms), vecs, p.primary_digit, (p.base_x, p.base_y))]
+    for col, axis, q in ((xs, 0, p.q1), (ys, 1, p.q2)):
+        on_x = terms if terms is None else terms._replace(x=terms[2 + axis],
+                                                          y=np.zeros_like(terms.y))
+        walks.append(((col, np.zeros_like(col), on_x),
+                      [_axis_vec(v, p, axis) for v in vecs], (q, 0), (3 * q, 3 * q)))
+    for cols, axis_vecs, step, bases in walks:
+        got = _events(_residue_walk(*cols, step, bases), step, bases)
+        assert got == _events(_oracle_residue_walk(axis_vecs, bases), step, bases,
+                              failing_only=True)
 
 
 def test_int64_events_are_the_object_walks_failing_events():
@@ -749,6 +814,78 @@ def test_int64_events_are_the_object_walks_failing_events():
         _assert_same_events(vals, p)
     _assert_same_events([(5, -7)] * 4, P12)
     _assert_same_events([(0, 0)] * 3 + [(1, -2), (1, -2)], P12)
+
+
+def _random_kicked_values(rng, p):
+    """Up to 30 SymVecs with 0-3 kick terms drawn from four shared exponents
+    (small, past the fold limit, near 10^6 and past 2^63), over canonical
+    bases or zero, with repeats and value-equal twins whose small term is
+    folded into the base."""
+    exps = sorted(rng.sample([1, 2, 3, 5, 40, 65, 66, 10**6, 10**6 + 1, 2**64 + 3], 4))
+    canon = [pt.value.base for pt in enumerate_spectrum(CanonicalMapping(), p, level=3).points]
+    digits = [p.primary_digit, (-p.q1, p.q2), (1, 0), (0, -1), (2, -3)]
+    vals = [
+        SymVec(rng.choice(canon + [(0, 0)]),
+               tuple((e, rng.choice(digits)) for e in sorted(rng.sample(exps, rng.randint(0, 3)))))
+        for _ in range(rng.randint(0, 30))
+    ]
+    for v in rng.sample(vals, min(len(vals), 3)):
+        vals.append(v)
+        if v.terms and v.terms[0][0] <= 5:  # the same value, its first term folded
+            e, (tx, ty) = v.terms[0]
+            vals.append(SymVec((v.base[0] + p.base_x**e * tx, v.base[1] + p.base_y**e * ty),
+                               v.terms[1:]))
+    rng.shuffle(vals)
+    return vals
+
+
+def test_one_walk_matches_the_depth_first_oracle(value_column_cases):
+    """The column walk's events are the oracle walk's failing-node and None
+    events, in the plane and on each axis, and the reports are equal.  The
+    reports on ``value_column_cases`` are compared by
+    ``test_value_columns_leave_every_report_unchanged``."""
+    walked = []
+    for _, points, p, _ in value_column_cases:
+        vals = [pt.value for pt in getattr(points, "points", points)]
+        if (vals, p) not in walked:  # a prefix, its bare points and its tuple walk alike
+            walked.append((vals, p))
+            _assert_same_events(vals, p)
+    rng = random.Random(1313)
+    cases = [(list(build_intermediate_spectrum(t, P48).prefix(3280).points), P48)
+             for t in (0.15, 0.3)]
+    for _ in range(60):
+        p = rng.choice(PARAMS)
+        cases.append((_pts(_random_kicked_values(rng, p)), p))
+    folded, kicked = SymVec((P12.base_x**70, 0)), SymVec((0, 0), ((70, (1, 0)),))
+    far = SymVec((1, -2), ((2**64, (1, -2)),))
+    huge = MatrixParams(10**9, 10**9)
+    cases += [
+        (_pts([folded, kicked, folded, kicked]), P12),
+        (_pts([far, SymVec((1, -2)), far, SymVec((1, -2), ((2**64 + 1, (1, -2)),))]), P12),
+        (_pts([SymVec((0, 0)), SymVec((10**9, -(10**9))), SymVec((1, 0), ((70, (1, 0)),)),
+               SymVec((1, 0), ((70, (1, 0)),)), SymVec(huge.primary_digit)]), huge),
+        (_pts([kicked]), P12),
+        ([], P12),
+    ]
+    for pts, p in cases:
+        _assert_same_events([pt.value for pt in pts], p)
+        for mv in (3, 100):
+            _assert_matches_object_walk(pts, p, mv)
+
+
+def test_first_residue_matches_the_oracle_walk():
+    rng = random.Random(1314)
+    for p in PARAMS:
+        vals = [v for _ in range(20) for v in _random_kicked_values(rng, p)]
+        vals += [SymVec((0, 0)), SymVec((0, 0), ((10**6, (4, -8)),)),
+                 SymVec((0, 0), ((10**6, (1, -2)),)), SymVec(p.primary_digit, ((10**6, (1, 0)),)),
+                 SymVec((-(p.base_x**70), 0), ((70, (1, 0)),))]  # zero in value
+        for v in vals:
+            walks = [(v, p.primary_digit, (p.base_x, p.base_y))]
+            walks += [(_axis_vec(v, p, axis), (q, 0), (3 * q, 3 * q))
+                      for axis, q in ((0, p.q1), (1, p.q2))]
+            for w, step, bases in walks:
+                assert _first_residue(w, step, bases) == _oracle_first_residue(w, step, bases)
 
 
 @functools.lru_cache(maxsize=1)
@@ -779,17 +916,17 @@ def _assert_moved_point_listed(pts, i, p):
 def test_level_11_is_certified_exactly():
     pre = _level_11()
     n = len(pre.points)
-    assert n == 177_147 and _takes_int64_path(pre.points)
+    assert n == 177_147 and _int64_columns(pre.points)
     rep = check_orthogonality(pre)
     assert not rep.sampled and rep.pairs_checked == n * (n - 1) // 2 and rep.passed
     walk = (P12.primary_digit, (P12.base_x, P12.base_y))
-    assert list(_int64_residue_walk(*value_columns([pt.value for pt in pre.points]), *walk)) == []
+    assert list(_residue_walk(*value_columns([pt.value for pt in pre.points]), *walk)) == []
     # one point moved by A^6 (1, 0): only pairs inside its level-7 node change
     i = random.Random(11).randrange(n)
     pts = list(pre.points)
     x, y = pts[i].value.base
     pts[i] = dataclasses.replace(pts[i], value=SymVec((x + P12.base_x**6, y)))
-    events = list(_int64_residue_walk(*value_columns([pt.value for pt in pts]), *walk))
+    events = list(_residue_walk(*value_columns([pt.value for pt in pts]), *walk))
     told = {j for _, parts in events for _, part in parts for j in part}
     assert i in told and len(told) <= 3**5  # only that node fails
     _assert_moved_point_listed(pts, i, P12)
@@ -801,7 +938,7 @@ def test_level_11_with_a_point_moved_in_its_first_digit():
     i = random.Random(12).randrange(len(pts))
     x, y = pts[i].value.base
     pts[i] = dataclasses.replace(pts[i], value=SymVec((x + 1, y)))
-    assert _takes_int64_path(pts)
+    assert _int64_columns(pts)
     _assert_moved_point_listed(pts, i, P12)
 
 
@@ -1075,7 +1212,8 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
 
 # ---------------------------------------------------------------------------
 # The checks as they read their columns before lattice.value_columns, kept as
-# the oracle for it: int64 columns for the walks and the line sort only when
+# the oracle for it: the depth-first walk over the points' own values for
+# orthogonality and projections, int64 columns for the line sort only when
 # every point is concrete and below 2^62 (a canonical prefix's when int64),
 # exact keys for other concrete lines, and a canonical prefix's stored
 # columns, else the points' own values, for unitarity and q-sums
@@ -1102,18 +1240,13 @@ def _old_columns(points):
     return cols if ((cols < 2**62) & (cols > -(2**62))).all() else None
 
 
-def _old_events(cols, vecs, step, bases):
-    if cols is not None and len(cols[0]) * bases[0] * bases[1] < 2**63:
-        return _int64_residue_walk(*cols, step, bases)
-    return _residue_walk(vecs, bases)
-
-
 def _old_orthogonality(prefix, p=None, max_violations=100):
     points, p = _old_points(prefix, p)
     n = len(points)
     step, bases = p.primary_digit, (p.base_x, p.base_y)
-    events = _old_events(_old_columns(points), (pt.value for pt in points), step, bases)
-    bad = verify._violating_pairs(events, step, bases, max_violations)
+    vecs = [pt.value for pt in points]
+    bad = verify._violating_pairs(_oracle_residue_walk(vecs, bases), vecs, step, bases,
+                                  max_violations)
     violations = tuple(
         verify.PairViolation(points[i].k, points[j].k,
                              sym_diff(points[i].value, points[j].value), reason)
@@ -1128,14 +1261,12 @@ def _old_orthogonality(prefix, p=None, max_violations=100):
 def _old_projections(prefix, p=None, max_violations=100):
     points, p = _old_points(prefix, p)
     n = len(points)
-    cols = _old_columns(points)
     bad = []
     for axis, q in ((0, p.q1), (1, p.q2)):
         step, bases = (q, 0), (3 * q, 3 * q)
-        axis_cols = None if cols is None else (cols[axis], np.zeros(n, dtype=np.int64))
-        axis_vecs = (fourier._on_x(*scalar_parts(pt.value, p, axis)[:2]) for pt in points)
-        events = _old_events(axis_cols, axis_vecs, step, bases)
-        bad.append(verify._violating_pairs(events, step, bases, max_violations))
+        vecs = [_axis_vec(pt.value, p, axis) for pt in points]
+        events = _oracle_residue_walk(vecs, bases)
+        bad.append(verify._violating_pairs(events, vecs, step, bases, max_violations))
     cut = min((verify._pair_rank(*pairs[-1][:2], n) for pairs in bad
                if len(pairs) == max_violations), default=math.inf)
     x_bad, y_bad = (
