@@ -410,12 +410,12 @@ def cmd_qsum(args) -> int:
         xis = [_parse_vec_float(args.xi)]
     else:
         xis = box.samples(args.num_xi, seed=args.seed)
-    mapping = CanonicalMapping()
+    mapping = CanonicalMapping()  # each level once, so its phase rows serve every xi
+    prefixes = [enumerate_spectrum(mapping, p, level=n) for n in range(1, args.n_max + 1)]
     failed = False
     for xi in xis:
         prev = -1.0
-        for n in range(1, args.n_max + 1):
-            prefix = enumerate_spectrum(mapping, p, level=n)
+        for n, prefix in enumerate(prefixes, 1):
             res = q_sum(xi, prefix)
             gap = 1.0 - res.value
             print(json.dumps({"xi": list(xi), "n": n, "q": res.value,

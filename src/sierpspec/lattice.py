@@ -269,6 +269,9 @@ class ColumnValues(Sequence):
     def __getitem__(self, i) -> SymVec:
         return SymVec((int(self.xs[i]), int(self.ys[i])))
 
+    def __iter__(self):
+        return map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
+
 
 class KickTerms(NamedTuple):
     """Kick terms as columns, one row per term in value and exponent order: value

@@ -15,7 +15,11 @@ points' coordinates and kick terms through one call,
 ``lattice.value_columns``, which hands a canonical prefix's stored columns
 over without building a point.  Level-n unitarity multiplies the Gram
 matrix out of per-level rank-3 factors, one row block at a time, with no
-character matrix built; the q-sum tails are computed as numpy arrays.
+character matrix built.  The q-sums split each level's phase in two: the
+points' part e^(-2 pi i (lam mod B^j) / B^j), from exact remainders, and a
+scalar per level for the frequency.  A canonical prefix's point phases are
+built once, shared with unitarity and kept while its columns live, so each
+further frequency costs one complex multiply-add per point, level and axis.
 Completeness is never certified: the quadratic sums of the transform over a
 prefix give evidence (bounded by 1, nondecreasing), and maximality is probed
 per candidate with three-valued verdicts.
@@ -29,6 +33,7 @@ import heapq
 import itertools
 import math
 import random
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,21 +284,54 @@ def check_projection_orthogonality(
 _GRAM_ROWS = 32  # Gram rows per block: three block-sized complex arrays stay in cache
 
 
-def _level_phases(col, base: int, n: int) -> np.ndarray:
-    """Row j - 1 holds e^(-2 pi i (lam mod B^j) / B^j) for j = 1..n, one entry per point.
+def _level_phases(col, base: int, n: int, first: int = 1) -> list[np.ndarray]:
+    """Rows e^(-2 pi i (lam mod B^j) / B^j) for j = first..n, one entry per point.
 
-    The remainders are exact, int64 while B^j < 2^53 and Python ints past
-    that, so each quotient is correctly rounded.
+    The remainders are exact, so each quotient is correctly rounded: int64
+    while B^j < 2^53, Python ints past that.  At a level where every |lam| <
+    B^j / 2, an int64 column takes no remainder: lam / B^j, in (-1/2, 1/2),
+    gives the same phase to within a few units of 2^-53 (below 2^-48).
     """
-    out = np.empty((n, len(col)), dtype=complex)
-    for j in range(1, n + 1):
+    top = 2 * int(np.max(np.abs(col), initial=0)) if col.dtype == np.int64 else None
+    rows = []
+    for j in range(first, n + 1):
         den = base**j
-        if col.dtype == np.int64 and den < 2**53:
+        if top is not None and den < 2**53:
             frac = (col % den) / den
+        elif top is not None and top < den:
+            frac = col * (1 / den)
         else:
             frac = (col.astype(object) % den / den).astype(float)
-        out[j - 1] = np.exp(-2j * np.pi * frac)
-    return out
+        rows.append(np.exp(-2j * np.pi * frac))
+    return rows
+
+
+# The phase rows of read-only columns (a canonical prefix's), per (id, base),
+# each with a weak reference to its column that drops the entry when it dies
+_PHASE_TABLES: dict[tuple[int, int], tuple[weakref.ref, list[np.ndarray]]] = {}
+
+
+def _phase_rows(col, base: int, n: int) -> list[np.ndarray]:
+    """``_level_phases(col, base, n)``.  A read-only column, such as a
+    canonical prefix's, is taken as fixed: its rows are kept while it lives
+    and extended by levels when a call needs more.  A writable column's rows
+    are built afresh, as its values may change."""
+    if col.flags.writeable:
+        return _level_phases(col, base, n)
+    key = (id(col), base)
+    entry = _PHASE_TABLES.get(key)
+    if entry is None or entry[0]() is not col:  # ids are reused once an array dies
+        entry = weakref.ref(col, functools.partial(_drop_phase_rows, key)), []
+        _PHASE_TABLES[key] = entry
+    rows = entry[1]
+    if len(rows) < n:
+        rows += _level_phases(col, base, n, first=len(rows) + 1)
+    return rows[:n]
+
+
+def _drop_phase_rows(key, ref) -> None:
+    if _PHASE_TABLES.get(key, (None,))[0] is ref:
+        del _PHASE_TABLES[key]
 
 
 def _gram_blocks(n: int, cols, p: MatrixParams):
@@ -301,19 +339,19 @@ def _gram_blocks(n: int, cols, p: MatrixParams):
 
     G[lam, lam'] = prod_j m(A^-j (lam' - lam)), m the mask, and each factor is
     (1 + conj(ex_j(lam)) ex_j(lam') + conj(ey_j(lam)) ey_j(lam')) / 3 with the
-    per-level phases of ``_level_phases``; the 1/3 rides on the conjugated
+    per-level phases of ``_phase_rows``; the 1/3 rides on the conjugated
     row phases.  The lower triangle is the conjugate transpose.
     """
-    ex, ey = _level_phases(cols[0], p.base_x, n), _level_phases(cols[1], p.base_y, n)
-    cx, cy = ex.conj() / 3, ey.conj() / 3
+    ex, ey = _phase_rows(cols[0], p.base_x, n), _phase_rows(cols[1], p.base_y, n)
+    cx, cy = [e.conj() / 3 for e in ex], [e.conj() / 3 for e in ey]
     size = len(cols[0])
     for r0 in range(0, size, _GRAM_ROWS):
         rows = slice(r0, min(r0 + _GRAM_ROWS, size))
         g = np.ones((rows.stop - r0, size - r0), dtype=complex)
         t, u = np.empty_like(g), np.empty_like(g)
         for j in range(n):
-            np.multiply(cx[j, rows, None], ex[j, None, r0:], out=t)
-            np.multiply(cy[j, rows, None], ey[j, None, r0:], out=u)
+            np.multiply(cx[j][rows, None], ex[j][None, r0:], out=t)
+            np.multiply(cy[j][rows, None], ey[j][None, r0:], out=u)
             t += u
             t += 1 / 3
             g *= t
@@ -391,7 +429,12 @@ class QSumResult:
 def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 1e-9):
     """Per-point |transform(xi + lambda)|^2 with certified per-term error bounds.
 
-    Returns (values, errors, depth).  Points must have float-representable
+    Returns (values, errors, depth).  Each level's factor splits as
+    (1 + e_x(lam) s_x + e_y(lam) s_y) / 3: the points' phases e_j(lam) from
+    exact remainders (``_phase_rows``, kept for a canonical prefix), and
+    depth scalar phases s_j = e^(-2 pi i xi / B^j) per axis, so each point
+    costs one complex multiply-add per level and axis, and no coordinate is
+    rounded before it is reduced.  Points must have float-representable
     coordinates, so kicked points with symbolic terms are rejected; xi must
     be finite and tail_target positive and finite.
     """
@@ -413,12 +456,16 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     while tail_bound((xmax, xmax), p, depth) > per_term:
         depth += 1
     prod = np.ones(len(values), dtype=complex)
-    x = arr[:, 0].copy()
-    y = arr[:, 1].copy()
-    for _ in range(depth):
-        x /= p.base_x
-        y /= p.base_y
-        prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
+    t, u = np.empty_like(prod), np.empty_like(prod)
+    bases = (p.base_x, p.base_y)
+    ex, ey = (_phase_rows(col, base, depth) for col, base in zip(cols, bases))
+    sx, sy = (_xi_phases(float(x), base, depth) for x, base in zip(xi, bases))
+    for j in range(depth):  # one level at a time, into reused buffers
+        np.multiply(ex[j], sx[j], out=t)
+        np.multiply(ey[j], sy[j], out=u)
+        t += u
+        t += 1 / 3
+        prod *= t
     # tail_bound per point, in the same float operations
     s = (2.0 * math.pi / 3.0) * (
         _tail_quotient(np.abs(arr[:, 0]), p.base_x, depth)
@@ -428,6 +475,14 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     values = np.abs(prod) ** 2
     errors = tails * (2.0 * np.abs(prod) + tails)
     return values, errors, depth
+
+
+def _xi_phases(x: float, base: int, depth: int) -> np.ndarray:
+    """e^(-2 pi i x / B^j) / 3 for j = 1..depth; x is reduced mod B^j exactly
+    when |x| >= B^j."""
+    dens = [base**j for j in range(1, depth + 1)]
+    fracs = [x * (1 / den) if abs(x) < den else float(Fraction(x) % den / den) for den in dens]
+    return np.exp(-2j * np.pi * np.array(fracs)) / 3
 
 
 def q_sum(xi, prefix, p: MatrixParams | None = None, tail_target: float = 1e-9) -> QSumResult:
@@ -466,9 +521,11 @@ def maximality_probe(
     CONFLICT(lambda) certifies the candidate cannot extend the orthogonal
     family (the difference to lambda escapes the zero set, exactly);
     INCONCLUSIVE means no finite certificate exists at this prefix size.
-    Maximality itself is never certified from a finite prefix.
+    Maximality itself is never certified from a finite prefix.  The scan
+    reads the points' values; only a conflicting point is read, for its k.
     """
     points, values, p = _points_and_params(prefix, p)
+    values = list(values)  # each value built once
     members = {v.base for v in values if v.is_concrete}
     verdicts = []
     for cand in itertools.product(range(-box[0], box[0] + 1), range(-box[1], box[1] + 1)):
@@ -476,8 +533,8 @@ def maximality_probe(
             verdicts.append(ProbeVerdict(cand, "member"))
             continue
         c = SymVec(base=cand)
-        hit = next((pt.k for pt, v in zip(points, values)
+        hit = next((i for i, v in enumerate(values)
                     if in_zero_set_sym(sym_diff(c, v), p) is None), None)
         status = "inconclusive" if hit is None else "conflict"
-        verdicts.append(ProbeVerdict(cand, status, conflict_with=hit))
+        verdicts.append(ProbeVerdict(cand, status, None if hit is None else points[hit].k))
     return verdicts

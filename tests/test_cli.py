@@ -333,6 +333,41 @@ def test_qsum_command():
     assert all(r["q"] <= 1 + 1e-9 for r in recs)
 
 
+def test_qsum_enumerates_each_level_once(capsys):
+    """Each level is enumerated once for every frequency, and the lines, in
+    their order, are those of a fresh prefix per (xi, n)."""
+    from sierpspec import cli
+    from sierpspec.treemap import CanonicalMapping, enumerate_spectrum
+    from sierpspec.lattice import MatrixParams
+    from sierpspec.verify import SamplingBox, q_sum
+
+    p = MatrixParams(1, 2)
+    with mock.patch.object(cli, "enumerate_spectrum", wraps=enumerate_spectrum) as enum:
+        assert main(["qsum", "--q1", "1", "--q2", "2", "--n-max", "4", "--num-xi", "3",
+                     "--seed", "5"]) == 0
+    assert enum.call_count == 4
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for xi in SamplingBox.for_params(p).samples(3, seed=5):
+        for n in range(1, 5):
+            res = q_sum(xi, enumerate_spectrum(CanonicalMapping(), p, level=n))
+            want.append({"xi": list(xi), "n": n, "q": res.value, "gap": 1.0 - res.value,
+                         "err": res.error})
+    assert [json.loads(line) for line in lines] == want
+
+
+def test_verify_qsum_stays_within_one_past_2_to_the_53(capsys):
+    """At (1, 1000) level 6 the coordinates pass 2^53.  Float division lost
+    their low digits, and the sums passed 1 on an orthogonal set (exit 1); the
+    exact remainders keep each within Bessel's bound."""
+    assert main(["verify", "--q1", "1", "--q2", "1000", "--level", "6",
+                 "--checks", "orthogonality", "--qsum", "5"]) == 0
+    values = [float(line.split("value=")[1].split()[0])
+              for line in capsys.readouterr().out.splitlines() if line.startswith("qsum")]
+    assert len(values) == 5
+    assert all(v <= 1 + 1e-9 for v in values)
+
+
 def test_main_callable_directly(capsys):
     assert main(["gen", "--q1", "1", "--q2", "1", "--level", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,9 @@
+import cmath
 import collections
 import contextlib
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import os
@@ -43,6 +45,7 @@ from sierpspec.treemap import (
     SpectrumPrefix,
     TableOffsets,
     _CanonicalPoints,
+    central_points,
     enumerate_spectrum,
 )
 from sierpspec.verify import (
@@ -280,6 +283,21 @@ def test_probe_never_falsely_conflicts_members_of_bigger_spectrum():
     for v in maximality_probe(small, box=(4, 4)):
         if v.candidate in members:
             assert v.status in ("member", "inconclusive")
+
+
+def test_maximality_probe_reads_values_not_points():
+    """On a canonical prefix the probe builds only the conflicting points: with
+    the full point build patched to raise, its verdicts equal those on the
+    same points as a tuple."""
+    for level, box in ((6, (6, 6)), (9, (10, 10))):
+        pre = enumerate_spectrum(CanonicalMapping(), P12, level=level)
+        built = enumerate_spectrum(CanonicalMapping(), P12, level=level)
+        as_tuple = dataclasses.replace(built, points=tuple(built.points))
+        with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+            got = maximality_probe(pre, box=box)
+        want = maximality_probe(as_tuple, box=box)
+        assert got == want
+        assert {v.status for v in got} == {"member", "conflict"}
 
 
 def test_orthogonality_implies_lines_and_projections():
@@ -1077,6 +1095,15 @@ def test_level_phases_use_correctly_rounded_quotients():
         for j in range(1, n + 1):
             want = [np.exp(-2j * np.pi * ((v % base**j) / base**j)) for v in vals]
             assert phases[j - 1].tolist() == want
+    # int64 levels past 2^53 where every |lam| < B^j / 2 take lam / B^j, no remainder.
+    # Three roundings of a quotient below 1/2 (lam, 1 / B^j, the product) move the
+    # angle by < 10 units of 2^-53, the oracle's own quotient by < 4, exp by a few
+    vals = [rng.randint(-(2**60), 2**60) for _ in range(200)] + [0, -1, 1, 2**60, -(2**60)]
+    phases = verify._level_phases(np.array(vals, dtype=np.int64), 6, 40)
+    for j in range(24, 41):  # 2 * 2^60 < 6^24
+        want = np.array([cmath.exp(-2j * math.pi * float(Fraction(v % 6**j, 6**j)))
+                         for v in vals])
+        assert np.max(np.abs(phases[j - 1] - want)) <= 2.0**-48
 
 
 def test_gram_unitarity_at_level_8_in_a_child_process():
@@ -1150,6 +1177,9 @@ def test_tail_bound_matches_the_float_division_and_never_overflows():
 
 
 def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9, bound=_oracle_tail_bound):
+    """The float-division q-sum terms: (values, errors, depth, per-point tails).
+    Its depth and tails are the reference; its values lose the low digits of
+    coordinates past 2^53."""
     arr = np.array([pt.value.base for pt in points], dtype=float) + np.asarray(xi, dtype=float)
     xmax = float(np.max(np.abs(arr)))
     per_term = tail_target / (3.0 * max(1, len(points)))
@@ -1163,7 +1193,36 @@ def _oracle_q_sum_terms(xi, points, p, tail_target=1e-9, bound=_oracle_tail_boun
         y /= p.base_y
         prod *= (1.0 + np.exp(-2j * np.pi * x) + np.exp(-2j * np.pi * y)) / 3.0
     tails = np.array([bound((float(c[0]), float(c[1])), p, depth) for c in arr])
-    return np.abs(prod) ** 2, tails * (2.0 * np.abs(prod) + tails), depth
+    return np.abs(prod) ** 2, tails * (2.0 * np.abs(prod) + tails), depth, tails
+
+
+def _exact_q_sum_term(xi, lam, p, depth):
+    """|prod_j mask((lam + xi) / B^j)|^2 in the standard library: each
+    (lam + xi) / B^j reduced mod 1 exactly, then one cmath phase."""
+    prod = 1.0
+    for j in range(1, depth + 1):
+        fx, fy = (float((c + Fraction(x)) / b**j % 1)
+                  for c, x, b in zip(lam, xi, (p.base_x, p.base_y)))
+        prod *= (1 + cmath.exp(-2j * math.pi * fx) + cmath.exp(-2j * math.pi * fy)) / 3
+    return abs(prod) ** 2
+
+
+def _assert_q_sum_terms_match(got, xi, points, p, tail_target=1e-9, bound=_oracle_tail_bound,
+                              sample=None):
+    """The depth and per-point tails of ``got`` are the float oracle's, bit for
+    bit (errors = tails * (2 |prod| + tails), and sqrt(|prod|^2) = |prod|
+    exactly); its values are within depth * 2^-49 of the exact scalar oracle,
+    on every point or on ``sample`` of them, drawn at random."""
+    values, errors, depth = got
+    _, _, want_depth, tails = _oracle_q_sum_terms(xi, points, p, tail_target, bound)
+    assert depth == want_depth
+    assert errors.tolist() == (tails * (2.0 * np.sqrt(values) + tails)).tolist()
+    picks = range(len(points))
+    if sample is not None and sample < len(points):
+        picks = random.Random(len(points)).sample(picks, sample)
+    for i in picks:
+        want = _exact_q_sum_term(xi, points[i].value.base, p, depth)
+        assert abs(values[i] - want) <= depth * 2.0**-49, (i, values[i], want)
 
 
 def test_q_sum_terms_match_per_point_tails():
@@ -1176,10 +1235,26 @@ def test_q_sum_terms_match_per_point_tails():
             for xi in SamplingBox.for_params(p).samples(4, seed=7) + [(0.0, 0.0)]:
                 for target in (1e-9, 1e-3):
                     got = q_sum_terms(xi, pts, p, target)
-                    want = _oracle_q_sum_terms(xi, pts, p, target)
-                    assert got[2] == want[2]
-                    assert got[0].tolist() == want[0].tolist()
-                    assert got[1].tolist() == want[1].tolist()
+                    _assert_q_sum_terms_match(got, xi, pts, p, target, sample=20)
+
+
+def test_q_sums_stay_exact_past_2_to_the_53():
+    """Past 2^53 the float-division oracle loses the phases: at (1, 1000)
+    level 6 its sums pass 1, which Bessel's inequality forbids on an
+    orthogonal set.  The exact remainders keep every sum within 1."""
+    p = MatrixParams(1, 1000)
+    pre = enumerate_spectrum(CanonicalMapping(), p, level=6)
+    pts = list(pre.points)
+    old = over = 0
+    for xi in SamplingBox.for_params(p).samples(5, seed=0):
+        res = q_sum(xi, pre)
+        assert res.value <= 1 + 1e-9
+        over += res.value > 1
+        old = max(old, float(_oracle_q_sum_terms(xi, pts, p)[0].sum()))
+        # a frequency far outside the box is reduced exactly too
+        far = (xi[0] + 3.0 * 2**60, xi[1] - 2.0**70)
+        _assert_q_sum_terms_match(q_sum_terms(far, pre), far, pts, p, sample=10)
+    assert old > 1 + 1e-6 and not over
 
 
 def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
@@ -1187,16 +1262,15 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
     # q2 = 10^7 at level 3 pass 2^62.  At q2 = 10^7 the tail divisors pass the
     # float range (the old float division raised OverflowError), and the
     # oracle takes fourier.tail_bound; level 3 there has coordinates past
-    # 2^53, where float q-sums lose the phases, so it runs unitarity only
+    # 2^53, where only the exact remainders keep the phases
     big = MatrixParams(1, 10**7)
-    cases = [(P12, 4, True), (P35, 3, True), (MatrixParams(1, 1000), 6, True),
-             (big, 2, True), (big, 3, False)]
-    for p, n, with_q_sums in cases:
+    cases = [(P12, 4), (P35, 3), (MatrixParams(1, 1000), 6), (big, 2), (big, 3)]
+    for p, n in cases:
         pre = enumerate_spectrum(CanonicalMapping(), p, level=n)
         xis = SamplingBox.for_params(p).samples(3, seed=5) + [(0.0, 0.0)]
         dev = gram_unitarity(n, pre)
         gram = _gram_matrix(n, pre.points, p)
-        terms = [q_sum_terms(xi, pre) for xi in xis] if with_q_sums else []
+        terms = [q_sum_terms(xi, pre) for xi in xis]
         assert pre.points._points is None  # no point was built
         assert (pre.points.xs.dtype == object) == (p.base_y**n >= 2**63)
         pts = list(pre.points)
@@ -1204,10 +1278,65 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
         assert dev < 1e-9
         bound = tail_bound if p is big else _oracle_tail_bound
         for xi, got in zip(xis, terms):
-            want = _oracle_q_sum_terms(xi, pts, p, bound=bound)
-            assert got[2] == want[2]
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].tolist() == want[1].tolist()
+            _assert_q_sum_terms_match(got, xi, pts, p, bound=bound, sample=40)
+            assert got[0].sum() <= 1 + 1e-9
+
+
+def test_phase_table_hits_and_misses_agree():
+    """A canonical prefix's phase rows are built once, extended by levels when
+    a call needs more, and read back as they were built: every q-sum and
+    unitarity result equals the one on a second table built in another order
+    and on a point list, whose fresh (writable) columns are never kept."""
+    for p, level in ((P12, 6), (MatrixParams(1, 1000), 5), (MatrixParams(1, 1000), 6)):
+        pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
+        cols = pre.points.xs, pre.points.ys
+        other = _CanonicalPoints(*(c.copy() for c in cols), pre.index_bound)
+        listed = list(other)
+        xis = SamplingBox.for_params(p).samples(3, seed=2)
+        dev = gram_unitarity(level, pre)  # builds `level` rows per axis
+        for target in (1e-3, 1e-9, 1e-3):  # a shallow miss, an extension, a hit
+            for xi in xis:
+                got = q_sum_terms(xi, pre, tail_target=target)
+                for want in (q_sum_terms(xi, other, p, target), q_sum_terms(xi, listed, p, target)):
+                    assert [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]]
+                    assert got[2] == want[2]
+        assert gram_unitarity(level, pre) == dev == gram_unitarity(level, other, p)
+        assert dev == gram_unitarity(level, listed, p)
+        for col, base in zip(cols, (p.base_x, p.base_y)):
+            kept = verify._PHASE_TABLES[id(col), base][1]
+            assert len(kept) >= 30
+            fresh = verify._level_phases(np.array(col), base, len(kept))
+            assert [row.tolist() for row in kept] == [row.tolist() for row in fresh]
+
+
+def test_phase_table_entry_dies_with_its_columns():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=5)
+    keys = {(id(pre.points.xs), P12.base_x), (id(pre.points.ys), P12.base_y)}
+    q_sum((0.1, 0.2), pre)
+    assert keys <= set(verify._PHASE_TABLES)
+    del pre
+    gc.collect()
+    assert not keys & set(verify._PHASE_TABLES)
+    # writable columns are never kept
+    before = dict(verify._PHASE_TABLES)
+    q_sum((0.1, 0.2), _concrete([(1, -2), (3, 5), (-7, 0)]), P12)
+    assert verify._PHASE_TABLES.keys() == before.keys()
+
+
+def test_gram_unitarity_is_bit_identical_with_the_table():
+    """The rows gram_unitarity reads through the table are the parent's exact
+    rows: equal results on fresh prefixes, on prefixes whose table a q-sum
+    has already extended, and on central slices."""
+    for p, level in ((P11, 5), (P12, 6), (P35, 4), (MatrixParams(1, 1000), 6),
+                     (MatrixParams(1, 10**7), 3)):
+        for warm in (False, True):
+            pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
+            if warm:
+                q_sum((0.3, -0.2), pre)
+            for n in range(level + 1):
+                middle = central_points(pre.points, (3**n - 1) // 2)
+                assert gram_unitarity(n, middle, p) == _parent_gram_unitarity(n, middle, p)
+            assert gram_unitarity(level, pre) == _parent_gram_unitarity(level, pre.points, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1322,6 +1451,36 @@ def _old_lines(prefix, p=None):
                              tuple(shared[0]), tuple(shared[1]))
 
 
+def _parent_level_phases(col, base, n):
+    """``verify._level_phases`` before the phase table: exact remainders at every level."""
+    out = np.empty((n, len(col)), dtype=complex)
+    for j in range(1, n + 1):
+        den = base**j
+        if col.dtype == np.int64 and den < 2**53:
+            frac = (col % den) / den
+        else:
+            frac = (col.astype(object) % den / den).astype(float)
+        out[j - 1] = np.exp(-2j * np.pi * frac)
+    return out
+
+
+def _parent_gram_blocks(n, cols, p):
+    ex, ey = _parent_level_phases(cols[0], p.base_x, n), _parent_level_phases(cols[1], p.base_y, n)
+    cx, cy = ex.conj() / 3, ey.conj() / 3
+    size = len(cols[0])
+    for r0 in range(0, size, 32):
+        rows = slice(r0, min(r0 + 32, size))
+        g = np.ones((rows.stop - r0, size - r0), dtype=complex)
+        t, u = np.empty_like(g), np.empty_like(g)
+        for j in range(n):
+            np.multiply(cx[j, rows, None], ex[j, None, r0:], out=t)
+            np.multiply(cy[j, rows, None], ey[j, None, r0:], out=u)
+            t += u
+            t += 1 / 3
+            g *= t
+        yield r0, g
+
+
 def _old_gram_unitarity(n, prefix, p=None):
     points, p = _old_points(prefix, p)
     if isinstance(points, _CanonicalPoints):
@@ -1330,11 +1489,14 @@ def _old_gram_unitarity(n, prefix, p=None):
         lams = [pt.concrete(p) for pt in points]
         cols = [np.array([v[axis] for v in lams], dtype=object) for axis in (0, 1)]
     dev = 0.0
-    for _, g in verify._gram_blocks(n, cols, p):
+    for _, g in _parent_gram_blocks(n, cols, p):
         diag = np.arange(len(g))
         g[diag, diag] -= 1
         dev = max(dev, float(np.max(np.abs(g))))
     return dev
+
+
+_parent_gram_unitarity = _old_gram_unitarity
 
 
 def _old_q_sum_terms(xi, prefix, p=None):
@@ -1352,15 +1514,12 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _q_sum_outcome(f, xi, points, p):
-    got = _outcome(f, xi, points, p)
-    return got if isinstance(got[0], type) else tuple(a.tolist() for a in got[:2]) + got[2:]
-
-
 def test_value_columns_leave_every_report_unchanged(value_column_cases):
     """Every check reads its columns through lattice.value_columns with the
-    parent's results, to the order of violations and witnesses; on a
-    canonical prefix no check builds a point."""
+    parent's results, to the order of violations and witnesses, and unitarity
+    with the parent's exact rows; q-sums raise the parent's errors, or keep
+    its depth and tails and stay within depth * 2^-49 of the exact scalar
+    oracle.  On a canonical prefix no check builds a point."""
     xis = [(0.0, 0.0), (0.31, -0.27)]
     for name, points, p, (n, middle) in value_column_cases:
         canonical = isinstance(getattr(points, "points", points), _CanonicalPoints)
@@ -1370,10 +1529,16 @@ def test_value_columns_leave_every_report_unchanged(value_column_cases):
             got += [check_projection_orthogonality(points, p, max_violations=mv)
                     for mv in (7, 100)]
             got += [check_distinct_lines(points, p), _outcome(gram_unitarity, n, middle, p)]
-            got += [_q_sum_outcome(q_sum_terms, xi, points, p) for xi in xis]
+            q_sums = [_outcome(q_sum_terms, xi, points, p) for xi in xis]
         want = [_old_orthogonality(points, p, mv) for mv in (7, 100)]
         want += [_old_projections(points, p, mv) for mv in (7, 100)]
         want += [_old_lines(points, p), _outcome(_old_gram_unitarity, n, middle, p)]
-        want += [_q_sum_outcome(_old_q_sum_terms, xi, points, p) for xi in xis]
         for i, (a, b) in enumerate(zip(got, want)):
             assert a == b, (name, i)
+        for xi, got_terms in zip(xis, q_sums):
+            want_terms = _outcome(_old_q_sum_terms, xi, points, p)
+            if isinstance(want_terms[0], type):  # what it raised
+                assert got_terms == want_terms, name
+            else:
+                pts = list(getattr(points, "points", points))
+                _assert_q_sum_terms_match(got_terms, xi, pts, p, bound=tail_bound, sample=30)
