@@ -410,13 +410,17 @@ def cmd_qsum(args) -> int:
         xis = [_parse_vec_float(args.xi)]
     else:
         xis = box.samples(args.num_xi, seed=args.seed)
-    mapping = CanonicalMapping()  # each level once, so its phase rows serve every xi
-    prefixes = [enumerate_spectrum(mapping, p, level=n) for n in range(1, args.n_max + 1)]
+    mapping = CanonicalMapping()
+    by_level = []  # [level - 1][xi index]: each level's phase rows serve every xi
+    for n in range(1, args.n_max + 1):
+        prefix = enumerate_spectrum(mapping, p, level=n)
+        by_level.append([q_sum(xi, prefix) for xi in xis])
+        del prefix  # with its phase rows, before the next level is built
     failed = False
-    for xi in xis:
+    for i, xi in enumerate(xis):
         prev = -1.0
-        for n, prefix in enumerate(prefixes, 1):
-            res = q_sum(xi, prefix)
+        for n, results in enumerate(by_level, 1):
+            res = results[i]
             gap = 1.0 - res.value
             print(json.dumps({"xi": list(xi), "n": n, "q": res.value,
                               "gap": gap, "err": res.error}))

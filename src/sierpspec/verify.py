@@ -34,7 +34,7 @@ import itertools
 import math
 import random
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,8 +284,9 @@ def check_projection_orthogonality(
 _GRAM_ROWS = 32  # Gram rows per block: three block-sized complex arrays stay in cache
 
 
-def _level_phases(col, base: int, n: int, first: int = 1) -> list[np.ndarray]:
-    """Rows e^(-2 pi i (lam mod B^j) / B^j) for j = first..n, one entry per point.
+def _level_phases(col, base: int, n: int, first: int = 1) -> Iterator[np.ndarray]:
+    """Yield the rows e^(-2 pi i (lam mod B^j) / B^j) for j = first..n, one
+    entry per point, each built when it is asked for.
 
     The remainders are exact, so each quotient is correctly rounded: int64
     while B^j < 2^53, Python ints past that.  At a level where every |lam| <
@@ -293,7 +294,6 @@ def _level_phases(col, base: int, n: int, first: int = 1) -> list[np.ndarray]:
     gives the same phase to within a few units of 2^-53 (below 2^-48).
     """
     top = 2 * int(np.max(np.abs(col), initial=0)) if col.dtype == np.int64 else None
-    rows = []
     for j in range(first, n + 1):
         den = base**j
         if top is not None and den < 2**53:
@@ -302,8 +302,7 @@ def _level_phases(col, base: int, n: int, first: int = 1) -> list[np.ndarray]:
             frac = col * (1 / den)
         else:
             frac = (col.astype(object) % den / den).astype(float)
-        rows.append(np.exp(-2j * np.pi * frac))
-    return rows
+        yield np.exp(-2j * np.pi * frac)
 
 
 # The phase rows of read-only columns (a canonical prefix's), per (id, base),
@@ -311,11 +310,12 @@ def _level_phases(col, base: int, n: int, first: int = 1) -> list[np.ndarray]:
 _PHASE_TABLES: dict[tuple[int, int], tuple[weakref.ref, list[np.ndarray]]] = {}
 
 
-def _phase_rows(col, base: int, n: int) -> list[np.ndarray]:
-    """``_level_phases(col, base, n)``.  A read-only column, such as a
-    canonical prefix's, is taken as fixed: its rows are kept while it lives
-    and extended by levels when a call needs more.  A writable column's rows
-    are built afresh, as its values may change."""
+def _phase_rows(col, base: int, n: int) -> Iterable[np.ndarray]:
+    """The rows of ``_level_phases(col, base, n)``.  A read-only column, such
+    as a canonical prefix's, is taken as fixed: its rows are kept while it
+    lives and extended by levels when a call needs more.  A writable column's
+    rows are built afresh, as its values may change, and one at a time, so a
+    caller that reads them in order holds one row per axis."""
     if col.flags.writeable:
         return _level_phases(col, base, n)
     key = (id(col), base)
@@ -342,7 +342,7 @@ def _gram_blocks(n: int, cols, p: MatrixParams):
     per-level phases of ``_phase_rows``; the 1/3 rides on the conjugated
     row phases.  The lower triangle is the conjugate transpose.
     """
-    ex, ey = _phase_rows(cols[0], p.base_x, n), _phase_rows(cols[1], p.base_y, n)
+    ex, ey = list(_phase_rows(cols[0], p.base_x, n)), list(_phase_rows(cols[1], p.base_y, n))
     cx, cy = [e.conj() / 3 for e in ex], [e.conj() / 3 for e in ey]
     size = len(cols[0])
     for r0 in range(0, size, _GRAM_ROWS):
@@ -460,9 +460,9 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     bases = (p.base_x, p.base_y)
     ex, ey = (_phase_rows(col, base, depth) for col, base in zip(cols, bases))
     sx, sy = (_xi_phases(float(x), base, depth) for x, base in zip(xi, bases))
-    for j in range(depth):  # one level at a time, into reused buffers
-        np.multiply(ex[j], sx[j], out=t)
-        np.multiply(ey[j], sy[j], out=u)
+    for e_x, e_y, s_x, s_y in zip(ex, ey, sx, sy):  # one level at a time, into reused buffers
+        np.multiply(e_x, s_x, out=t)
+        np.multiply(e_y, s_y, out=u)
         t += u
         t += 1 / 3
         prod *= t

@@ -133,9 +133,10 @@ def test_command_line_writes_the_record(tmp_path, capsys):
     flags = ["--benchmark", str(benchmark), "--out", str(out)]
     assert bench_compare.main([str(pdir), str(cdir), "--pr", "99", "--title", "t",
                                "--parent-commit", "abc", "--claim", "certify:verify_s",
-                               "--note", "a note", *flags]) == 0
+                               "--note", "a note", "--note", "odd seeds: parent first",
+                               *flags]) == 0
     rec = json.loads(out.read_text())
-    assert rec["claim"]["met"] and rec["notes"] == ["a note"]
+    assert rec["claim"]["met"] and rec["notes"] == ["a note", "odd seeds: parent first"]
     assert "10/10 pairs, met=True" in capsys.readouterr().out
     assert bench_compare.main([str(pdir), str(tmp_path), "--pr", "99", "--title", "t",
                                "--parent-commit", "abc", *flags]) == 2

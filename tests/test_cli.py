@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -334,18 +335,29 @@ def test_qsum_command():
 
 
 def test_qsum_enumerates_each_level_once(capsys):
-    """Each level is enumerated once for every frequency, and the lines, in
+    """Each level is enumerated once for every frequency, the previous level
+    and its phase rows are gone when the next is built, and the lines, in
     their order, are those of a fresh prefix per (xi, n)."""
-    from sierpspec import cli
+    from sierpspec import cli, verify
     from sierpspec.treemap import CanonicalMapping, enumerate_spectrum
     from sierpspec.lattice import MatrixParams
     from sierpspec.verify import SamplingBox, q_sum
 
     p = MatrixParams(1, 2)
-    with mock.patch.object(cli, "enumerate_spectrum", wraps=enumerate_spectrum) as enum:
+    built, alive = [], []
+
+    def enumerate_and_watch(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        prefix = enumerate_spectrum(*args, **kwargs)
+        built.append(weakref.ref(prefix.points.xs))
+        return prefix
+
+    tables = set(verify._PHASE_TABLES)
+    with mock.patch.object(cli, "enumerate_spectrum", side_effect=enumerate_and_watch):
         assert main(["qsum", "--q1", "1", "--q2", "2", "--n-max", "4", "--num-xi", "3",
                      "--seed", "5"]) == 0
-    assert enum.call_count == 4
+    assert alive == [0] * 4
+    assert set(verify._PHASE_TABLES) == tables
     lines = capsys.readouterr().out.splitlines()
     want = []
     for xi in SamplingBox.for_params(p).samples(3, seed=5):

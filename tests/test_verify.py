@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -1091,7 +1092,7 @@ def test_level_phases_use_correctly_rounded_quotients():
     rng = random.Random(21)
     for base, n, dtype in ((6, 5, np.int64), (300_000, 3, np.int64), (7, 30, object)):
         vals = [rng.randint(-(2**62) + 1, 2**62 - 1) for _ in range(200)] + [0, -1, 1]
-        phases = verify._level_phases(np.array(vals, dtype=dtype), base, n)
+        phases = list(verify._level_phases(np.array(vals, dtype=dtype), base, n))
         for j in range(1, n + 1):
             want = [np.exp(-2j * np.pi * ((v % base**j) / base**j)) for v in vals]
             assert phases[j - 1].tolist() == want
@@ -1099,7 +1100,7 @@ def test_level_phases_use_correctly_rounded_quotients():
     # Three roundings of a quotient below 1/2 (lam, 1 / B^j, the product) move the
     # angle by < 10 units of 2^-53, the oracle's own quotient by < 4, exp by a few
     vals = [rng.randint(-(2**60), 2**60) for _ in range(200)] + [0, -1, 1, 2**60, -(2**60)]
-    phases = verify._level_phases(np.array(vals, dtype=np.int64), 6, 40)
+    phases = list(verify._level_phases(np.array(vals, dtype=np.int64), 6, 40))
     for j in range(24, 41):  # 2 * 2^60 < 6^24
         want = np.array([cmath.exp(-2j * math.pi * float(Fraction(v % 6**j, 6**j)))
                          for v in vals])
@@ -1323,12 +1324,33 @@ def test_phase_table_entry_dies_with_its_columns():
     assert verify._PHASE_TABLES.keys() == before.keys()
 
 
+def test_point_list_rows_are_built_one_level_at_a_time():
+    """A point list's columns are writable, so its rows are built per call; a
+    q-sum reads them level by level and holds no more than the rows of two
+    levels, not the whole depth x points table."""
+    real, refs, alive = verify._level_phases, [], []
+
+    def watched(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(row))
+            yield row
+
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=4)
+    with mock.patch.object(verify, "_level_phases", watched):
+        got = q_sum_terms((0.3, -0.2), list(pre.points), P12)
+    assert len(refs) == 2 * got[2] > 40 and max(alive) <= 3
+    assert [a.tolist() for a in got[:2]] == [a.tolist() for a in q_sum_terms((0.3, -0.2), pre)[:2]]
+
+
 def test_gram_unitarity_is_bit_identical_with_the_table():
-    """The rows gram_unitarity reads through the table are the parent's exact
-    rows: equal results on fresh prefixes, on prefixes whose table a q-sum
-    has already extended, and on central slices."""
-    for p, level in ((P11, 5), (P12, 6), (P35, 4), (MatrixParams(1, 1000), 6),
-                     (MatrixParams(1, 10**7), 3)):
+    """gram_unitarity through the table equals the parent's, on fresh prefixes,
+    on prefixes whose table a q-sum has already extended, and on central
+    slices.  The rows are the parent's exact rows below 2^53 and on object
+    columns; (1, 1000) level 5 has int64 columns read past 2^53 (3000^5 >
+    2^53), where a row takes lam / B^j without a remainder."""
+    for p, level in ((P11, 5), (P12, 6), (P35, 4), (MatrixParams(1, 1000), 5),
+                     (MatrixParams(1, 1000), 6), (MatrixParams(1, 10**7), 3)):
         for warm in (False, True):
             pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
             if warm:

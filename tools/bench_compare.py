@@ -17,7 +17,9 @@ than the parent's interquartile range.
 
 A report does not store how many calls a run made.  Every pass makes every
 call unless one fails, so ``attempted`` is passes x call labels and
-``failed`` the report's error rate times that.
+``failed`` the report's error rate times that.  Nor does it store when, or
+in which order, the runs were made: give that, and anything else the record
+should carry, with ``--note``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.report\.json$")
 CLAIM_RULE = ("change better in at least 9 of 10 pairs, and the medians differ by more "
               "than the parent's interquartile range")
-METHOD = ("parent (committed parent tree) and change run one at a time in fresh copies, "
-          "alternating which runs first per seed (odd seeds: parent first); medians and "
-          "quartiles (inclusive method) over the runs of each side; a pair is won when the "
-          "change reads better")
+METHOD = ("medians and quartiles (inclusive method) over the runs of each side; a pair is "
+          "the two sides' runs of one workload and seed, won when the change reads better")
 
 
 def load_reports(out_dir: str) -> dict[str, dict[int, dict]]:
@@ -128,7 +128,7 @@ def claim(workloads: dict, workload: str, metric: str, better: str) -> dict:
 
 
 def build_record(parent_dir, change_dir, *, title, parent_commit, benchmark: dict,
-                 claim_spec=None, notes=(), method=METHOD) -> dict:
+                 claim_spec=None, notes=()) -> dict:
     """The record for the runs in two ``.bench_out`` directories; ``benchmark``
     is the parsed BENCHMARK.json, for the workloads and metrics."""
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
@@ -146,7 +146,7 @@ def build_record(parent_dir, change_dir, *, title, parent_commit, benchmark: dic
         "title": title,
         "parent_commit": parent_commit,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "method": method,
+        "method": METHOD,
         "environment": {k: env.get(k) for k in ("python", "numpy", "nproc", "platform")},
     }
     if claim_spec:
@@ -165,7 +165,8 @@ def main(argv=None) -> int:
     ap.add_argument("--title", required=True)
     ap.add_argument("--parent-commit", required=True)
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    ap.add_argument("--note", action="append", default=[])
+    ap.add_argument("--note", action="append", default=[],
+                    help="a line for the record's notes, such as the run order; repeatable")
     ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"))
     ap.add_argument("--out", help=f"default: BENCH_<pr>.json at {ROOT}")
     args = ap.parse_args(argv)
