@@ -30,6 +30,7 @@ from .treemap import (
     SquareOffsets,
     enumerate_spectrum,
     index_to_word,
+    point_indices,
     CanonicalMapping,
 )
 
@@ -41,29 +42,49 @@ def t_max(p: MatrixParams) -> float:
     return math.log(3) / math.log(p.base_y)
 
 
+class _ActiveLetters:
+    """k -> every nonzero letter of the word of k sits on an active position of
+    the pattern (Gamma_t), or with ``outside`` its complement, the indices the
+    construction kicks.  ``mask`` evaluates it on a column of indices at once."""
+
+    def __init__(self, pattern, outside: bool = False):
+        self.pattern, self.outside = pattern, outside
+
+    def __call__(self, k: int) -> bool:
+        inside = all(
+            letter == 0 or self.pattern.active(j)
+            for j, letter in enumerate(index_to_word(k), start=1)
+        )
+        return inside != self.outside
+
+    def mask(self, ks) -> np.ndarray:
+        """The predicate on every index of ks.  With H = (3^n - 1) / 2 and n the
+        longest word, k + H has the ternary digits letter + 1, so a letter at
+        position j is zero exactly when digit j - 1 of k + H is 1."""
+        ks = np.asarray(ks)
+        n = len(index_to_word(int(np.max(np.abs(ks), initial=0))))
+        shifted = ks + (3**n - 1) // 2
+        inside = np.ones(len(ks), dtype=bool)
+        for j in range(1, n + 1):
+            if not self.pattern.active(j):
+                inside &= shifted // 3 ** (j - 1) % 3 == 1
+        return inside != self.outside
+
+
 def gamma_t_from_density(t: float, p: MatrixParams):
     """Position pattern and index predicate realizing dimension t.
 
     Returns (pattern, member) where the Beatty pattern has density
     d = t * log(3*q2)/log 3 and member(k) is True iff every nonzero letter of
-    the word of k sits on an active position.
+    the word of k sits on an active position; ``member.mask(ks)`` evaluates it
+    on a column of indices.
     """
     tmax = t_max(p)
     if not -1e-12 <= t <= tmax + 1e-12:
         raise ValueError(f"t must lie in [0, {tmax:.6f}], got {t}")
     d = min(1.0, max(0.0, t * math.log(p.base_y) / math.log(3)))
     pattern = Beatty(density=d)
-
-    def member(k: int) -> bool:
-        if k == 0:
-            return True
-        word = index_to_word(k)
-        return all(
-            letter == 0 or pattern.active(j)
-            for j, letter in enumerate(word, start=1)
-        )
-
-    return pattern, member
+    return pattern, _ActiveLetters(pattern)
 
 
 def pattern_lattice_points(
@@ -133,7 +154,7 @@ class IntermediateSpec:
 
     def mapping(self) -> KickedMapping:
         offsets = SquareOffsets(
-            kicked=lambda k: not self._member(k), variant_bits=self.variant_bits
+            kicked=_ActiveLetters(self.pattern, outside=True), variant_bits=self.variant_bits
         )
         return KickedMapping(offsets=offsets, kick=self.kick, mode=self.mode)
 
@@ -143,10 +164,11 @@ class IntermediateSpec:
         )
 
     def split(self, prefix: SpectrumPrefix):
-        """(F_t part, kicked part): unkicked canonical-digit points vs kicked points."""
-        f_part = [pt for pt in prefix.points if self._member(pt.k)]
-        kicked = [pt for pt in prefix.points if not self._member(pt.k)]
-        return f_part, kicked
+        """(F_t part, kicked part): unkicked canonical-digit points vs kicked points,
+        by Gamma_t membership over the prefix's index column."""
+        member = self._member.mask(point_indices(prefix.points))
+        points = tuple(prefix.points)
+        return list(itertools.compress(points, member)), list(itertools.compress(points, ~member))
 
     def describe(self) -> dict:
         return {

@@ -9,8 +9,9 @@ heuristic, the true sup is over all of R^2).  Counting is exact, and each
 paths.  Concrete points against integer centers, all coordinates below 2^30,
 are counted in int64 numpy columns sorted by y, each ball only over the slab
 of rows its radius can reach.  The columns come from
-``lattice.value_columns``, which hands a canonical prefix's stored columns
-over as they are.  Any other pair is first screened by
+``lattice.folded_columns``, which hands a prefix's stored columns over as
+they are, with a kicked prefix's small kicks folded as its points' values
+fold them.  Any other pair is first screened by
 magnitude bounds: when those put point and center more than the largest scale
 apart on some axis, the pair is dropped unexpanded, so the huge coordinates of
 kicked points are never subtracted or squared.  The pairs left get one exact
@@ -31,13 +32,13 @@ import numpy as np
 from .lattice import (
     MatrixParams,
     SymVec,
+    folded_columns,
     scalar_abs_lt,
     scalar_log2_bounds,
     scalar_materialize,
     scalar_parts,
     sym,
     sym_diff,
-    value_columns,
 )
 from .treemap import SpectrumPoint, SpectrumPrefix, point_values
 
@@ -71,7 +72,7 @@ def _is_small(v: SymVec) -> bool:
 
 def _small_columns(vecs):
     """x and y int64 columns of the points counted in int64, and which points those are."""
-    xs, ys, terms = value_columns(vecs)  # int64, or exact objects past 2^62
+    xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
     small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
     if terms is not None:
         small[terms.index] = False
@@ -101,9 +102,9 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
     Bounds are computed only when some point or center is off the int64 path.
-    ``vecs`` may be a canonical prefix's ``lattice.ColumnValues``: its columns
-    go to the int64 path as they are, and a ``SymVec`` is built only for a
-    point off that path or facing a center off it.
+    ``vecs`` may be a prefix's ``lattice.ColumnValues``: its columns go to the
+    int64 path as they are, and a ``SymVec`` is built only for a point off
+    that path or facing a center off it.
     """
     n = len(vecs)
     xs, ys, small = _small_columns(vecs)

@@ -253,24 +253,49 @@ class SymVec:
 I64_COORD = 2**62
 I64_TERM = 2**61
 
+# make_sym adds every term of exponent at most this to the base
+FOLD_LIMIT = 64
+
 
 class ColumnValues(Sequence):
-    """Concrete values kept as two coordinate columns: reading one builds one
-    ``SymVec``, and ``value_columns`` hands the columns over as they are."""
+    """Values kept as two base columns and, optionally, a ``KickTerms`` table that
+    ``make_sym`` has not folded (``params`` gives its bases).  Reading one builds
+    one ``SymVec``, through ``make_sym`` when it has terms; ``value_columns`` hands
+    the columns and the unfolded table over as they are."""
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "terms", "params")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys = xs, ys
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, terms=None, params=None):
+        self.xs, self.ys, self.terms, self.params = xs, ys, terms, params
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def __getitem__(self, i) -> SymVec:
-        return SymVec((int(self.xs[i]), int(self.ys[i])))
+        base = (int(self.xs[i]), int(self.ys[i]))
+        if self.terms is None:
+            return SymVec(base)
+        i = operator.index(i) % len(self)
+        lo, hi = np.searchsorted(self.terms.index, (i, i + 1)).tolist()
+        rows = zip(*(c[lo:hi].tolist() for c in self.terms[1:]))
+        return make_sym(base, [(e, (x, y)) for e, x, y in rows], self.params)
 
     def __iter__(self):
-        return map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
+        bases = zip(self.xs.tolist(), self.ys.tolist())
+        if self.terms is None:
+            return map(SymVec, bases)
+        index, exps, tx, ty = self.terms
+        # make_sym keeps a value's only term as it is when it is past FOLD_LIMIT and
+        # nonzero; every other value with terms is read through it
+        alone = np.bincount(index, minlength=len(self))[index] == 1
+        kept = alone & np.asarray((exps > FOLD_LIMIT) & ((tx != 0) | (ty != 0)), dtype=bool)
+        terms: list = [()] * len(self)
+        for i, e, x, y in zip(*(c[kept].tolist() for c in self.terms)):
+            terms[i] = ((e, (x, y)),)
+        for i in index[~kept].tolist():
+            terms[i] = None
+        return (self[i] if t is None else SymVec(base, t)
+                for i, (base, t) in enumerate(zip(bases, terms)))
 
 
 class KickTerms(NamedTuple):
@@ -284,16 +309,25 @@ class KickTerms(NamedTuple):
     y: np.ndarray
 
 
+def fits_int64(xs, ys, tx=(), ty=()) -> bool:
+    """The int64 rule of ``value_columns``: every base coordinate below I64_COORD
+    and every term component below I64_TERM in absolute value."""
+    bounds = (I64_COORD, I64_COORD, I64_TERM, I64_TERM)
+    return all(((np.asarray(c) < b) & (np.asarray(c) > -b)).all()
+               for c, b in zip((xs, ys, tx, ty), bounds))
+
+
 def value_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     """The x and y columns of the bases of a sequence of SymVecs, and their kick
     terms (None when no value has one).
 
-    A ``ColumnValues`` hands over its stored columns.  Other values give int64
-    columns, term components included, within the I64_COORD and I64_TERM
-    bounds, and object columns of exact Python ints otherwise.
+    A ``ColumnValues`` hands over its stored columns and terms, unfolded.  Other
+    values give int64 columns, term components included, within the I64_COORD
+    and I64_TERM bounds (``fits_int64``), and object columns of exact Python
+    ints otherwise.
     """
     if isinstance(values, ColumnValues):
-        return values.xs, values.ys, None
+        return values.xs, values.ys, values.terms
     bases = [v.base for v in values if not v.terms]
     rows = []
     if len(bases) < len(values):  # kick terms
@@ -303,8 +337,7 @@ def value_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     try:
         cols = [np.fromiter(map(operator.itemgetter(axis), bases), np.int64, len(bases))
                 for axis in (0, 1)] + [np.fromiter(c, np.int64, len(c)) for c in (tx, ty)]
-        bounds = (I64_COORD, I64_COORD, I64_TERM, I64_TERM)
-        fits = all(((c < b) & (c > -b)).all() for c, b in zip(cols, bounds))
+        fits = fits_int64(*cols)
     except OverflowError:  # a coordinate past int64
         fits = False
     if not fits:  # some value failed, so bases is n x 2 with n >= 1
@@ -317,11 +350,33 @@ def value_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     return xs, ys, KickTerms(np.array(index, dtype=np.int64), exps, tx, ty)
 
 
+def folded_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
+    """``value_columns(values)`` with a ``ColumnValues``' unfolded terms of exponent
+    at most FOLD_LIMIT added to their bases, as ``make_sym`` adds them: the
+    columns, and their int64 or object dtype, that ``value_columns`` gives the
+    same values read one by one.  Any other values are handed on as they are."""
+    xs, ys, terms = value_columns(values)
+    if terms is None or not isinstance(values, ColumnValues):
+        return xs, ys, terms
+    due = np.asarray(terms.exponent <= FOLD_LIMIT, dtype=bool)
+    if not due.any():
+        return xs, ys, terms
+    p = values.params
+    xs, ys = xs.astype(object), ys.astype(object)
+    for i, e, vx, vy in zip(*(c[due].tolist() for c in terms)):
+        xs[i] += p.base_x**e * vx
+        ys[i] += p.base_y**e * vy
+    index, exps, tx, ty = (c[~due] for c in terms)
+    dtype = np.int64 if fits_int64(xs, ys, tx, ty) else object
+    xs, ys, tx, ty = (c.astype(dtype) for c in (xs, ys, tx, ty))
+    return xs, ys, KickTerms(index, exps, tx, ty) if len(index) else None
+
+
 def sym(v: Vec) -> SymVec:
     return SymVec(base=v)
 
 
-def make_sym(base: Vec, raw_terms, p: MatrixParams, fold_limit: int = 64) -> SymVec:
+def make_sym(base: Vec, raw_terms, p: MatrixParams, fold_limit: int = FOLD_LIMIT) -> SymVec:
     """Normalize (base, terms): merge equal exponents, fold small exponents into base."""
     acc: dict[int, list[int]] = {}
     bx, by = base

@@ -12,16 +12,19 @@ children of a node differ by multiples of (q1, -q2) modulo A; ``coherent``
 shifts all three children of a kick parent by the kick digit, restoring the
 rule (and with it, certified orthogonality of the generated set).
 
-Points are built from their tree parents.  The word of k != 0 is
-word(h) 0^run sign(k) with head h = k - sign(k) 3^(n-1) and n = len(word(k)),
-so |h| < |k| and the digit sum of k is that of h plus at most two terms
-(see ``_child``): a constant number of big-int operations per point, where a
-rebuild from the root costs O(n), and O(n^2) for kicked mappings.
-
-Canonical prefixes skip the per-point step altogether: their points are
-lambda(k) = sum_j d_j(k) A^j (q1, -q2) over the balanced-ternary digits d_j(k)
-of k, computed for every k at once as two numpy columns, and a
-``SpectrumPoint`` is built only when one is read.
+Every prefix is kept as a column store (``_ColumnPoints``): the digit sum
+S(k) of each index without k's own kick term, as two numpy columns, the
+exponent n + m_k - 1 of that term, and the kick digit.  The word of k != 0 is
+word(h) 0^run sign(k) with head h = k - sign(k) 3^(n-1), n = len(word(k)), so
+|h| < |k|, and S(k) is S(h) plus at most two terms (see ``_child``).  A
+kicked prefix is filled one word length at a time from its heads, a few
+array operations per length; the offsets m_k come from the index column at
+once (``SquareOffsets.column``).  A canonical prefix takes lambda(k) =
+sum_j d_j(k) A^j (q1, -q2) over the balanced-ternary digits d_j(k) of k.  A
+``SpectrumPoint`` is built only when one is read, its value through
+``make_sym``, which folds a kick of exponent at most 64 into the base; the
+certifiers read the columns with the kick terms unfolded, which keeps every
+base of the kicked families in int64.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ import numpy as np
 from .lattice import (
     I64_COORD,
     ColumnValues,
+    KickTerms,
     LatticeError,
     MatrixParams,
     SymVec,
     Vec,
+    fits_int64,
     in_e_q1,
     in_gamma,
     make_sym,
@@ -100,6 +105,14 @@ class TableOffsets:
     def __call__(self, k: int) -> int:
         return self.table.get(k, 0)
 
+    def column(self, bound: int) -> np.ndarray:
+        """m_k for k = -bound..bound, in order."""
+        m = np.zeros(2 * bound + 1, dtype=np.int64)
+        for k, mk in self.table.items():
+            if abs(k) <= bound:
+                m[k + bound] = mk
+        return m
+
     def describe(self) -> str:
         return "table:" + ",".join(f"{k}:{m}" for k, m in sorted(self.table.items()))
 
@@ -111,6 +124,8 @@ class SquareOffsets:
     ``variant_bits`` in the order kicked indices appear along 1, -1, 2, -2, ...
     so distinct bit tuples give point sets differing at the first index whose
     bit differs.  Offsets stay strictly increasing along each sign branch.
+    A predicate with a ``mask(ks)`` method, which evaluates it on an index
+    column, lets ``column`` make no per-index Python call.
     """
 
     def __init__(self, kicked, variant_bits: tuple[int, ...] = ()):
@@ -139,6 +154,26 @@ class SquareOffsets:
         if self.variant_bits:
             bit = self.variant_bits[self._rank(k) % len(self.variant_bits)]
         return k * k + bit
+
+    def column(self, bound: int) -> np.ndarray:
+        """m_k for k = -bound..bound, in order; the variant-bit ranks come from one
+        cumulative sum over the kicked flags in the order 1, -1, 2, -2, ..."""
+        ks = np.arange(-bound, bound + 1)
+        mask = getattr(self.kicked, "mask", None)
+        if mask is not None:
+            kicked = mask(ks)
+        else:
+            kicked = np.fromiter(map(self.kicked, ks.tolist()), dtype=bool, count=len(ks))
+        kicked[bound] = False
+        m = np.where(kicked, ks * ks, 0)
+        if self.variant_bits and bound:
+            pos, neg = kicked[bound + 1:], kicked[:bound][::-1]  # k = 1, 2, ... and -1, -2, ...
+            order = np.empty(2 * bound, dtype=np.int64)
+            order[0::2], order[1::2] = pos, neg
+            bits = np.array(self.variant_bits)[(np.cumsum(order) - 1) % len(self.variant_bits)]
+            m[bound + 1:] += bits[0::2] * pos
+            m[:bound] += (bits[1::2] * neg)[::-1]
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +329,7 @@ def lambda_of_index(mapping: Mapping, p: MatrixParams, k: int) -> SpectrumPoint:
     """Exact spectrum point lambda_k = sum_j A^(j-1) tau(prefix_j) (+ kick term).
 
     Walks the chain of heads from the root (one ``_child`` step per nonzero
-    letter of k's word), the recurrence ``enumerate_spectrum`` uses.
+    letter of k's word), the recurrence ``_kicked_points`` runs on arrays.
     """
     point, m, digit_sum = _ROOT, 0, (0, 0)
     prefix = 0
@@ -310,9 +345,9 @@ def lambda_of_index(mapping: Mapping, p: MatrixParams, k: int) -> SpectrumPoint:
 class SpectrumPrefix:
     """Finite, k-ordered slice of a generated spectrum.
 
-    ``points`` is a tuple, or for a canonical prefix a read-only sequence over
-    coordinate columns that builds its points on demand; either compares and
-    hashes like the tuple of its points.
+    ``points`` is, for an enumerated prefix, a read-only sequence over
+    coordinate columns that builds its points on demand (``_ColumnPoints``),
+    or a tuple; either compares and hashes like the tuple of its points.
     """
 
     params: MatrixParams
@@ -328,22 +363,29 @@ class SpectrumPrefix:
         return self.points[k + self.index_bound]
 
 
-class _CanonicalPoints(Sequence):
-    """The canonical points lambda(k), |k| <= bound, kept as two coordinate columns.
+class _ColumnPoints(Sequence):
+    """The points lambda(k), |k| <= bound, of one mapping, kept as columns.
 
-    ``xs[i]``, ``ys[i]`` are the coordinates of lambda(i - bound): int64 arrays
-    when every coordinate is below 2^62 in absolute value, object arrays of
-    Python ints otherwise; ``point_values`` hands them on as
-    ``lattice.ColumnValues``.  Reading one item builds one ``SpectrumPoint``;
+    ``xs[i]``, ``ys[i]`` hold the digit sum of k = i - bound without k's own
+    kick term: int64 arrays when every coordinate is below 2^62 in absolute
+    value, object arrays of Python ints otherwise.  A kicked mapping's store
+    also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
+    has none), the kick digit and the params; a canonical one has none (None).  ``point_values`` hands the columns on as ``lattice.ColumnValues``,
+    with the kick terms unfolded.  Reading one item builds one
+    ``SpectrumPoint``, its value through ``make_sym`` as ``_child`` builds it;
     the first full iteration builds the tuple of all of them once and keeps
     it.  Compares and hashes like that tuple.
     """
 
-    __slots__ = ("xs", "ys", "bound", "_points")
+    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int):
-        xs.flags.writeable = ys.flags.writeable = False  # the points must not drift
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int,
+                 exps: np.ndarray | None = None, kick: Vec | None = None,
+                 params: MatrixParams | None = None):
+        for col in (xs, ys) if exps is None else (xs, ys, exps):
+            col.flags.writeable = False  # the points must not drift
         self.xs, self.ys, self.bound = xs, ys, bound
+        self.exps, self.kick, self.params = exps, kick, params
         self._points: tuple[SpectrumPoint, ...] | None = None
 
     def __len__(self) -> int:
@@ -357,7 +399,12 @@ class _CanonicalPoints(Sequence):
         if not 0 <= j < len(self):
             raise IndexError(f"point index {i} out of range for {len(self)} points")
         k = j - self.bound
-        return SpectrumPoint(k, index_to_word(k), SymVec((int(self.xs[j]), int(self.ys[j]))))
+        base = (int(self.xs[j]), int(self.ys[j]))
+        e = 0 if self.exps is None else int(self.exps[j])
+        if not e:
+            return SpectrumPoint(k, index_to_word(k), SymVec(base))
+        value = make_sym(base, [(e, self.kick)], self.params)
+        return SpectrumPoint(k, index_to_word(k), value, kick_position=e + 1)
 
     def __iter__(self):
         # a generator, so that only the first next() builds the points
@@ -366,12 +413,15 @@ class _CanonicalPoints(Sequence):
     def _tuple(self) -> tuple[SpectrumPoint, ...]:
         if self._points is None:
             ks = range(-self.bound, self.bound + 1)
-            values = map(SymVec, zip(self.xs.tolist(), self.ys.tolist()))
-            self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks), values))
+            positions = itertools.repeat(None)
+            if self.exps is not None:
+                positions = [e + 1 if e else None for e in self.exps.tolist()]
+            self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks),
+                                     point_values(self), positions))
         return self._points
 
     def __eq__(self, other):
-        if isinstance(other, (tuple, _CanonicalPoints)):
+        if isinstance(other, (tuple, _ColumnPoints)):
             return self._tuple() == tuple(other)
         return NotImplemented
 
@@ -379,23 +429,37 @@ class _CanonicalPoints(Sequence):
         return hash(self._tuple())
 
     def __repr__(self) -> str:
-        return f"_CanonicalPoints(bound={self.bound}, dtype={self.xs.dtype})"
+        return f"_ColumnPoints(bound={self.bound}, dtype={self.xs.dtype})"
 
 
 def central_points(points: Sequence[SpectrumPoint], bound: int) -> Sequence[SpectrumPoint]:
-    """The points with |k| <= bound; a canonical prefix's as views of its columns."""
-    if isinstance(points, _CanonicalPoints):
+    """The points with |k| <= bound; a column store's as views of its columns."""
+    if isinstance(points, _ColumnPoints):
         bound = min(bound, points.bound)
         middle = slice(points.bound - bound, points.bound + bound + 1)
-        return _CanonicalPoints(points.xs[middle], points.ys[middle], bound)
+        exps = None if points.exps is None else points.exps[middle]
+        return _ColumnPoints(points.xs[middle], points.ys[middle], bound, exps,
+                             points.kick, points.params)
     return [pt for pt in points if abs(pt.k) <= bound]
+
+
+def point_indices(points) -> np.ndarray:
+    """The indices k of points, as a column: a column store's without building a point."""
+    if isinstance(points, _ColumnPoints):
+        return np.arange(-points.bound, points.bound + 1)
+    return np.array([pt.k for pt in points], dtype=np.int64)
 
 
 def point_values(points) -> Sequence[SymVec]:
     """The values of points, ``SymVec``s or integer pairs, in order: a view over
-    a canonical prefix's columns, else a list."""
-    if isinstance(points, _CanonicalPoints):
-        return ColumnValues(points.xs, points.ys)
+    a column store's columns and unfolded kick terms, else a list."""
+    if isinstance(points, _ColumnPoints):
+        index = () if points.exps is None else np.flatnonzero(points.exps)
+        if not len(index):
+            return ColumnValues(points.xs, points.ys)
+        kick = (np.full(len(index), c, dtype=points.xs.dtype) for c in points.kick)
+        terms = KickTerms(index, points.exps[index], *kick)
+        return ColumnValues(points.xs, points.ys, terms, points.params)
     return [
         item.value if isinstance(item, SpectrumPoint)
         else item if isinstance(item, SymVec)
@@ -409,14 +473,14 @@ def _pair_value(pair) -> SymVec:
     return SymVec((int(x), int(y)))
 
 
-def _canonical_points(p: MatrixParams, bound: int) -> _CanonicalPoints:
+def _canonical_points(p: MatrixParams, bound: int) -> _ColumnPoints:
     """lambda(k) = sum_j d_j(k) A^j (q1, -q2) for all |k| <= bound, one word length at a time.
 
     |lambda(k)| < (3 q2)^n / 2 per coordinate, n the length of the longest
     word, which decides int64 or exact object columns up front.
     """
     dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * I64_COORD else object
-    return _CanonicalPoints(*_canonical_columns(p, bound, dtype), bound)
+    return _ColumnPoints(*_canonical_columns(p, bound, dtype), bound)
 
 
 def _canonical_columns(p: MatrixParams, bound: int, dtype):
@@ -442,6 +506,64 @@ def _canonical_columns(p: MatrixParams, bound: int, dtype):
     return xs[middle], ys[middle]
 
 
+def _kicked_points(mapping: KickedMapping, p: MatrixParams, bound: int) -> _ColumnPoints:
+    """A kicked mapping's points |k| <= bound as columns, one word length at a time.
+
+    The heads h = k - sign(k) 3^(n-1) of the words of length n are shorter, so
+    their digit sums S(h) are in place, and S(k) follows from S(h) by the two
+    cases of ``_child``, on whole arrays: h's kick term lands on k's run of
+    zeros when 1 <= m_h <= run, and a child of h's kick parent (m_h = run + 1,
+    coherent mode) shifts its last digit by the kick.  Each digit lies in
+    Gamma, so |S(k)| < (3/4) (3 q2)^n per coordinate, n the length of the
+    longest word: int64 columns when (3 q2)^n < 2^62, else exact objects,
+    kept as int64 when every sum fits after all.  The kick is resolved only
+    when some index in range is kicked.
+    """
+    m = _offset_column(mapping.offsets, bound)
+    kicks = bool(m.any())
+    kx, ky = mapping.resolve_kick(p) if kicks else (0, 0)
+    n_max = len(index_to_word(bound))
+    dtype = np.int64 if p.base_y**n_max < I64_COORD else object
+    xs, ys = np.zeros(len(m), dtype=dtype), np.zeros(len(m), dtype=dtype)
+    length = np.zeros(len(m), dtype=np.int64)
+    pow_x, pow_y = (np.array([b**j for j in range(n_max)], dtype=dtype)
+                    for b in (p.base_x, p.base_y))
+    hx, hy = p.base_x // 2, p.base_y // 2
+    for n in range(1, n_max + 1):
+        top = 3 ** (n - 1)
+        lo, hi = (top + 1) // 2, min((3 * top - 1) // 2, bound)
+        rows = np.r_[bound - hi:bound + 1 - lo, bound + lo:bound + hi + 1]
+        sign = np.where(rows > bound, 1, -1).astype(dtype)
+        heads = rows - np.where(rows > bound, top, -top)
+        run, head_m = n - 1 - length[heads], m[heads]
+        x, y = xs[heads], ys[heads]
+        dx, dy = sign * p.q1, sign * -p.q2
+        if kicks:
+            on_run = (head_m >= 1) & (head_m <= run)
+            e = (length[heads] + head_m - 1)[on_run]
+            x[on_run] += pow_x[e] * kx
+            y[on_run] += pow_y[e] * ky
+            if mapping.mode == "coherent":
+                shift = head_m == run + 1
+                dx[shift] = (dx[shift] + kx + hx) % p.base_x - hx
+                dy[shift] = (dy[shift] + ky + hy) % p.base_y - hy
+        xs[rows] = x + pow_x[n - 1] * dx
+        ys[rows] = y + pow_y[n - 1] * dy
+        length[rows] = n
+    if dtype is object and fits_int64(xs, ys, (kx,), (ky,)):
+        xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    return _ColumnPoints(xs, ys, bound, np.where(m != 0, length + m - 1, 0), (kx, ky), p)
+
+
+def _offset_column(offsets, bound: int) -> np.ndarray:
+    """m_k for k = -bound..bound, in order, m_0 = 0: from the offsets' own
+    ``column`` when they have one, else one call per index."""
+    column = getattr(offsets, "column", None)
+    if column is not None:
+        return column(bound)
+    return np.array([offsets(k) if k else 0 for k in range(-bound, bound + 1)], dtype=np.int64)
+
+
 def level_index_bound(level: int) -> int:
     """Words of length <= level correspond exactly to |k| <= (3**level - 1) // 2."""
     if level < 0:
@@ -458,12 +580,10 @@ def enumerate_spectrum(
 ) -> SpectrumPrefix:
     """All points with |k| <= bound (or word length <= level), ordered by k.
 
-    A canonical mapping gets its points as numpy columns (``_canonical_points``),
-    built into ``SpectrumPoint``s only when read.  A kicked mapping fills a
-    tuple by word length, each point in one ``_child`` step from its head, so
-    the cost is O(1) big-int operations per point.  Only kicked indices keep
-    their unfolded digit sum on the side; every other head's sum is its own
-    value.base.
+    Points are kept as numpy columns (``_ColumnPoints``) and built into
+    ``SpectrumPoint``s only when read: a canonical mapping's by
+    ``_canonical_points``, a kicked one's by ``_kicked_points``, which fills
+    them by word length from their heads, a few array operations per length.
     """
     if (level is None) == (index_bound is None):
         raise ValueError("specify exactly one of level / index_bound")
@@ -479,25 +599,7 @@ def enumerate_spectrum(
         )
     if isinstance(mapping, CanonicalMapping):
         return SpectrumPrefix(p, _canonical_points(p, index_bound), index_bound)
-    # Fill by word length: the head of every k is shorter, so already built.
-    # Within a length k ascends, so a walk over the points in k order meets
-    # them mostly in the order they were allocated (better cache locality).
-    points: list[SpectrumPoint] = [_ROOT] * (2 * index_bound + 1)
-    kicked: dict[int, tuple[int, Vec]] = {}  # k -> (m_k, S(k)) for m_k != 0
-    n, top = 1, 1  # top = 3^(n-1)
-    while (top + 1) // 2 <= index_bound:
-        scale = (p.base_x ** (n - 1), p.base_y ** (n - 1))
-        lo, hi = (top + 1) // 2, min((3 * top - 1) // 2, index_bound)
-        for k in itertools.chain(range(-hi, 1 - lo), range(lo, hi + 1)):
-            h = k - top if k > 0 else k + top
-            head = points[h + index_bound]
-            head_m, head_sum = kicked.get(h) or (0, head.value.base)
-            pt, m, digit_sum = _child(mapping, p, k, n, scale, head, head_m, head_sum)
-            points[k + index_bound] = pt
-            if m:
-                kicked[k] = (m, digit_sum)
-        n, top = n + 1, 3 * top
-    return SpectrumPrefix(params=p, points=tuple(points), index_bound=index_bound)
+    return SpectrumPrefix(p, _kicked_points(mapping, p, index_bound), index_bound)
 
 
 @dataclass(frozen=True)

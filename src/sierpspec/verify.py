@@ -10,14 +10,18 @@ runs on the points' value columns, int64 or exact objects, a few numpy
 operations per level, and adds each kick term when it reaches the term's
 exponent.  It yields the failing nodes' parts and the groups of equal
 points, and the violations are listed from those events alone.  The
-projection checks run the same walk per axis.  Every check reads the
-points' coordinates and kick terms through one call,
-``lattice.value_columns``, which hands a canonical prefix's stored columns
-over without building a point.  Level-n unitarity multiplies the Gram
-matrix out of per-level rank-3 factors, one row block at a time, with no
-character matrix built.  The q-sums split each level's phase in two: the
-points' part e^(-2 pi i (lam mod B^j) / B^j), from exact remainders, and a
-scalar per level for the frequency.  A canonical prefix's point phases are
+projection checks run the same walk per axis, and the line check takes
+its groups of equal coordinates from that walk's equal-value groups when
+some point has a kick term.  Every check reads the points' coordinates and
+kick terms through one call, ``lattice.value_columns``, which hands a
+prefix's stored columns over without building a point; a kicked prefix's
+kick terms come unfolded, so its bases stay int64.  Unitarity and the
+q-sums read them through ``lattice.folded_columns`` instead, which folds
+the small kicks as the points' own values do.  Level-n unitarity
+multiplies the Gram matrix out of per-level rank-3 factors, one row block
+at a time, with no character matrix built.  The q-sums split each level's
+phase in two: the points' part e^(-2 pi i (lam mod B^j) / B^j), from exact
+remainders, and a scalar per level for the frequency.  A canonical prefix's point phases are
 built once, shared with unitarity and kept while its columns live, so each
 further frequency costs one complex multiply-add per point, level and axis.
 Completeness is never certified: the quadratic sums of the transform over a
@@ -50,6 +54,7 @@ from .fourier import (
 from .lattice import (
     MatrixParams,
     SymVec,
+    folded_columns,
     scalar_parts,
     scalar_sign,
     sym_diff,
@@ -169,38 +174,6 @@ class LineReport:
     shared_y: tuple[tuple[int, int], ...]
 
 
-_KEY_PRIME = 2**61 - 1  # symbolic coordinates are bucketed by their value mod this prime
-
-
-def _equal_coordinate_groups(values, p: MatrixParams, axis: int) -> list[list[int]]:
-    """The index lists, each ascending, of two or more values sharing a coordinate on
-    ``axis``, ordered by that coordinate: the runs of a stable sort by it.
-
-    Every coordinate is keyed by its value mod ``_KEY_PRIME`` (equal values,
-    equal keys); the exact comparator splits each bucket into groups of equal
-    values and orders the groups, so it runs only on values that share a key.
-    """
-    buckets: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        b, terms, base = scalar_parts(v, p, axis)
-        key = (b + sum(c * pow(base, e, _KEY_PRIME) for e, c in terms)) % _KEY_PRIME
-        buckets.setdefault(key, []).append(i)
-
-    def cmp(a: SymVec, b: SymVec) -> int:
-        return scalar_sign(*scalar_parts(sym_diff(a, b), p, axis))
-
-    groups = []
-    for rest in buckets.values():
-        while len(rest) > 1:  # split off the values equal to the first
-            first = values[rest[0]]
-            same = [cmp(first, values[i]) == 0 for i in rest]
-            if sum(same) > 1:
-                groups.append([i for i, s in zip(rest, same) if s])
-            rest = [i for i, s in zip(rest, same) if not s]
-    by_value = functools.cmp_to_key(lambda g, h: cmp(values[g[0]], values[h[0]]))
-    return sorted(groups, key=by_value)
-
-
 def check_distinct_lines(
     prefix: SpectrumPrefix | list[SpectrumPoint], p: MatrixParams | None = None
 ) -> LineReport:
@@ -209,26 +182,42 @@ def check_distinct_lines(
     Per axis each pair of equal neighbours in a stable sort by coordinate is
     a witness.  When no point has a kick term the sort runs on its
     ``value_columns`` (int64, or exact objects past 2^62), and only the
-    witnesses' points are read; otherwise the points are grouped by
-    coordinate keys mod a prime (``_equal_coordinate_groups``) and only the
-    groups of equal coordinates are ordered exactly.
+    witnesses' points are read.  Otherwise the groups of equal coordinates
+    are the equal-value groups of that axis's residue walk (``_axis_walk``,
+    the walk of ``check_projection_orthogonality``), each sorted, and only
+    the groups are ordered, by the exact comparator.
     """
     points, values, p = _points_and_params(prefix, p)
-    *cols, terms = value_columns(values)
+    xs, ys, terms = value_columns(values)
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-    for axis in (0, 1):
+    for axis, (col, q) in enumerate(((xs, p.q1), (ys, p.q2))):
         if terms is None:
-            order = np.argsort(cols[axis], kind="stable")
-            ties = np.flatnonzero(np.diff(cols[axis][order]) == 0)
+            order = np.argsort(col, kind="stable")
+            ties = np.flatnonzero(np.diff(col[order]) == 0)
             shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
             continue
-        for group in _equal_coordinate_groups(values, p, axis):
+
+        def cmp(a: SymVec, b: SymVec, axis=axis) -> int:
+            return scalar_sign(*scalar_parts(sym_diff(a, b), p, axis))
+
+        groups = [sorted(part) for _, parts in _axis_walk(col, terms, axis, q)
+                  for r, part in parts if r is None]
+        groups.sort(key=functools.cmp_to_key(lambda g, h: cmp(values[g[0]], values[h[0]])))
+        for group in groups:
             shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
     return LineReport(
         passed=not shared[0] and not shared[1],
         shared_x=tuple(shared[0]),
         shared_y=tuple(shared[1]),
     )
+
+
+def _axis_walk(col, terms, axis: int, q: int):
+    """The residue walk of one axis's coordinates against the base-3q zero set:
+    the coordinate rides in x with y = 0, and so do that axis's kick terms."""
+    on_x = terms if terms is None else terms._replace(
+        x=terms[2 + axis], y=np.zeros_like(terms.y))
+    return _residue_walk(col, np.zeros_like(col), on_x, (q, 0), (3 * q, 3 * q))
 
 
 @dataclass(frozen=True)
@@ -258,12 +247,9 @@ def check_projection_orthogonality(
     n = len(points)
     xs, ys, terms = value_columns(values)
     bad = []
-    for col, q, axis in ((xs, p.q1, "x"), (ys, p.q2, "y")):  # riding in x, with y = 0
-        step, bases = (q, 0), (3 * q, 3 * q)
-        on_x = terms if terms is None else terms._replace(
-            x=getattr(terms, axis), y=np.zeros_like(terms.y))
-        events = _residue_walk(col, np.zeros_like(col), on_x, step, bases)
-        bad.append(_violating_pairs(events, values, step, bases, max_violations))
+    for axis, (col, q) in enumerate(((xs, p.q1), (ys, p.q2))):
+        events = _axis_walk(col, terms, axis, q)
+        bad.append(_violating_pairs(events, values, (q, 0), (3 * q, 3 * q), max_violations))
     cut = min(
         (_pair_rank(*pairs[-1][:2], n) for pairs in bad if len(pairs) == max_violations),
         default=math.inf,
@@ -377,7 +363,7 @@ def gram_unitarity(
         raise ValueError("n must be >= 0")
     if len(values) != 3**n:
         raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(values)}")
-    *cols, terms = value_columns(values)
+    *cols, terms = folded_columns(values)
     if terms is not None:  # kick terms, expanded
         *cols, _ = value_columns([SymVec(v.materialize(p)) for v in values])
     dev = 0.0
@@ -443,7 +429,7 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     if not 0 < tail_target < math.inf:
         raise ValueError(f"q_sum needs a positive finite tail_target, got {tail_target}")
     _, values, p = _points_and_params(prefix, p)
-    *cols, terms = value_columns(values)
+    *cols, terms = folded_columns(values)
     if terms is not None:
         raise ValueError("q_sum needs float-representable points; got a symbolic kick term")
     arr = np.column_stack(cols).astype(float)
@@ -451,10 +437,7 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
         return np.zeros(0), np.zeros(0), 1
     arr = arr + np.asarray(xi, dtype=float)
     xmax = float(np.max(np.abs(arr)))
-    per_term = tail_target / (3.0 * max(1, len(values)))
-    depth = 1
-    while tail_bound((xmax, xmax), p, depth) > per_term:
-        depth += 1
+    depth = _q_sum_depth(xmax, p, tail_target / (3.0 * max(1, len(values))))
     prod = np.ones(len(values), dtype=complex)
     t, u = np.empty_like(prod), np.empty_like(prod)
     bases = (p.base_x, p.base_y)
@@ -475,6 +458,24 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     values = np.abs(prod) ** 2
     errors = tails * (2.0 * np.abs(prod) + tails)
     return values, errors, depth
+
+
+def _q_sum_depth(xmax: float, p: MatrixParams, per_term: float) -> int:
+    """The least depth >= 1 with tail_bound((xmax, xmax), p, depth) <= per_term.
+
+    The bound falls as the depth grows, so the search gallops up from 1 by
+    doubling and then bisects: O(log depth) calls of ``tail_bound``.
+    """
+    def within(depth: int) -> bool:
+        return tail_bound((xmax, xmax), p, depth) <= per_term
+
+    lo, hi = 0, 1  # within(hi) is open; every depth <= lo is too shallow
+    while not within(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if within(mid) else (mid, hi)
+    return hi
 
 
 def _xi_phases(x: float, base: int, depth: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from sierpspec.treemap import (
     KickedMapping,
     SpectrumPoint,
     TableOffsets,
-    _CanonicalPoints,
+    _ColumnPoints,
     central_points,
     enumerate_spectrum,
 )
@@ -26,7 +26,7 @@ def _moved(pre, i, dx):
     """The canonical prefix with point i moved by (dx, 0), its points still columns."""
     xs = pre.points.xs.copy()
     xs[i] += dx
-    return dataclasses.replace(pre, points=_CanonicalPoints(xs, pre.points.ys, pre.index_bound))
+    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.index_bound))
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def value_column_cases():
 def _middle(points, n):
     """The middle 3^n of a k-ordered prefix or point list."""
     points = getattr(points, "points", points)
-    if isinstance(points, _CanonicalPoints):
+    if isinstance(points, _ColumnPoints):
         return central_points(points, (3**n - 1) // 2)
     start = (len(points) - 3**n) // 2
     return points[start:start + 3**n]

@@ -45,7 +45,7 @@ from sierpspec.treemap import (
     SpectrumPoint,
     SpectrumPrefix,
     TableOffsets,
-    _CanonicalPoints,
+    _ColumnPoints,
     enumerate_spectrum,
 )
 
@@ -341,7 +341,8 @@ _SMALL_LOG2 = 30.0
 def _oracle_as_symvecs(points, p=None):
     if isinstance(points, SpectrumPrefix):
         pts = points.points  # a canonical prefix's values come from its columns
-        if isinstance(pts, _CanonicalPoints):  # what _CanonicalPoints.values() returned
+        # what a canonical prefix's values() returned; kicked prefixes were tuples
+        if isinstance(pts, _ColumnPoints) and pts.exps is None:
             vecs = list(map(SymVec, zip(pts.xs.tolist(), pts.ys.tolist())))
         else:
             vecs = [pt.value for pt in pts]
@@ -500,8 +501,9 @@ def test_slab_kernel_matches_oracle(case):
     vecs, _ = _as_symvecs(points, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     assert _max_ball_counts(old_vecs, centers, scales, p) == want
-    if isinstance(points, SpectrumPrefix) and isinstance(points.points, _CanonicalPoints):
-        assert points.points._points is None  # no point was built
+    # a canonical prefix builds no point (the kicked cases were split, which reads them)
+    if isinstance(points, SpectrumPrefix) and points.points.exps is None:
+        assert points.points._points is None
 
 
 # (1,8) L7 runs up to 24^6: its points past 2^30 are screened, not expanded,
@@ -557,15 +559,15 @@ def _oracle_estimate(points, scales, p, centers, seed=0):
 
 def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
     """Ball counts and estimates, stats included, as before ``lattice.value_columns``;
-    on a canonical prefix no point is built."""
+    on a canonical or kicked prefix no point is built."""
     for name, points, p, _ in value_column_cases:
         pts = getattr(points, "points", points)
         scales = geometric_scales(p, 1, 6)
         centers = [(0, 0), pts[len(pts) // 3].value, (Fraction(1, 2), -3), pts[-1]]
         runs = [("sample:8", 3), (centers, 0)]
-        canonical = isinstance(pts, _CanonicalPoints)
-        builds = mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError)
-        with builds if canonical else contextlib.nullcontext():
+        stored = isinstance(pts, _ColumnPoints)  # canonical and kicked prefixes
+        builds = mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError)
+        with builds if stored else contextlib.nullcontext():
             got = [beurling_dim_estimate(points, scales, p, centers=c, seed=s) for c, s in runs]
             balls = [count_in_ball(points, c, h, p) for c in centers for h in scales[:3]]
         want = [_oracle_estimate(points, scales, p, c, s) for c, s in runs]
@@ -579,7 +581,7 @@ def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
 def test_canonical_prefix_counts_without_building_its_points():
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=7)
     scales = geometric_scales(P12, 2, 6)
-    with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+    with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
         est = beurling_dim_estimate(pre, scales, centers="sample:16", seed=3)
         counts = [count_in_ball(pre, pre.point(40), h) for h in scales]
     pts = list(pre.points)

@@ -2,21 +2,26 @@ import dataclasses
 import itertools
 import pickle
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sierpspec import construct, verify
 from sierpspec.construct import build_intermediate_spectrum
+from sierpspec.dimension import beurling_dim_estimate, geometric_scales
 from sierpspec.lattice import (
     MatrixParams,
     SymVec,
     enumerate_digit_sets,
+    folded_columns,
     make_sym,
     scalar_parts,
     scalar_sign,
     sym_diff,
+    value_columns,
 )
 from sierpspec.treemap import (
     _ROOT,
@@ -24,6 +29,7 @@ from sierpspec.treemap import (
     KickError,
     KickedMapping,
     SpectrumPoint,
+    SpectrumPrefix,
     SquareOffsets,
     TableOffsets,
     WordError,
@@ -34,8 +40,10 @@ from sierpspec.treemap import (
     tau_eval,
     validate_tree_mapping,
     word_to_index,
-    _CanonicalPoints,
+    _ColumnPoints,
     _child,
+    central_points,
+    point_values,
 )
 
 P11 = MatrixParams(1, 1)
@@ -322,7 +330,8 @@ def test_empty_table_never_resolves_the_kick():
 
 def child_enumeration(mapping, p, bound):
     """The points |k| <= bound filled by word length, each in one ``_child`` step
-    from its head: the enumeration canonical prefixes used before columns."""
+    from its head: the enumeration every prefix used before column stores, kept
+    as their oracle (kicked mappings included)."""
     points = [_ROOT] * (2 * bound + 1)
     kicked = {}  # k -> (m_k, S(k)) for m_k != 0
     n, top = 1, 1  # top = 3^(n-1)
@@ -344,10 +353,10 @@ def child_enumeration(mapping, p, bound):
 def assert_columns_match_child_steps(p, bound):
     want = child_enumeration(CanonicalMapping(), p, bound)
     pre = enumerate_spectrum(CanonicalMapping(), p, index_bound=bound)
-    assert isinstance(pre.points, _CanonicalPoints)
+    assert isinstance(pre.points, _ColumnPoints)
     rng = random.Random(bound)
     ks = {-bound, 0, bound, *(rng.randint(-bound, bound) for _ in range(20))}
-    with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+    with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
         assert len(pre) == len(pre.points) == len(want)
         for k in ks:
             assert pre.point(k) == want[k + bound] == pre.points[k + bound]
@@ -395,7 +404,7 @@ def test_empty_kick_table_keeps_the_parent_steps():
         bound = level_index_bound(level)
         pre = enumerate_spectrum(KickedMapping(TableOffsets({})), P12, index_bound=bound)
         want = child_enumeration(CanonicalMapping(), P12, bound)
-        assert type(pre.points) is tuple and pre.points == want
+        assert not pre.points.exps.any() and pre.points == want  # a store with no kick
         assert enumerate_spectrum(CanonicalMapping(), P12, level=level).points == pre.points
 
 
@@ -410,3 +419,162 @@ def test_points_and_prefixes_pickle_and_replace():
     assert pickle.loads(pickle.dumps(pre)) == pre
     kicked = lambda_of_index(KickedMapping(SquareOffsets(kicked=lambda k: True)), P44, 12)
     assert pickle.loads(pickle.dumps(kicked)) == kicked
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: kicked column stores against the parent-step fill
+# ---------------------------------------------------------------------------
+
+
+# bounds at and next to level boundaries: (3^n - 1) / 2 and one more
+BOUNDS = (0, 1, 2, 4, 5, 13, 14, 40, 41, 121, 122, 364, 365)
+
+
+def _kicked_mappings():
+    """(name, mapping, params, bounds) for every kind of kicked mapping."""
+    rng = random.Random(16)
+    cases = []
+    for t in (0.15, 0.3):
+        for bits in ((), (1, 0, 1, 1), (0, 1)):
+            spec = build_intermediate_spectrum(t, P48, variant_bits=bits)
+            cases.append((f"t={t} bits={bits}", spec.mapping(), P48, BOUNDS + (1093,)))
+    for mode in ("coherent", "literal"):
+        cases.append((f"TABLE {mode}", KickedMapping(TableOffsets(TABLE), mode=mode), P44,
+                      BOUNDS + (1093, 1094)))
+        cases.append((f"TABLE {mode} kick (0,1)",
+                      KickedMapping(TableOffsets(TABLE), kick=(0, 1), mode=mode), P12, BOUNDS))
+        cases.append((f"literal {{1:1}} {mode}",
+                      KickedMapping(TableOffsets({1: 1}), mode=mode), P44, BOUNDS))
+        for p in (P44, P35, P12):
+            leaders = [v for v in enumerate_digit_sets(p).e_q1 if v != (0, 0)]
+            table = {rng.choice([k for k in range(-40, 41) if k]): rng.randint(0, 6)
+                     for _ in range(rng.randint(1, 12))}
+            mapping = KickedMapping(TableOffsets(table), kick=rng.choice(leaders), mode=mode)
+            cases.append((f"random {table} {mode} at {p}", mapping, p, (40, 121, 364)))
+    # a predicate without a column form: one call per index
+    cases.append(("square, every index", KickedMapping(SquareOffsets(kicked=lambda k: True)),
+                  P44, (13, 40)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _kicked_mappings(), ids=lambda c: c[0])
+def test_kicked_store_matches_child_steps(case):
+    _, mapping, p, bounds = case
+    for bound in bounds:
+        want = child_enumeration(mapping, p, bound)
+        pre = enumerate_spectrum(mapping, p, index_bound=bound)
+        assert isinstance(pre.points, _ColumnPoints)
+        with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
+            for k in {-bound, 0, bound, bound // 3, -bound // 2}:
+                assert pre.point(k) == want[k + bound]
+        assert pre.points == want and want == pre.points
+        assert hash(pre.points) == hash(want)
+        assert list(pre.points) == list(want) and pre.points[1:3] == want[1:3]
+        # the columns hold int64 sums whenever today's values do
+        folded = value_columns([pt.value for pt in want])
+        got = folded_columns(point_values(pre.points))
+        for a, b in zip(got[:2], folded[:2]):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert (got[2] is None) == (folded[2] is None)
+        if got[2] is not None:
+            assert all(a.dtype == b.dtype and a.tolist() == b.tolist()
+                       for a, b in zip(got[2], folded[2]))
+        for middle in {0, 1, 4, bound // 2}:
+            middle = min(middle, bound)
+            assert central_points(pre.points, middle) == want[bound - middle:bound + middle + 1]
+
+
+@pytest.mark.parametrize("q2, dtype", [(600_000, np.int64), (10**6, object)])
+def test_kicked_store_past_int64(q2, dtype):
+    """(3 q2)^3 >= 2^62: the sums are made as exact objects, and kept as int64
+    when they fit after all (q2 = 600,000) or as objects when not."""
+    p = MatrixParams(4, q2)
+    assert p.base_y**3 >= 2**62
+    for mapping in (KickedMapping(TableOffsets(TABLE), mode="coherent"),
+                    KickedMapping(TableOffsets({2: 1, -4: 70}), mode="literal")):
+        pre = enumerate_spectrum(mapping, p, level=3)
+        assert pre.points.xs.dtype == pre.points.ys.dtype == dtype
+        assert pre.points == child_enumeration(mapping, p, pre.index_bound)
+
+
+def _reports(points, p):
+    """Every check's result, or the type and message of what it raised."""
+    def outcome(f, *args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    got = [verify.check_orthogonality(points, p, max_violations=mv) for mv in (7, 100)]
+    got += [verify.check_projection_orthogonality(points, p, max_violations=mv)
+            for mv in (7, 100)]
+    got.append(verify.check_distinct_lines(points, p))
+    for n in (1, 2, 3):
+        got.append(outcome(verify.gram_unitarity, n, central_points(points, (3**n - 1) // 2), p))
+    for xi in ((0.0, 0.0), (0.31, -0.27)):
+        res = outcome(verify.q_sum_terms, xi, points, p)
+        got.append(res if isinstance(res[0], type) else [a.tolist() for a in res[:2]] + [res[2]])
+        got.append(outcome(verify.q_sum, xi, points, p))
+    scales = geometric_scales(p, 1, 5)
+    for centers in ("sample:6", [(0, 0), points[len(points) // 3], (Fraction(1, 2), -3)]):
+        est = beurling_dim_estimate(points, scales, p, centers=centers, seed=2)
+        got += [est, est.stats]
+    return got
+
+
+def test_kicked_store_reports_equal_point_list_reports():
+    """Every check, unitarity, q-sum (values and errors) and estimate, stats
+    included, reads the same on a store, with its unfolded kick terms, as on
+    its points as a list; no point is built on the store."""
+    specs = [build_intermediate_spectrum(t, P48, variant_bits=(1, 0, 1)) for t in (0.15, 0.3)]
+    cases = [(spec.prefix(364), P48) for spec in specs]
+    cases += [
+        (enumerate_spectrum(KickedMapping(TableOffsets({1: 1}), mode="literal"), P44, level=3), P44),
+        (enumerate_spectrum(KickedMapping(TableOffsets(TABLE), mode="coherent"), P44, level=5), P44),
+        (enumerate_spectrum(KickedMapping(TableOffsets(TABLE), mode="literal"),
+                            MatrixParams(4, 10**6), level=3), MatrixParams(4, 10**6)),
+        (enumerate_spectrum(KickedMapping(TableOffsets({})), P12, level=4), P12),
+    ]
+    for pre, p in cases:
+        with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
+            got = _reports(pre.points, p)
+        listed = list(pre.points)
+        want = _reports(listed, p)
+        assert got == want
+    # the literal (4,4) {1:1} q-sums read its folded kicks: they do not raise
+    literal = _reports(cases[2][0].points, P44)
+    assert not any(isinstance(r, tuple) and r[:1] == (ValueError,) for r in literal)
+
+
+def test_kicked_prefix_makes_no_per_index_call():
+    """A Gamma_t family's columns, variant-bit ranks included, come from the
+    index column alone: no per-index predicate, offset or parent step runs."""
+    spec = build_intermediate_spectrum(0.15, P48, variant_bits=(1, 0, 1, 1))
+    no_call = mock.Mock(side_effect=AssertionError)
+    with mock.patch.object(construct._ActiveLetters, "__call__", no_call), \
+            mock.patch.object(SquareOffsets, "__call__", no_call), \
+            mock.patch.object(SquareOffsets, "_rank", no_call), \
+            mock.patch("sierpspec.treemap._child", no_call):
+        pre = spec.prefix(3280)
+        f_part, kicked = spec.split(pre)
+    assert len(pre) == 6561 and not no_call.called
+    assert pre.points == child_enumeration(spec.mapping(), P48, 3280)
+    # split keeps the lists of a per-point membership test
+    assert f_part == [pt for pt in pre.points if spec.gamma_t_contains(pt.k)]
+    assert kicked == [pt for pt in pre.points if not spec.gamma_t_contains(pt.k)]
+    assert {pt.k for pt in kicked} == {pt.k for pt in pre.points if pt.kick_position}
+
+
+def test_gamma_t_mask_matches_the_predicate():
+    rng = random.Random(3)
+    ks = np.array([0, 1, -1, 4, -13, 121, -364, 3280] + rng.sample(range(-10**6, 10**6), 500))
+    for t in (0.0, 0.1, 0.15, 0.3, construct.t_max(P48)):
+        spec = build_intermediate_spectrum(t, P48)
+        member = spec._member
+        assert member.mask(ks).tolist() == [member(k) for k in ks.tolist()]
+        outside = construct._ActiveLetters(spec.pattern, outside=True)
+        assert outside.mask(ks).tolist() == [not member(k) for k in ks.tolist()]
+        listed = list(enumerate_spectrum(spec.mapping(), P48, index_bound=40).points)
+        pre = SpectrumPrefix(P48, tuple(rng.sample(listed, 30)), 40)  # any order
+        assert spec.split(pre) == tuple(
+            [pt for pt in pre.points if member(pt.k) == inside] for inside in (True, False))

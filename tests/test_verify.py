@@ -45,7 +45,7 @@ from sierpspec.treemap import (
     SpectrumPoint,
     SpectrumPrefix,
     TableOffsets,
-    _CanonicalPoints,
+    _ColumnPoints,
     central_points,
     enumerate_spectrum,
 )
@@ -176,8 +176,51 @@ def test_distinct_lines_match_comparator():
         assert check_distinct_lines(points, p) == _comparator_lines(points, p)
 
 
+def _equal_coordinate_groups(values, p, axis, prime=2**61 - 1):
+    """The index lists, each ascending, of two or more values sharing a coordinate on
+    ``axis``, ordered by that coordinate: how ``check_distinct_lines`` grouped
+    values with kick terms before the residue walk, kept as its oracle.
+
+    Every coordinate is keyed by its value mod ``prime`` (equal values, equal
+    keys); the exact comparator splits each bucket into groups of equal values
+    and orders the groups, so it runs only on values that share a key.
+    """
+    buckets = {}
+    for i, v in enumerate(values):
+        b, terms, base = scalar_parts(v, p, axis)
+        key = (b + sum(c * pow(base, e, prime) for e, c in terms)) % prime
+        buckets.setdefault(key, []).append(i)
+
+    def cmp(a, b):
+        return scalar_sign(*scalar_parts(sym_diff(a, b), p, axis))
+
+    groups = []
+    for rest in buckets.values():
+        while len(rest) > 1:  # split off the values equal to the first
+            first = values[rest[0]]
+            same = [cmp(first, values[i]) == 0 for i in rest]
+            if sum(same) > 1:
+                groups.append([i for i, s in zip(rest, same) if s])
+            rest = [i for i, s in zip(rest, same) if not s]
+    by_value = functools.cmp_to_key(lambda g, h: cmp(values[g[0]], values[h[0]]))
+    return sorted(groups, key=by_value)
+
+
+def _key_lines(points, p, prime=2**61 - 1):
+    """``check_distinct_lines`` on values with kick terms before the residue walk."""
+    points = list(getattr(points, "points", points))
+    values = [pt.value for pt in points]
+    shared = {0: [], 1: []}
+    for axis in (0, 1):
+        for group in _equal_coordinate_groups(values, p, axis, prime):
+            shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
+    return verify.LineReport(not shared[0] and not shared[1],
+                             tuple(shared[0]), tuple(shared[1]))
+
+
 def test_distinct_lines_by_keys_match_comparator():
-    """Points off the int64 path: key buckets against the comparator sort."""
+    """Points off the int64 path: the walk's groups against the comparator sort
+    and against key buckets, with a prime so small that every bucket mixes values."""
     rng = random.Random(8)
     p = MatrixParams(4, 8)
     e = 10**6
@@ -213,9 +256,63 @@ def test_distinct_lines_by_keys_match_comparator():
         rng.shuffle(points)
         want = _comparator_lines(points, p)
         assert check_distinct_lines(points, p) == want
-        with mock.patch.object(verify, "_KEY_PRIME", 3):  # every bucket mixes values
-            assert check_distinct_lines(points, p) == want
+        assert _key_lines(points, p) == want == _key_lines(points, p, prime=3)
     assert sum(not check_distinct_lines(pts, p).passed for pts in cases) > 30
+
+
+def _lines_cases(rng):
+    """(points, params) on which the line groups are adversarial for the walk."""
+    p48, e = MatrixParams(4, 8), 10**6
+    sym = SymVec
+    twin = make_sym((3, -5), [(40, (1, -2))], p48)  # folded into its base
+    cases = [
+        # a shared x with different kick terms, and terms that cancel on one axis
+        (_pts([sym((7, 0), ((e, (0, 1)),)), sym((7, 1), ((e, (0, -1)),)),
+               sym((7, 2), ((80, (0, 1)),)), sym((6, 0), ((80, (1, 0)), (81, (-24, 0)))),
+               sym((7, 0)), sym((1, 0), ((70, (1, 0)),)), sym((1, 9), ((70, (1, 0)),))]), p48),
+        # a folded value against its unfolded twin, both written both ways
+        (_pts([twin, sym((3, -5), ((40, (1, -2)),)), sym(twin.base), twin, sym((3, -5))]), p48),
+        # coincident points with and without terms, and equal values written apart
+        (_pts([sym((0, 0), ((70, (1, 0)), (71, (-1, 0)))), sym((0, 1), ((70, (-11, 0)),)),
+               sym((-11 * 12**70, 1)), sym((0, 1), ((70, (-11, 0)),)), sym((2, 2))] * 2),
+         MatrixParams(4, 4)),
+    ]
+    for t in (0.15, 0.3):  # kicked prefixes: int64 columns with unfolded terms
+        spec = build_intermediate_spectrum(t, p48, variant_bits=(1, 0, 1))
+        pre = spec.prefix(121)
+        pts = list(pre.points)
+        pairs = rng.sample([(i, j) for i in range(len(pts)) for j in range(i)], 24)
+        for i, j in pairs[:12]:
+            pts[i] = dataclasses.replace(pts[i], value=pts[j].value)  # coincident
+        # the same ties planted in a store: x (or the whole value) and the kick
+        # term of row j copied to row i
+        xs, ys, exps = (c.copy() for c in (pre.points.xs, pre.points.ys, pre.points.exps))
+        for n, (i, j) in enumerate(pairs[12:]):
+            xs[i], exps[i] = xs[j], exps[j]
+            if n % 2:
+                ys[i] = ys[j]
+        planted = _ColumnPoints(xs, ys, pre.index_bound, exps, pre.points.kick, p48)
+        cases += [(pre, p48), (pts, p48), (dataclasses.replace(pre, points=planted), p48)]
+    big = MatrixParams(10**9, 10**9)  # object columns
+    pre = enumerate_spectrum(KickedMapping(TableOffsets({1: 70, -2: 1}), kick=(0, 1)), big,
+                             level=3)
+    pts = list(pre.points) + [pre.point(1), dataclasses.replace(pre.point(4), k=99)]
+    cases += [(pre, big), (_pts([pt.value for pt in pts]), big)]
+    literal = enumerate_spectrum(KickedMapping(TableOffsets({1: 1}), mode="literal"),
+                                 MatrixParams(4, 4), level=3)
+    cases.append((literal, MatrixParams(4, 4)))
+    return cases
+
+
+def test_distinct_lines_walk_matches_key_oracle():
+    """The walk's groups give the key-bucket oracle's reports, pair order
+    included, on stores with unfolded kick terms and on point lists."""
+    rng = random.Random(16)
+    for points, p in _lines_cases(rng):
+        want = _key_lines(points, p)
+        assert check_distinct_lines(points, p) == want == _key_lines(points, p, prime=3)
+        listed = list(getattr(points, "points", points))
+        assert check_distinct_lines(listed, p) == want == _comparator_lines(listed, p)
 
 
 def test_projection_orthogonality():
@@ -294,7 +391,7 @@ def test_maximality_probe_reads_values_not_points():
         pre = enumerate_spectrum(CanonicalMapping(), P12, level=level)
         built = enumerate_spectrum(CanonicalMapping(), P12, level=level)
         as_tuple = dataclasses.replace(built, points=tuple(built.points))
-        with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+        with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
             got = maximality_probe(pre, box=box)
         want = maximality_probe(as_tuple, box=box)
         assert got == want
@@ -965,7 +1062,7 @@ def _moved(pre, i, dx):
     """The canonical prefix with point i moved by (dx, 0), its points still columns."""
     xs = pre.points.xs.copy()
     xs[i] += dx
-    return dataclasses.replace(pre, points=_CanonicalPoints(xs, pre.points.ys, pre.index_bound))
+    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.index_bound))
 
 
 def _three_reports(prefix, max_violations):
@@ -982,7 +1079,7 @@ def test_column_reports_equal_point_reports():
     cases = [pre] + [_moved(pre, rng.randrange(len(pre)), dx) for dx in (1, P12.base_x**6)]
     for lazy, clean in zip(cases, (True, False, False)):
         # the stored columns decide; only reported points are built
-        with mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError):
+        with mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError):
             got = {mv: _three_reports(lazy, mv) for mv in (3, 100)}
         plain = dataclasses.replace(lazy, points=tuple(lazy.points))
         for mv, reports in got.items():
@@ -1027,7 +1124,7 @@ def _oracle_gram_unitarity(n, points, p):
 def _gram_matrix(n, points, p):
     """The full Gram matrix from ``verify._gram_blocks``' upper-triangle row blocks,
     on the columns ``gram_unitarity`` reads."""
-    if isinstance(points, _CanonicalPoints):
+    if _canonical_store(points):
         cols = points.xs, points.ys
     else:
         cols = [np.array([pt.concrete(p)[axis] for pt in points], dtype=object) for axis in (0, 1)]
@@ -1082,7 +1179,7 @@ def test_gram_unitarity_matches_loop():
         vals = [(rng.randint(-size, size), rng.randint(-size, size)) for _ in range(3**n)]
         cases.append((n, _concrete(vals), P12))
         cols = [np.array(c, dtype=np.int64) for c in zip(*vals)]
-        cases.append((n, _CanonicalPoints(*cols, (3**n - 1) // 2), P23))
+        cases.append((n, _ColumnPoints(*cols, (3**n - 1) // 2), P23))
     devs = [_assert_gram_matches_oracle(n, pts, p) for n, pts, p in cases]
     assert max(devs[:16] + devs[18:19]) < 1e-9  # the canonical and kicked spectra
     assert min(devs[16:18] + devs[19:]) > 0.1  # random points
@@ -1226,6 +1323,41 @@ def _assert_q_sum_terms_match(got, xi, points, p, tail_target=1e-9, bound=_oracl
         assert abs(values[i] - want) <= depth * 2.0**-49, (i, values[i], want)
 
 
+def _linear_q_sum_depth(xmax, p, per_term):
+    """The q-sum depth as found before the gallop: one tail_bound per level from 1."""
+    depth = 1
+    while tail_bound((xmax, xmax), p, depth) > per_term:
+        depth += 1
+    return depth
+
+
+def test_q_sum_depth_search_matches_the_linear_search():
+    rng = random.Random(42)
+    targets = (1e-3, 1e-9, 1e-12, 1e-15, 1e-30)
+    for p in (P12, MatrixParams(1, 1000), MatrixParams(10**9, 10**9)):
+        xmaxes = [0.0, 1e-300, 0.5, 1.0, 3.0, 1e20, 1e300, float(p.base_y**5)]
+        xmaxes += [abs(rng.gauss(0, 1)) * 10.0 ** rng.randint(-5, 40) for _ in range(40)]
+        for xmax in xmaxes:
+            for target in targets:
+                per_term = target / (3.0 * rng.choice([1, 9, 729]))
+                calls = []
+                with mock.patch.object(verify, "tail_bound",
+                                       side_effect=lambda *a: calls.append(a) or tail_bound(*a)):
+                    depth = verify._q_sum_depth(xmax, p, per_term)
+                want = _linear_q_sum_depth(xmax, p, per_term)
+                assert depth == want, (p, xmax, per_term)
+                assert len(calls) <= 2 * want.bit_length() + 1
+    # q_sum_terms takes that depth at random frequencies, on prefixes and lists
+    for p, level in ((P12, 4), (MatrixParams(1, 1000), 3), (MatrixParams(10**9, 10**9), 2)):
+        pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
+        for xi in SamplingBox.for_params(p).samples(5, seed=7) + [(0.0, 0.0)]:
+            for target in targets:
+                depth = q_sum_terms(xi, pre, tail_target=target)[2]
+                cols = np.array([pt.value.base for pt in pre.points], dtype=float) + xi
+                per_term = target / (3.0 * len(pre))
+                assert depth == _linear_q_sum_depth(float(np.max(np.abs(cols))), p, per_term)
+
+
 def test_q_sum_terms_match_per_point_tails():
     rng = random.Random(12)
     for p in (P11, P12, P35):
@@ -1291,7 +1423,7 @@ def test_phase_table_hits_and_misses_agree():
     for p, level in ((P12, 6), (MatrixParams(1, 1000), 5), (MatrixParams(1, 1000), 6)):
         pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
         cols = pre.points.xs, pre.points.ys
-        other = _CanonicalPoints(*(c.copy() for c in cols), pre.index_bound)
+        other = _ColumnPoints(*(c.copy() for c in cols), pre.index_bound)
         listed = list(other)
         xis = SamplingBox.for_params(p).samples(3, seed=2)
         dev = gram_unitarity(level, pre)  # builds `level` rows per axis
@@ -1371,14 +1503,19 @@ def test_gram_unitarity_is_bit_identical_with_the_table():
 # ---------------------------------------------------------------------------
 
 
+def _canonical_store(points):
+    """A canonical prefix's columns, the only column store before kicked prefixes were one."""
+    return isinstance(points, _ColumnPoints) and points.exps is None
+
+
 def _old_points(prefix, p):
     if isinstance(prefix, SpectrumPrefix):
         return prefix.points, prefix.params
-    return (prefix if isinstance(prefix, _CanonicalPoints) else list(prefix)), p
+    return (prefix if _canonical_store(prefix) else list(prefix)), p
 
 
 def _old_columns(points):
-    if isinstance(points, _CanonicalPoints):
+    if _canonical_store(points):
         return (points.xs, points.ys) if points.xs.dtype == np.int64 else None
     vecs = [pt.value for pt in points]
     if any(v.terms for v in vecs):
@@ -1505,7 +1642,7 @@ def _parent_gram_blocks(n, cols, p):
 
 def _old_gram_unitarity(n, prefix, p=None):
     points, p = _old_points(prefix, p)
-    if isinstance(points, _CanonicalPoints):
+    if _canonical_store(points):
         cols = points.xs, points.ys
     else:
         lams = [pt.concrete(p) for pt in points]
@@ -1541,12 +1678,12 @@ def test_value_columns_leave_every_report_unchanged(value_column_cases):
     parent's results, to the order of violations and witnesses, and unitarity
     with the parent's exact rows; q-sums raise the parent's errors, or keep
     its depth and tails and stay within depth * 2^-49 of the exact scalar
-    oracle.  On a canonical prefix no check builds a point."""
+    oracle.  On a canonical or kicked prefix no check builds a point."""
     xis = [(0.0, 0.0), (0.31, -0.27)]
     for name, points, p, (n, middle) in value_column_cases:
-        canonical = isinstance(getattr(points, "points", points), _CanonicalPoints)
-        builds = mock.patch.object(_CanonicalPoints, "_tuple", side_effect=AssertionError)
-        with builds if canonical else contextlib.nullcontext():
+        stored = isinstance(getattr(points, "points", points), _ColumnPoints)
+        builds = mock.patch.object(_ColumnPoints, "_tuple", side_effect=AssertionError)
+        with builds if stored else contextlib.nullcontext():
             got = [check_orthogonality(points, p, max_violations=mv) for mv in (7, 100)]
             got += [check_projection_orthogonality(points, p, max_violations=mv)
                     for mv in (7, 100)]
