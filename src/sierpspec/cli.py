@@ -9,13 +9,22 @@ Subcommands
 
 Exit codes: 0 all requested checks pass, 1 mathematical violations found,
 2 usage or malformed input.  Coordinates always serialize as decimal strings;
-kicked coordinates overflow any float.
+kicked coordinates overflow any float, and run to hundreds of thousands of
+digits.  CPython converts between int and decimal text in time quadratic in
+the digits, so neither direction goes through that conversion for a long
+coordinate.  The writer reads a prefix's columns and sums each kicked
+coordinate, base + B^e v, as an exact ``decimal.Decimal``, whose text is
+linear in its digits, stepping one power B^e per axis from point to point.
+The readers split a decimal string of more than 1,024 digits in two and
+join the halves' values as hi * 10^w + lo, so a coordinate of n digits costs
+a few big multiplications, about n^1.6.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -29,7 +38,8 @@ from .dimension import (
     geometric_scales,
     support_hausdorff_dim,
 )
-from .lattice import MatrixParams, SymVec
+from . import lattice
+from .lattice import ColumnValues, LatticeError, MatrixParams, SymVec, value_columns
 from .treemap import (
     CanonicalMapping,
     KickedMapping,
@@ -40,6 +50,7 @@ from .treemap import (
     enumerate_spectrum,
     index_to_word,
     level_index_bound,
+    point_values,
 )
 from .verify import (
     SamplingBox,
@@ -130,29 +141,57 @@ def _prefix_from_args(args) -> SpectrumPrefix:
     return enumerate_spectrum(CanonicalMapping(), p, index_bound=bound)
 
 
-def _point_record(pt: SpectrumPoint, p: MatrixParams) -> dict:
-    x, y = pt.value.materialize(p)
-    return {
-        "k": pt.k,
-        "word": list(pt.word),
-        "lambda": [str(x), str(y)],
-        "kick_position": pt.kick_position,
-    }
+# Kicked coordinates are summed as exact Decimals, whose str() is linear in the
+# digits (that of an int is quadratic); any rounding would raise, not misprint.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+def _coordinate_texts(col, terms, axis: int, base: int):
+    """Yield str(col[i] + B^e v) for each value i in order, (e, v) its kick term
+    on this axis, if it has one.
+
+    One Decimal power B^e is kept and stepped to each term's exponent, by a
+    multiply up or an exact divide_int down: the exponents fall and then rise
+    along k, so each step is small.  A term past MATERIALIZE_EXPONENT_LIMIT
+    raises as ``SymVec.materialize`` does, when its value is reached.
+    """
+    rows = {} if terms is None else dict(zip(
+        terms.index.tolist(), zip(terms.exponent.tolist(), terms[2 + axis].tolist())))
+    b, power, at = decimal.Decimal(base), decimal.Decimal(1), 0
+    for i, coord in enumerate(col.tolist()):
+        e, v = rows.get(i, (0, 0))
+        if e > lattice.MATERIALIZE_EXPONENT_LIMIT:
+            raise LatticeError(f"refusing to expand A^{e} term")
+        if not v:
+            yield str(coord)
+            continue
+        if e > at:
+            power = _EXACT.multiply(power, _EXACT.power(b, e - at))
+        elif e < at:
+            power = _EXACT.divide_int(power, _EXACT.power(b, at - e))
+        at = e
+        yield str(_EXACT.fma(v, power, coord))
 
 
 def _write_points(prefix: SpectrumPrefix, fmt: str, out) -> None:
-    p = prefix.params
-    if fmt == "jsonl":
-        for pt in prefix.points:
-            out.write(json.dumps(_point_record(pt, p)) + "\n")
+    """Write an enumerated prefix's points, one record each, from its columns
+    (``treemap.point_values``) and exponent column, building no point."""
+    points, p, bound = prefix.points, prefix.params, prefix.index_bound
+    xs, ys, terms = value_columns(point_values(points))
+    exps = [0] * len(xs) if points.exps is None else points.exps.tolist()
+    sep = ", " if fmt == "jsonl" else " "
+    words = (sep.join(map(str, index_to_word(k))) for k in range(-bound, bound + 1))
+    rows = zip(range(-bound, bound + 1), words, _coordinate_texts(xs, terms, 0, p.base_x),
+               _coordinate_texts(ys, terms, 1, p.base_y), exps)
+    if fmt == "jsonl":  # the records json.dumps makes, kick_position = e + 1
+        out.writelines(f'{{"k": {k}, "word": [{w}], "lambda": ["{x}", "{y}"], '
+                       f'"kick_position": {e + 1 if e else "null"}}}\n'
+                       for k, w, x, y, e in rows)
         return
     writer = csv.writer(out)
     writer.writerow(["k", "word", "x", "y", "kick_position"])
-    for pt in prefix.points:
-        x, y = pt.value.materialize(p)
-        word = " ".join(str(letter) for letter in pt.word)
-        kick = "" if pt.kick_position is None else pt.kick_position
-        writer.writerow([pt.k, word, str(x), str(y), kick])
+    writer.writerows((k, w, x, y, e + 1 if e else "") for k, w, x, y, e in rows)
 
 
 def _read_points(path: str, p: MatrixParams) -> list[SpectrumPoint]:
@@ -171,13 +210,29 @@ def _read_points(path: str, p: MatrixParams) -> list[SpectrumPoint]:
     return _read_csv(text, path)
 
 
+# int() of a decimal string is quadratic in its digits; below this many it is
+# still the fastest way
+_SPLIT_DIGITS = 1024
+
+
 def _json_int(value) -> int:
     """A JSON integer or a decimal string; floats, booleans and the rest are refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        return int(value)
+        n = _decimal_int(value.lstrip("+-"))
+        return -n if value[0] == "-" else n
     raise ValueError(f"expected an integer or a decimal string, got {value!r}")
+
+
+def _decimal_int(digits: str) -> int:
+    """int(digits) by divide and conquer: hi * 10^w + lo, w half the digits and
+    10^w = 5^w << w; int() below _SPLIT_DIGITS."""
+    n = len(digits)
+    if n <= _SPLIT_DIGITS:
+        return int(digits)
+    w = n // 2
+    return (_decimal_int(digits[:n - w]) * 5**w << w) + _decimal_int(digits[n - w:])
 
 
 def _word(letters) -> tuple[int, ...]:
@@ -330,9 +385,17 @@ def cmd_verify(args) -> int:
         print(f"unitarity n={n}: max deviation {dev:.3e}")
         failed |= dev > args.tolerance
     if args.qsum:
+        values = point_values(points)
+        if args.qsum > 1 and not isinstance(values, ColumnValues):
+            # a file's points: as one read-only column pair, they let the
+            # q-sums share one phase table (32 bytes a point per level)
+            # instead of each rebuilding it; a single q-sum streams its rows
+            xs, ys, terms = value_columns(values)
+            xs.flags.writeable = ys.flags.writeable = False
+            values = ColumnValues(xs, ys, terms, p)
         box = SamplingBox.for_params(p)
         for xi in box.samples(args.qsum, seed=args.seed):
-            res = q_sum(xi, points, p)
+            res = q_sum(xi, values, p)
             print(f"qsum xi=({xi[0]:+.4f},{xi[1]:+.4f}): value={res.value:.9f} "
                   f"err<{res.error:.2e}")
             failed |= res.value > 1 + 1e-9
@@ -504,8 +567,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    # kicked coordinates run to hundreds of thousands of digits; the caller's
-    # int/str conversion limit comes back when the command returns
+    # the writer and the decimal-string readers convert no long int, but
+    # json.loads parses a bare JSON integer coordinate, which may run to
+    # hundreds of thousands of digits, with int(); the caller's int/str
+    # conversion limit comes back when the command returns
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)

@@ -452,7 +452,10 @@ def point_indices(points) -> np.ndarray:
 
 def point_values(points) -> Sequence[SymVec]:
     """The values of points, ``SymVec``s or integer pairs, in order: a view over
-    a column store's columns and unfolded kick terms, else a list."""
+    a column store's columns and unfolded kick terms, ``ColumnValues`` as they
+    are, else a list."""
+    if isinstance(points, ColumnValues):
+        return points
     if isinstance(points, _ColumnPoints):
         index = () if points.exps is None else np.flatnonzero(points.exps)
         if not len(index):

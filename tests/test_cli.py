@@ -651,3 +651,265 @@ def test_blank_lines_are_skipped_and_stray_boms_are_usage_errors(recs, data):
         lines[i] = "\ufeff" + lines[i]
         code, _, err = _verify_text("\n".join(lines) + "\n")
         assert code == 2 and "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# The writer and the coordinate parser against the forms they replaced
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _point_record_oracle(pt, p):
+    x, y = pt.value.materialize(p)
+    return {
+        "k": pt.k,
+        "word": list(pt.word),
+        "lambda": [str(x), str(y)],
+        "kick_position": pt.kick_position,
+    }
+
+
+def _write_points_oracle(prefix, fmt, out):
+    """The writer that built and materialized every point, kept as the oracle."""
+    p = prefix.params
+    if fmt == "jsonl":
+        for pt in prefix.points:
+            out.write(json.dumps(_point_record_oracle(pt, p)) + "\n")
+        return
+    writer = csv.writer(out)
+    writer.writerow(["k", "word", "x", "y", "kick_position"])
+    for pt in prefix.points:
+        x, y = pt.value.materialize(p)
+        word = " ".join(str(letter) for letter in pt.word)
+        kick = "" if pt.kick_position is None else pt.kick_position
+        writer.writerow([pt.k, word, str(x), str(y), kick])
+
+
+def _written(write, prefix, fmt):
+    """(text written, message of the error that stopped it, or None)."""
+    from sierpspec.lattice import LatticeError
+
+    out = io.StringIO()
+    try:
+        with unlimited_int_digits():
+            write(prefix, fmt, out)
+    except LatticeError as exc:
+        return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+def _writer_cases():
+    from sierpspec.construct import build_intermediate_spectrum
+    from sierpspec.lattice import MatrixParams
+    from sierpspec.treemap import CanonicalMapping, KickedMapping, TableOffsets, \
+        enumerate_spectrum
+
+    p44, p48 = MatrixParams(4, 4), MatrixParams(4, 8)
+    for q in ((1, 1), (1, 2), (4, 8)):
+        for level in range(8):
+            yield f"canonical {q} L{level}", enumerate_spectrum(
+                CanonicalMapping(), MatrixParams(*q), level=level)
+    big = MatrixParams(10**9, 10**9)
+    yield "canonical (10^9,10^9) L3 objects", enumerate_spectrum(CanonicalMapping(), big, level=3)
+    for p in (p48, p44):
+        for t in (0.15, 0.3):
+            for mode in ("coherent", "literal"):
+                for bits in ((), (0, 1, 1)):
+                    spec = build_intermediate_spectrum(t, p, mode=mode, variant_bits=bits)
+                    for bound in (0, 1, 13, 40):
+                        yield (f"t={t} {p.q1},{p.q2} {mode} bits={bits} |k|<={bound}",
+                               spec.prefix(bound))
+    spec = build_intermediate_spectrum(0.15, p48, variant_bits=(1, 0, 0, 1, 0))
+    yield "t=0.15 (4,8) |k|<=100, as cli-roundtrip", spec.prefix(100)
+    # coordinates of up to 31,064 digits, B^e of over 20,000: past 1,024 libmpdec words
+    yield "t=0.15 (4,8) |k|<=150", spec.prefix(150)
+    for table in ({1: 1}, {1: 1, -4: 2}):
+        yield f"literal (4,4) {table}", enumerate_spectrum(
+            KickedMapping(TableOffsets(table), mode="literal"), p44, level=3)
+    offsets = TableOffsets({-7: 90, -2: 3, 5: 70, 9: 1, 11: 200})
+    yield "offsets table (4,8)", enumerate_spectrum(KickedMapping(offsets), p48, index_bound=13)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_writer_matches_the_materializing_writer(fmt):
+    """Every record is byte-identical to the one the old writer made from the
+    materialized point, kicked coordinates of thousands of digits included."""
+    from sierpspec.cli import _write_points
+
+    cases = list(_writer_cases())
+    assert len(cases) == 94
+    for name, prefix in cases:
+        got = _written(_write_points, prefix, fmt)
+        assert got == _written(_write_points_oracle, prefix, fmt), name
+        assert got[1] is None and got[0].count("\n") == len(prefix) + (fmt == "csv"), name
+
+
+def test_construct_range_files_match_the_materializing_writer(tmp_path, capsys):
+    from sierpspec.construct import family_variants
+    from sierpspec.lattice import MatrixParams
+
+    stem = str(tmp_path / "fam")
+    assert main(["construct", "--q1", "4", "--q2", "8", "--t", "0.15", "--count", "3",
+                 "--range", "40", "--points-prefix", stem]) == 0
+    for i, spec in enumerate(family_variants(0.15, MatrixParams(4, 8), 3)):
+        text, err = _written(_write_points_oracle, spec.prefix(40), "jsonl")
+        assert err is None
+        assert Path(f"{stem}.variant{i}.jsonl").read_text(encoding="utf-8") == text
+
+
+def test_a_kicked_coordinate_that_cancels_prints_zero():
+    """base + B^e v = 0 prints "0", never "-0", for a folded and an unfolded term."""
+    import numpy as np
+
+    from sierpspec.cli import _write_points
+    from sierpspec.lattice import MatrixParams
+    from sierpspec.treemap import SpectrumPrefix, _ColumnPoints
+
+    p = MatrixParams(4, 4)
+    kick = (1, -1)
+    for e in (3, 70):
+        # k = -1, 0, 1: k = 1 carries A^e kick, and its base is minus that term
+        xs = np.array([-4, 0, -(12**e)], dtype=object)
+        ys = np.array([4, 0, 12**e], dtype=object)
+        exps = np.array([0, 0, e], dtype=np.int64)
+        prefix = SpectrumPrefix(p, _ColumnPoints(xs, ys, 1, exps, kick, p), 1)
+        for fmt in ("jsonl", "csv"):
+            got = _written(_write_points, prefix, fmt)
+            assert got == _written(_write_points_oracle, prefix, fmt)
+            assert "-0" not in got[0]
+        assert got[0].splitlines()[-1] == f"1,1,0,0,{e + 1}"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_writer_stops_at_the_same_record_past_the_exponent_limit(tmp_path, capsys, fmt):
+    """A term past MATERIALIZE_EXPONENT_LIMIT stops the writer at the record the
+    old writer stopped at, with every earlier record written, the same message
+    and exit code 2."""
+    from sierpspec import lattice
+    from sierpspec.cli import _write_points
+    from sierpspec.construct import build_intermediate_spectrum
+    from sierpspec.lattice import MatrixParams
+    from sierpspec.treemap import KickedMapping, TableOffsets, enumerate_spectrum
+
+    p48 = MatrixParams(4, 8)
+    mapping = KickedMapping(TableOffsets({-7: 90, -2: 3, 5: 170, 9: 1, 11: 400}))
+    cases = [
+        (["--offsets=-7:90,-2:3,5:170,9:1,11:400", "--range", "13"],
+         enumerate_spectrum(mapping, p48, index_bound=13)),
+        (["--construct-t", "0.15", "--range", "40"],
+         build_intermediate_spectrum(0.15, p48).prefix(40)),
+    ]
+    written = []
+    with mock.patch.object(lattice, "MATERIALIZE_EXPONENT_LIMIT", 150):
+        for argv, prefix in cases:
+            want, message = _written(_write_points_oracle, prefix, fmt)
+            assert message is not None
+            written.append(want.count("\n") - (fmt == "csv"))
+            assert _written(_write_points, prefix, fmt) == (want, message)
+            path = tmp_path / f"out.{fmt}"
+            code = main(["gen", "--q1", "4", "--q2", "8", *argv, "--format", fmt,
+                         "--output", str(path)])
+            assert code == 2 and capsys.readouterr().err.endswith(f"error: {message}\n")
+            assert path.read_bytes() == want.encode()
+    assert written[0] == 18  # k = -13..4, with k = -7's unfolded A^92 term; k = 5 is past
+
+
+def _decimal_strings():
+    import random
+
+    rng = random.Random(1017)
+    lengths = [*range(1, 40), *range(1000, 1050), *range(2040, 2060), 3071, 3072, 3073,
+               4095, 4096, 4097, 4999, 5000, *rng.sample(range(1, 5001), 60)]
+    for n in lengths:
+        digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+        yield digits
+        yield "-" + digits
+        yield "+" + digits
+    for n in (1023, 1024, 1025, 2047, 2048, 2049):
+        yield "0" * n
+        yield "-" + "0" * (n - 3) + "123"
+        yield "0" * 600 + "9" * (n - 600)
+        yield "9" * n
+    yield from ("0", "-0", "+0", "00", "-000", "+007")
+
+
+def test_decimal_parser_matches_int():
+    from sierpspec.cli import _json_int
+
+    with unlimited_int_digits():
+        for s in _decimal_strings():
+            assert _json_int(s) == int(s), s[:40]
+        big = "-" + "9" * 100_000 + "0" * 99_999 + "12"  # 200,002 digits
+        assert _json_int(big) == int(big)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=4200))
+def test_decimal_parser_property(sign, digits):
+    from sierpspec.cli import _json_int
+
+    with unlimited_int_digits():
+        assert _json_int(sign + digits) == int(sign + digits)
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
+    """``verify --input --qsum N`` with N > 1 hands every q-sum the file's
+    values as fixed columns: one phase table per axis serves all N.  A single
+    q-sum keeps no table.  Either way the sums are those of the point list,
+    to the bit."""
+    from sierpspec import cli, verify
+    from sierpspec.lattice import MatrixParams
+    from sierpspec.verify import SamplingBox
+
+    path = tmp_path / "pts.jsonl"
+    assert main(["gen", "--q1", "1", "--q2", "2", "--level", "6", "--output", str(path)]) == 0
+    p = MatrixParams(1, 2)
+    points = cli._read_points(str(path), p)
+    before = set(verify._PHASE_TABLES)
+    seen = []
+
+    def q_sum(xi, values, p):
+        res = verify.q_sum(xi, values, p)
+        seen.append(set(verify._PHASE_TABLES) - before)
+        return res
+
+    capsys.readouterr()
+    with mock.patch.object(cli, "q_sum", q_sum):
+        assert main(["verify", "--q1", "1", "--q2", "2", "--input", str(path),
+                     "--checks", "orthogonality", "--qsum", str(count)]) == 0
+    assert len(seen) == count and all(s == seen[0] for s in seen)
+    assert len(seen[0]) == (2 if count > 1 else 0)
+    got = [line for line in capsys.readouterr().out.splitlines() if line.startswith("qsum")]
+    want = []
+    for xi in SamplingBox.for_params(p).samples(count, seed=0):
+        res = verify.q_sum(xi, points, p)  # fresh writable columns: rows built per call
+        want.append(f"qsum xi=({xi[0]:+.4f},{xi[1]:+.4f}): value={res.value:.9f} "
+                    f"err<{res.error:.2e}")
+    assert got == want
+
+
+def test_gen_and_verify_leave_the_decimal_context_and_int_limit_alone(tmp_path, capsys):
+    import decimal
+
+    ctx = decimal.getcontext()
+    state = (repr(ctx), sys.get_int_max_str_digits())
+    path = tmp_path / "pts.jsonl"
+    assert main(["gen", "--q1", "4", "--q2", "8", "--construct-t", "0.15", "--range", "60",
+                 "--variant-bits", "011", "--output", str(path)]) == 0
+    assert decimal.getcontext() is ctx
+    assert (repr(ctx), sys.get_int_max_str_digits()) == state
+    assert main(["verify", "--q1", "4", "--q2", "8", "--input", str(path)]) == 0
+    assert decimal.getcontext() is ctx
+    assert (repr(ctx), sys.get_int_max_str_digits()) == state
+    assert max(len(s) for line in path.read_text().splitlines()
+               for s in json.loads(line)["lambda"]) > 4300
