@@ -165,7 +165,12 @@ class IntermediateSpec:
 
     def split(self, prefix: SpectrumPrefix):
         """(F_t part, kicked part): unkicked canonical-digit points vs kicked points,
-        by Gamma_t membership over the prefix's index column."""
+        by Gamma_t membership over the prefix's index column.
+
+        The lists hold the prefix's own point objects, in k order, so
+        ``treemap.point_values`` reads each part from the prefix's columns
+        while the prefix lives: the estimates and checks on a part take its
+        rows of the columns and build no value."""
         member = self._member.mask(point_indices(prefix.points))
         points = tuple(prefix.points)
         return list(itertools.compress(points, member)), list(itertools.compress(points, ~member))

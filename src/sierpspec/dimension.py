@@ -6,16 +6,20 @@ densest balls of these digit-generated sets center on points of the set, so
 candidate centers are the origin plus generated points; this is a documented
 heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
-paths.  Concrete points against integer centers, all coordinates below 2^30,
-are counted in int64 numpy columns sorted by y, each ball only over the slab
-of rows its radius can reach.  The columns come from
-``lattice.folded_columns``, which hands a prefix's stored columns over as
-they are, with a kicked prefix's small kicks folded as its points' values
-fold them.  Any other pair is first screened by
-magnitude bounds: when those put point and center more than the largest scale
-apart on some axis, the pair is dropped unexpanded, so the huge coordinates of
-kicked points are never subtracted or squared.  The pairs left get one exact
-squared distance.
+paths.  Concrete points with coordinates below 2^30 against a concrete center
+num/den that keeps den x - nx and den y - ny below 2^31 are counted in int64
+numpy columns sorted by y, each ball only over the slab of rows its radius can
+reach.  The columns come from ``lattice.folded_columns``, which hands a
+prefix's stored columns over as they are, with a kicked prefix's small kicks
+folded as its points' values fold them; ``treemap.point_values`` hands over a
+store's columns for a prefix, for a list of its own points
+(``list(prefix.points)``) and for the parts of ``IntermediateSpec.split``.
+Any other pair is first screened by magnitude bounds, computed from the same
+columns (``lattice.log2_bound_columns``): when those put point and center
+more than the largest scale apart on some axis, the pair is dropped
+unexpanded, so the huge coordinates of kicked points are never subtracted or
+squared.  The pairs left get one exact squared distance, and only their
+points are built as ``SymVec``s.
 """
 
 from __future__ import annotations
@@ -30,15 +34,17 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import (
+    KickTerms,
     MatrixParams,
     SymVec,
     folded_columns,
+    log2_bound_columns,
     scalar_abs_lt,
-    scalar_log2_bounds,
     scalar_materialize,
     scalar_parts,
     sym,
     sym_diff,
+    value_columns,
 )
 from .treemap import SpectrumPoint, SpectrumPrefix, point_values
 
@@ -66,22 +72,19 @@ def _center_parts(center) -> tuple[SymVec, int]:
     return sym((int(cx * den), int(cy * den))), den
 
 
-def _is_small(v: SymVec) -> bool:
-    return v.is_concrete and abs(v.base[0]) < _I64_COORD and abs(v.base[1]) < _I64_COORD
+def _int64_limits(c: SymVec, den: int) -> tuple[int, int] | None:
+    """For a concrete center num/den, per axis the largest m such that every
+    integer |v| <= m has |den v - num| < 2^31; None when there is no such m.
 
-
-def _small_columns(vecs):
-    """x and y int64 columns of the points counted in int64, and which points those are."""
-    xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
-    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
-    if terms is not None:
-        small[terms.index] = False
-    return xs[small].astype(np.int64, copy=False), ys[small].astype(np.int64, copy=False), small
-
-
-def _log2_bounds(v: SymVec, p) -> list[tuple[float, float]]:
-    """Per axis, (lo, hi) with 2^lo <= |coordinate| < 2^hi."""
-    return [scalar_log2_bounds(*scalar_parts(v, p, axis)) for axis in (0, 1)]
+    For |x| <= mx = (2^31 - 1 - |nx|) // den, |den x - nx| <= den mx + |nx| <=
+    2^31 - 1, and den |x| too, and the same on y: so den x - nx, den y - ny
+    and (den x - nx)^2 + (den y - ny)^2 <= 2 (2^31 - 1)^2 < 2^63 are exact in
+    int64.  den < 2^31 keeps den itself an int64 factor.
+    """
+    if c.terms or den >= 2**31:
+        return None
+    mx, my = ((2**31 - 1 - abs(b)) // den for b in c.base)
+    return (mx, my) if mx >= 0 and my >= 0 else None
 
 
 def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
@@ -91,70 +94,102 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     exactly, and the count at h is the number of these below den^2 h^2.  A
     pair takes one of three paths, tallied in the returned stats:
 
-    * int64: a concrete point and an integer center, every coordinate below
-      2^30, counted in numpy.  The columns are sorted by y once per call, and
-      per center and scale only the slab |y - cy| < ceil(h) is compared: a
-      point with |dy| >= h lies in no ball of radius h;
-    * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``,
-      shifted by log2 den for den * v) put den * v and num more than den times
-      the largest scale apart on some axis.  A bound only drops a pair that
-      the exact test rejects too, so no float decides a count;
+    * int64: a concrete point with coordinates below 2^30 and a concrete
+      center whose den x - nx and den y - ny stay below 2^31 at that point
+      (``_int64_limits``), counted in numpy.  The columns are sorted by y
+      once per call, and per center and scale only the slab of rows that
+      the ball can reach is compared: |y - floor(cy)| < ceil(h), one more
+      for den > 1;
+    * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``
+      from the columns, ``lattice.log2_bound_columns``, shifted by log2 den
+      for den * v) put den * v and num more than den times the largest scale
+      apart on some axis.  A bound only drops a pair that the exact test
+      rejects too, so no float decides a count;
     * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
-    Bounds are computed only when some point or center is off the int64 path.
-    ``vecs`` may be a prefix's ``lattice.ColumnValues``: its columns go to the
-    int64 path as they are, and a ``SymVec`` is built only for a point off
-    that path or facing a center off it.
+    Bounds are computed only when some pair is off the int64 path.  ``vecs``
+    may be ``lattice.ColumnValues``: the columns are read as they are, and a
+    ``SymVec`` is built only for a point that some center sends to the exact
+    test.
     """
     n = len(vecs)
-    xs, ys, small = _small_columns(vecs)
-    off = np.flatnonzero(~small)
-    off_vecs = [vecs[i] for i in off]
-    small_vecs = None  # built when a center off the int64 path first needs them
+    xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
+    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    if terms is not None:
+        small[terms.index] = False
+    rows, off = np.flatnonzero(small), np.flatnonzero(~small)
+    built = {}  # the SymVecs of points that face some center exactly
+
+    def point(i):
+        v = built.get(i)
+        if v is None:
+            v = built[i] = vecs[i]
+        return v
+
     h2s = [Fraction(h) ** 2 for h in scales]
     # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
-    # |dy| < 2^31 for any two coordinates below 2^30, so wider slabs are all points
-    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**31) for h in scales],
+    # |y - floor(cy)| < 2^30 + 2^31 for an int64-counted point and a center
+    # within _int64_limits, so wider slabs are all points
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
                      dtype=np.int64)
-    order = None  # the int64 columns sorted by y, made for the first int64 center
+    order = None  # the int64 rows sorted by y, made for the first center that counts them
     # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
     reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
-    lo = hi = None  # magnitude bounds of the points off the int64 path
+    c_lo = c_hi = lo = hi = None  # magnitude bounds of the centers and the points off int64
+    screens = {}  # per den, the point side of the screen
     center_parts = [_center_parts(center) for center in centers]
-    # no point on the int64 path carries a symbolic term
-    maybe_symbolic = off_vecs + [c for c, _ in center_parts]
+    # the largest exponent of a center, or of a point: none on the int64 path has a term
+    top = max((e for c, _ in center_parts for e, _ in c.terms), default=0)
     stats = {
         "pairs_int64": 0,
         "pairs_screened": 0,
         "pairs_exact": 0,
-        "max_exponent": max((e for v in maybe_symbolic for e, _ in v.terms), default=0),
+        "max_exponent": top if terms is None else max(top, int(terms.exponent.max())),
     }
     best = [0] * len(scales)
-    for c, den in center_parts:
+    for ci, (c, den) in enumerate(center_parts):
         reach = Fraction(max(scales)) * den
-        fast = den == 1 and _is_small(c)
-        if fast and not off.size:
+        limits = _int64_limits(c, den) if rows.size else None
+        ok, n_int64, left = None, 0, rows  # left: int64 rows not counted in int64
+        if limits is not None:
+            if order is None:
+                order = rows[np.argsort(ys[rows], kind="stable")]
+                xs_s, ys_s = (col[order].astype(np.int64, copy=False) for col in (xs, ys))
+            mx, my = limits
+            if min(mx, my) < _I64_COORD - 1:  # some int64 rows are too far from this center
+                ok = (np.abs(xs_s) <= mx) & (np.abs(ys_s) <= my)
+                left = order[~ok]
+            else:
+                left = rows[:0]
+            n_int64 = len(rows) - len(left)
+        if not off.size and not left.size:
             rest = []
         else:
-            if lo is None:
-                bnds = np.array([_log2_bounds(v, p) for v in off_vecs]).reshape(-1, 2, 2)
-                lo, hi = bnds[:, :, 0], bnds[:, :, 1]
-            c_lo, c_hi = np.array(_log2_bounds(c, p)).T
-            # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
-            up = (den - 1).bit_length()
-            v_lo, v_hi, r = lo + (den.bit_length() - 1), hi + up, reach_log2 + up
+            if c_lo is None:
+                c_lo, c_hi = log2_bound_columns(*value_columns([c for c, _ in center_parts]), p)
+                # every point with a term is off the int64 path: renumber its rows
+                off_terms = (None if terms is None else
+                             KickTerms(np.searchsorted(off, terms.index), *terms[1:]))
+                lo, hi = log2_bound_columns(xs[off], ys[off], off_terms, p)
+            screen = screens.get(den)
+            if screen is None:  # the point side of the screen, per axis, for this den
+                # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
+                up = (den - 1).bit_length()
+                r = reach_log2 + up
+                screen = screens[den] = (up, r, (lo + (den.bit_length() - 1)).T.copy(),
+                                         (np.maximum(hi + up, r) + 1).T.copy())
+            up, r, v_lo, v_hi = screen
             # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
-            far = ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any(1)
-            rest = list(itertools.compress(off_vecs, ~far))
-            # the int64-counted points, |den v| < 2^(30 + up), face this center exactly
-            if not fast and not (c_lo >= max(_SMALL_LOG2 + up, r) + 1).any():
-                if small_vecs is None:
-                    small_vecs = [vecs[i] for i in np.flatnonzero(small)]
-                rest += small_vecs
-        if fast:
-            stats["pairs_int64"] += len(xs)
+            c_far = np.maximum(c_hi[ci], r) + 1
+            far = ((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
+                   | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
+            rest = [point(i) for i in off[~far].tolist()]
+            # the other int64 rows, |den v| < 2^(30 + up), face this center exactly
+            if left.size and not (c_lo[ci] >= max(_SMALL_LOG2 + up, r) + 1).any():
+                rest += [point(i) for i in left.tolist()]
+        stats["pairs_int64"] += n_int64
         stats["pairs_exact"] += len(rest)
-        stats["pairs_screened"] += n - len(rest) - (len(xs) if fast else 0)
+        stats["pairs_screened"] += n - len(rest) - n_int64
         d2s = []
         for v in rest:
             if den != 1:
@@ -163,29 +198,33 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             d = sym_diff(v, c)
             coords = []
             for axis in (0, 1):
-                b, terms, B = scalar_parts(d, p, axis)
-                if not scalar_abs_lt(b, terms, B, reach):
+                b, parts, B = scalar_parts(d, p, axis)
+                if not scalar_abs_lt(b, parts, B, reach):
                     break
-                coords.append(scalar_materialize(b, terms, B))
+                coords.append(scalar_materialize(b, parts, B))
             else:
                 d2s.append(coords[0] ** 2 + coords[1] ** 2)
         d2s.sort()
-        if fast:
-            if order is None:
-                order = np.argsort(ys, kind="stable")
-                xs_s, ys_s = xs[order], ys[order]
+        if n_int64:
             cx, cy = c.base
-            # slab i holds the points with |y - cy| < radii[i], sorted rows [los[i], his[i])
-            los = np.searchsorted(ys_s, cy - radii, side="right").tolist()
-            his = np.searchsorted(ys_s, cy + radii, side="left").tolist()
+            # slab i holds the rows with |y - floor(cy)| < radii[i] (+ 1 for den > 1),
+            # sorted rows [los[i], his[i])
+            cy_floor, wide = cy // den, radii + (den != 1)
+            los = np.searchsorted(ys_s, cy_floor - wide, side="right").tolist()
+            his = np.searchsorted(ys_s, cy_floor + wide, side="left").tolist()
             start, stop = min(los), max(his)
-            dx, dy = xs_s[start:stop] - cx, ys_s[start:stop] - cy
+            if den == 1:
+                dx, dy = xs_s[start:stop] - cx, ys_s[start:stop] - cy
+            else:
+                dx, dy = xs_s[start:stop] * den - cx, ys_s[start:stop] * den - cy
             d2 = dx * dx + dy * dy
+            if ok is not None:  # the other rows may have wrapped around
+                d2[~ok[start:stop]] = _I64_MAX
         for i, h2 in enumerate(h2s):
             # an integer is below den^2 h^2 exactly when it is below its ceiling
             bound = -(-h2.numerator * den * den // h2.denominator)
             n_in = bisect_left(d2s, bound)
-            if fast:
+            if n_int64:
                 slab = d2[los[i] - start:his[i] - start]
                 n_in += int(np.count_nonzero(slab < min(bound, _I64_MAX)))
             best[i] = max(best[i], n_in)
@@ -196,9 +235,10 @@ def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
     """Exact number of points at Euclidean distance < h from the center.
 
     The center is a lattice point or a pair of rationals.  Concrete points
-    with coordinates below 2^30 are counted in int64 against a small integer
-    center.  A point whose magnitude bounds put it beyond h of the center on
-    some axis is dropped unexpanded, so huge coordinates are never squared;
+    with coordinates below 2^30 are counted in int64 against a concrete
+    center num/den wherever den x - nx and den y - ny stay below 2^31.  A
+    point whose magnitude bounds put it beyond h of the center on some axis
+    is dropped unexpanded, so huge coordinates are never squared;
     every other point costs one exact distance.
     """
     if h <= 0:
@@ -262,8 +302,9 @@ def beurling_dim_estimate(
     centers: "origin", "points", "sample:N" (origin plus a seeded sample of
     generated points), or an explicit list.  Counting is exact; the regression
     is an estimate whose window the caller controls.  Each (point, center)
-    pair is settled once for the whole grid: in int64 when point and integer
-    center have coordinates below 2^30; else dropped unexpanded when
+    pair is settled once for the whole grid: in int64 when the point's
+    coordinates are below 2^30 and those of den * point - num below 2^31,
+    for a concrete center num/den; else dropped unexpanded when
     magnitude bounds put the two beyond the largest scale on some axis; else
     by one exact distance.  ``stats`` counts the pairs of
     each path (``pairs_int64``, ``pairs_screened``, ``pairs_exact``) and the

@@ -505,6 +505,8 @@ def scalar_log2_bounds(b: int, terms, B: int) -> tuple[float, float]:
         lower = [math.log2(abs(c)) + e * log_b for e, c in terms[:-1]]
     except OverflowError:  # an exponent beyond the float range
         return -math.inf, math.inf
+    if top == math.inf:  # e log2 B beyond it
+        return -math.inf, math.inf
     if b:
         lower.append(math.log2(abs(b)))
     margin = 1e-9 * (1.0 + max(map(abs, [top, *lower])))
@@ -516,6 +518,86 @@ def scalar_log2_bounds(b: int, terms, B: int) -> tuple[float, float]:
         # |rest| <= |top| / 4, so the value lies within [3/4, 5/4] of the top term
         return top - margin + math.log2(0.75), top + margin + math.log2(1.25)
     return -math.inf, max(top + margin, rest) + 1
+
+
+def _bit_lengths(col: np.ndarray) -> np.ndarray:
+    """abs(v).bit_length() of every entry of an int64 or object column, exactly."""
+    if col.dtype != np.int64:
+        return np.fromiter(map(int.bit_length, map(abs, col.tolist())), np.int64, len(col))
+    mag = np.abs(col).view(np.uint64)  # -2^63 included
+    n = np.frexp(mag.astype(np.float64))[1].astype(np.int64)
+    # rounding to float can carry into the next power of two
+    top = np.left_shift(np.uint64(1), np.maximum(n - 1, 0).astype(np.uint64))
+    return n - ((n > 0) & (mag < top))
+
+
+def _floats(col: np.ndarray) -> np.ndarray:
+    """float(e) per entry, inf where an exact int is beyond the float range."""
+    try:
+        return col.astype(np.float64)
+    except OverflowError:
+        return np.array([e if e.bit_length() < 1024 else math.inf for e in col.tolist()],
+                        dtype=np.float64)
+
+
+def log2_bound_columns(xs: np.ndarray, ys: np.ndarray, terms: KickTerms | None,
+                       p: MatrixParams | None) -> tuple[np.ndarray, np.ndarray]:
+    """``scalar_log2_bounds`` of every value on both axes, from its columns.
+
+    Returns (lo, hi), each of shape (len(xs), 2) with column 0 for x, equal
+    to ``scalar_log2_bounds(*scalar_parts(v, p, axis))`` for each value v
+    that the base columns and the unfolded ``terms`` describe (the terms of
+    one value in exponent order, as ``value_columns`` gives them).  A
+    coordinate with no nonzero term gets its bit length.  For the others,
+    the logs are ``math.log2`` of Python scalars (``np.log2`` may differ in
+    the last place) and the rest of the formula runs, step for step, in
+    float64 arrays.
+    """
+    lo, hi = np.empty((len(xs), 2)), np.empty((len(xs), 2))
+    for axis, col in enumerate((xs, ys)):
+        n = _bit_lengths(col)
+        lo[:, axis] = np.where(n > 0, n - 1, -np.inf)
+        hi[:, axis] = n
+        comp = None if terms is None else terms[2 + axis]
+        live = np.flatnonzero(comp != 0) if comp is not None else ()
+        if not len(live):
+            continue
+        log_b = math.log2(p.base_x if axis == 0 else p.base_y)
+        index = terms.index[live]
+        # the rows of one value are contiguous and in exponent order: its last is the top
+        values, first, count = np.unique(index, return_index=True, return_counts=True)
+        last = first + count - 1
+        piece = (np.fromiter(map(math.log2, map(abs, comp[live].tolist())), np.float64, len(live))
+                 + _floats(terms.exponent[live]) * log_b)
+        top = piece[last]
+        is_last = np.zeros(len(live), dtype=bool)
+        is_last[last] = True
+        base = col[values]
+        has_base = base != 0
+        # log2 |b| >= 0, and -inf for b = 0, which is no piece
+        log_base = np.full(len(values), -np.inf)
+        log_base[has_base] = list(map(math.log2, map(abs, base[has_base].tolist())))
+        n_lower = count - 1 + has_base
+        # per value, the largest lower piece and the largest |piece|
+        low = np.maximum(np.maximum.reduceat(np.where(is_last, -np.inf, piece), first),
+                         log_base)
+        big = np.maximum(np.maximum.reduceat(np.where(is_last, -np.inf, np.abs(piece)), first),
+                         np.maximum(np.abs(top), log_base))
+        log_n = np.array([math.log2(k) if k else 0.0 for k in range(int(n_lower.max()) + 1)])
+        with np.errstate(invalid="ignore"):  # inf - inf where an exponent overflows
+            margin = 1e-9 * (1.0 + big)
+            rest = low + log_n[n_lower] + margin
+            alone = n_lower == 0
+            dominant = ~alone & (top - margin >= rest + 2)
+            v_lo = np.where(alone, top - margin,
+                            np.where(dominant, top - margin + math.log2(0.75), -np.inf))
+            v_hi = np.where(alone, top + margin,
+                            np.where(dominant, top + margin + math.log2(1.25),
+                                     np.maximum(top + margin, rest) + 1))
+        overflow = top == np.inf  # an exponent beyond the float range
+        lo[values, axis] = np.where(overflow, -np.inf, v_lo)
+        hi[values, axis] = np.where(overflow, np.inf, v_hi)
+    return lo, hi
 
 
 def scalar_cmp_frac(b: int, terms, B: int, bound: Fraction) -> int:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -370,14 +371,16 @@ class _ColumnPoints(Sequence):
     kick term: int64 arrays when every coordinate is below 2^62 in absolute
     value, object arrays of Python ints otherwise.  A kicked mapping's store
     also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
-    has none), the kick digit and the params; a canonical one has none (None).  ``point_values`` hands the columns on as ``lattice.ColumnValues``,
-    with the kick terms unfolded.  Reading one item builds one
-    ``SpectrumPoint``, its value through ``make_sym`` as ``_child`` builds it;
-    the first full iteration builds the tuple of all of them once and keeps
-    it.  Compares and hashes like that tuple.
+    has none), the kick digit and the params; a canonical one has none (None).
+    ``point_values`` hands the columns on as ``lattice.ColumnValues``, with
+    the kick terms unfolded.  Reading one item builds one ``SpectrumPoint``,
+    its value through ``make_sym`` as ``_child`` builds it; the first full
+    iteration builds the tuple of all of them once, keeps it, and registers
+    the store so that ``point_values`` reads a list of those points from the
+    columns.  Compares and hashes like that tuple.
     """
 
-    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points")
+    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points", "__weakref__")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int,
                  exps: np.ndarray | None = None, kick: Vec | None = None,
@@ -418,6 +421,7 @@ class _ColumnPoints(Sequence):
                 positions = [e + 1 if e else None for e in self.exps.tolist()]
             self._points = tuple(map(SpectrumPoint, ks, map(index_to_word, ks),
                                      point_values(self), positions))
+            _BUILT[id(self)] = self
         return self._points
 
     def __eq__(self, other):
@@ -451,24 +455,76 @@ def point_indices(points) -> np.ndarray:
 
 
 def point_values(points) -> Sequence[SymVec]:
-    """The values of points, ``SymVec``s or integer pairs, in order: a view over
-    a column store's columns and unfolded kick terms, ``ColumnValues`` as they
-    are, else a list."""
+    """The values of points, ``SpectrumPoint``s, ``SymVec``s or integer pairs, in
+    order, as ``lattice.ColumnValues`` over a column store's columns where there
+    is one, else as a list.
+
+    A column store gives its own columns and unfolded kick terms; so does a
+    list or tuple of every point a store has built, in order (such as
+    ``list(prefix.points)``), and a subsequence of them in k order (such as
+    the parts of ``IntermediateSpec.split``) gives those rows of them.  Such
+    a sequence is recognized by its first item, which must be the store's own
+    object, and then compared with the store's points, which identity makes
+    quick; equal copies among the rest read the same values.  ``ColumnValues``
+    are handed on as they are."""
     if isinstance(points, ColumnValues):
         return points
     if isinstance(points, _ColumnPoints):
-        index = () if points.exps is None else np.flatnonzero(points.exps)
-        if not len(index):
-            return ColumnValues(points.xs, points.ys)
-        kick = (np.full(len(index), c, dtype=points.xs.dtype) for c in points.kick)
-        terms = KickTerms(index, points.exps[index], *kick)
-        return ColumnValues(points.xs, points.ys, terms, points.params)
+        return _store_values(points)
+    if isinstance(points, (list, tuple)) and points and type(points[0]) is SpectrumPoint:
+        values = _own_values(points)
+        if values is not None:
+            return values
     return [
         item.value if isinstance(item, SpectrumPoint)
         else item if isinstance(item, SymVec)
         else _pair_value(item)
         for item in points
     ]
+
+
+# The column stores that have built their points, by id, for ``point_values``
+# to find.  A WeakSet would hash each store, which hashes like its tuple of
+# points, and keep one of two equal stores.
+_BUILT: weakref.WeakValueDictionary[int, _ColumnPoints] = weakref.WeakValueDictionary()
+
+
+def _own_values(points) -> ColumnValues | None:
+    """The values of a list or tuple of one store's own points in k order, read
+    from the store's columns, or None when no store built its first point."""
+    first = points[0]
+    for store in _BUILT.values():
+        row = first.k + store.bound
+        if 0 <= row < len(store) and store._points[row] is first:
+            break
+    else:
+        return None
+    own = store._points
+    if len(points) == len(own):  # every point, or no subsequence
+        return _store_values(store) if own == tuple(points) else None
+    try:
+        rows = np.fromiter((pt.k for pt in points), np.int64, len(points)) + store.bound
+    except (AttributeError, OverflowError):  # an item with no k, or one past int64
+        return None
+    if rows[-1] >= len(own) or (np.diff(rows) <= 0).any():  # rows[0] is first's
+        return None
+    if tuple(map(own.__getitem__, rows.tolist())) != tuple(points):
+        return None
+    return _store_values(store, rows)
+
+
+def _store_values(store: _ColumnPoints, rows: np.ndarray | None = None) -> ColumnValues:
+    """A store's values, or those at the increasing ``rows``: the store's own
+    arrays, or those rows of them, and the kick terms unfolded."""
+    xs, ys, exps = store.xs, store.ys, store.exps
+    if rows is not None:
+        xs, ys = xs[rows], ys[rows]
+        exps = None if exps is None else exps[rows]
+    index = () if exps is None else np.flatnonzero(exps)
+    if not len(index):
+        return ColumnValues(xs, ys)
+    kick = (np.full(len(index), c, dtype=xs.dtype) for c in store.kick)
+    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params)
 
 
 def _pair_value(pair) -> SymVec:

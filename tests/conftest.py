@@ -1,6 +1,8 @@
-"""Inputs shared by the differential tests of ``lattice.value_columns``."""
+"""Inputs shared by the differential tests of ``lattice.value_columns`` and of
+``treemap.point_values``' reading of a column store's own points."""
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -79,3 +81,57 @@ def _middle(points, n):
         return central_points(points, (3**n - 1) // 2)
     start = (len(points) - 3**n) // 2
     return points[start:start + 3**n]
+
+
+def _fresh_copies(points):
+    """The same points as new objects, which no column store holds."""
+    copies = [dataclasses.replace(pt) if isinstance(pt, SpectrumPoint) else pt for pt in points]
+    return type(points)(copies)
+
+
+@pytest.fixture
+def store_sequences():
+    """(id, points, copies, params, recognized): sequences of points that
+    ``treemap.point_values`` reads from a column store's columns
+    (``recognized``), or item by item, built afresh per test.  ``copies``,
+    the oracle, holds the same points as new objects, which no store holds,
+    so it is always read item by item."""
+    p12, p48, big = MatrixParams(1, 2), MatrixParams(4, 8), MatrixParams(1, 10**7)
+    rng = random.Random(20261020)
+    cases = []
+    prefixes = {name: enumerate_spectrum(CanonicalMapping(), p, level=n)
+                for name, p, n in (("(1,2) L6", p12, 6), ("(1,2) L9", p12, 9),
+                                   ("(1,10^7) L3", big, 3))}
+    for (name, pre), p in zip(prefixes.items(), (p12, p12, big)):
+        pts = list(pre.points)
+        cases += [(f"canonical {name} list", pts, p, True),
+                  (f"canonical {name} tuple", tuple(pts), p, True)]
+    kicked_prefixes = []  # a store is found while it lives
+    for t in (0.15, 0.3):
+        spec = build_intermediate_spectrum(t, p48)
+        kicked_prefixes.append(spec.prefix(364))
+        f_part, kicked = spec.split(kicked_prefixes[-1])
+        cases += [(f"F part t={t}", f_part, p48, True),
+                  (f"kicked part t={t}", kicked, p48, True)]
+    pts = list(prefixes["(1,2) L6"].points)
+    shuffled = pts[:]
+    rng.shuffle(shuffled)
+    cases.append(("shuffled", shuffled, p12, False))
+    i = rng.randrange(1, len(pts))
+    copied = pts[:i] + [dataclasses.replace(pts[i])] + pts[i + 1:]
+    cases.append(("one equal copy", copied, p12, True))
+    x, y = pts[i].value.base
+    moved = pts[:i] + [dataclasses.replace(pts[i], value=SymVec((x + 1, y)))] + pts[i + 1:]
+    cases.append(("one point moved", moved, p12, False))
+    cases.append(("every third point", pts[::3], p12, True))
+    third = pts[::3]
+    third[7] = dataclasses.replace(third[7], value=SymVec((x, y + 1)))
+    cases.append(("every third point, one moved", third, p12, False))
+    orphan = list(enumerate_spectrum(CanonicalMapping(), p12, level=5).points)
+    gc.collect()  # the store of these points is gone
+    cases.append(("store collected", orphan, p12, False))
+    mixed = pts[:40] + [pt.value for pt in pts[40:80]] + pts[80:]
+    cases.append(("points and SymVecs", mixed, p12, False))
+    yield [(name, points, _fresh_copies(points), p, recognized)
+           for name, points, p, recognized in cases]
+    del prefixes, kicked_prefixes

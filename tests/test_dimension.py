@@ -1,7 +1,10 @@
 import contextlib
+import gc
 import itertools
 import math
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from unittest import mock
@@ -28,7 +31,9 @@ from sierpspec.dimension import (
     support_hausdorff_dim,
 )
 from sierpspec.dimension import _as_symvecs, _max_ball_counts, _resolve_centers
+from sierpspec import treemap
 from sierpspec.lattice import (
+    ColumnValues,
     MatrixParams,
     SymVec,
     enumerate_digit_sets,
@@ -47,6 +52,7 @@ from sierpspec.treemap import (
     TableOffsets,
     _ColumnPoints,
     enumerate_spectrum,
+    point_values,
 )
 
 P11 = MatrixParams(1, 1)
@@ -439,6 +445,24 @@ def _oracle_max_ball_counts(vecs, centers, scales, p):
     return best, stats
 
 
+def _moved_to_int64(vecs, centers, stats):
+    """The oracle kernels' ``stats`` with the pairs that now count in int64: a
+    concrete point with coordinates below 2^30 against a concrete center
+    num/den, den < 2^31, with den |x| + |nx| < 2^31 and den |y| + |ny| < 2^31.
+    The oracles settle those pairs exactly unless the center is an integer
+    one below 2^30, whose pairs were int64 already."""
+    small = [v.base for v in vecs if _is_small(v)]
+    moved = 0
+    for center in centers:
+        c, den = _center_parts(center)
+        if c.terms or den >= 2**31 or (den == 1 and _is_small(c)):
+            continue
+        nx, ny = map(abs, c.base)
+        moved += sum(den * abs(x) + nx < 2**31 and den * abs(y) + ny < 2**31 for x, y in small)
+    return {**stats, "pairs_int64": stats["pairs_int64"] + moved,
+            "pairs_exact": stats["pairs_exact"] - moved}
+
+
 P18 = MatrixParams(1, 8)
 
 
@@ -460,7 +484,8 @@ def _slab_cases():
     edge = [(cx + dx, cy + dy) for dx, dy in offsets]
     edge += edge[::7]
     centers = [(cx, cy), (0, 0), (cx, -cy), (cx + 1, cy - 10), (Fraction(7, 2), -5),
-               (Fraction(6), Fraction(-10, 2))]
+               (Fraction(6), Fraction(-10, 2)), (Fraction(7, 2), Fraction(-9, 2)),
+               (cx, Fraction(-16, 3)), (Fraction(-1, 7), Fraction(-29, 7))]
     yield ("slab edges", edge, centers, [Fraction(9, 2), 5, 7, 7.5, 8, 10], P11)
     yield ("slab edges, reach 11", edge, centers, [1, 3, 5.5, 11], P11)
     # coordinates at +-(2^30 - 1) and +-2^30, slabs wider than any |dy|
@@ -497,7 +522,8 @@ def _slab_cases():
 def test_slab_kernel_matches_oracle(case):
     _, points, centers, scales, p = case
     old_vecs, _ = _oracle_as_symvecs(points, p)
-    want = _oracle_max_ball_counts(old_vecs, centers, scales, p)
+    counts, stats = _oracle_max_ball_counts(old_vecs, centers, scales, p)
+    want = counts, _moved_to_int64(old_vecs, centers, stats)
     vecs, _ = _as_symvecs(points, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     assert _max_ball_counts(old_vecs, centers, scales, p) == want
@@ -532,6 +558,75 @@ def test_prefix_estimate_equals_list_estimate(p, level, top):
         assert est.stats == want.stats
     want = [count_in_ball(pts, c, h, p) for c in ((0, 0), pts[n // 2 - 4]) for h in scales]
     assert balls == want + [count_in_ball(pts, (0.5, 1.25), scales[2], p)]
+
+
+def test_store_sequences_count_as_their_copies(store_sequences):
+    """A list or tuple of a column store's own points, and a ``split`` part,
+    are read from the store's columns, with the estimates, ball counts and
+    kernel stats of the same points as fresh copies; look-alikes are read
+    item by item."""
+    for name, points, copies, p, recognized in store_sequences:
+        values = point_values(points)
+        assert isinstance(values, ColumnValues) == recognized, name
+        assert not isinstance(point_values(copies), ColumnValues), name
+        assert list(values) == point_values(copies), name
+        scales = geometric_scales(p, 1, 4 if p.q2 > 8 else 5)
+        centers = [(0, 0), (Fraction(1, 2), -3), points[len(points) // 3], points[-1]]
+        for c, seed in (("sample:6", 1), (centers, 0)):
+            est = beurling_dim_estimate(points, scales, p, centers=c, seed=seed)
+            want = beurling_dim_estimate(copies, scales, p, centers=c, seed=seed)
+            assert est == want and est.stats == want.stats, name
+        balls = [count_in_ball(points, c, h, p) for c in centers for h in scales[:2]]
+        assert balls == [count_in_ball(copies, c, h, p) for c in centers for h in scales[:2]]
+        got = _max_ball_counts(values, centers, scales, p)
+        assert got == _max_ball_counts(point_values(copies), centers, scales, p), name
+
+
+def test_a_list_of_a_prefix_points_reads_the_prefix_columns():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=6)
+    pts = list(pre.points)
+    for seq in (pts, tuple(pts)):
+        values = point_values(seq)
+        assert values.xs is pre.points.xs and values.ys is pre.points.ys
+    kicked = build_intermediate_spectrum(0.15, P48).prefix(121)
+    values = point_values(list(kicked.points))
+    assert values.xs is kicked.points.xs and values.terms is not None
+    assert list(values) == [pt.value for pt in kicked.points]
+    # a part holds only its own rows
+    f_part, part = build_intermediate_spectrum(0.3, P48).split(kicked)
+    assert len(point_values(part).xs) == len(part)
+
+
+def test_store_registry_entry_goes_with_its_store():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=4)
+    store = pre.points
+    key = id(store)
+    assert key not in treemap._BUILT  # no point built yet
+    pts = list(store)
+    assert treemap._BUILT[key] is store
+    del pre, store
+    gc.collect()
+    assert key not in treemap._BUILT
+    assert not isinstance(point_values(pts), ColumnValues)
+
+
+def test_import_leaves_interpreter_state_alone():
+    code = """if True:
+        import decimal, gc, sys, warnings
+        import numpy as np
+
+        def state():
+            return (gc.isenabled(), gc.get_threshold(), list(gc.callbacks),
+                    sys.getrecursionlimit(), sys.get_int_max_str_digits(),
+                    sys.getswitchinterval(), repr(decimal.getcontext()),
+                    list(warnings.filters), np.geterr(), np.get_printoptions())
+
+        before = state()
+        import sierpspec, sierpspec.cli
+        assert state() == before, (before, state())
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_beurling_estimate_canonical():
@@ -574,8 +669,9 @@ def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
         vecs, _ = _oracle_as_symvecs(points, p)
         assert balls == [_oracle_max_ball_counts(vecs, [c], [h], p)[0][0]
                          for c in centers for h in scales[:3]], name
-        for est, ref in zip(got, want):
-            assert est == ref and est.stats == ref.stats, name
+        for est, ref, (c, s) in zip(got, want, runs):
+            stats = _moved_to_int64(vecs, _resolve_centers(vecs, c, s), ref.stats)
+            assert est == ref and est.stats == stats, name
 
 
 def test_canonical_prefix_counts_without_building_its_points():

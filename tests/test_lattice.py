@@ -18,10 +18,12 @@ from sierpspec.lattice import (
     a_adic_expansion,
     enumerate_digit_sets,
     in_e_q1,
+    log2_bound_columns,
     mod_a_reduce,
     reconstruct,
     scalar_log2_bounds,
     scalar_materialize,
+    scalar_parts,
     signed_expansion,
     signed_value,
     value_columns,
@@ -219,6 +221,71 @@ def test_log2_bounds_enclose(b, terms, B, kind):
         assert lo == -math.inf
     else:
         _assert_encloses(value, lo, hi)
+
+
+def _assert_column_bounds_match(vals, p):
+    """log2_bound_columns on the columns of vals equals scalar_log2_bounds of
+    every value and axis, to the last bit."""
+    lo, hi = log2_bound_columns(*value_columns(vals), p)
+    assert lo.shape == hi.shape == (len(vals), 2)
+    for i, v in enumerate(vals):
+        for axis in (0, 1):
+            assert (lo[i, axis], hi[i, axis]) == scalar_log2_bounds(*scalar_parts(v, p, axis)), \
+                (i, axis)
+
+
+def test_log2_bound_columns_match_the_scalar_bounds():
+    p = MatrixParams(4, 8)
+    B = p.base_x
+    rng = random.Random(20261020)
+    concrete = [(0, 0), (1, -1), (-1, 1), (0, 1), (2**53 - 1, 2**53 + 1), (-(2**53), 3)]
+    edge = [(2**62 - 1, 1 - 2**62), (1 - 2**62, 2**62 - 1), (2**62 - 2, -(2**61))]
+    past = [(2**62, -(2**62)), (-(2**62), 0), (2**63, 1 - 2**64)]
+    megabit = [tuple(rng.choice((1, -1)) * rng.getrandbits(2**20) for _ in range(2))
+               for _ in range(4)] + [(0, -(2**2**20))]
+    symbolic = [SymVec((3, -5), ((e, (1, -2)),)) for e in (64, 65, 66, 300, 10**30)]
+    symbolic += [SymVec((0, 0), ((e, (2, 0)),)) for e in (65, 10**400)]  # past the float range
+    symbolic += [SymVec((7, 7), ((70, (1, 1)), (10**400, (0, -1))))]
+    for e in (65, 130, 2000):
+        bx, by = B**e, p.base_y**e
+        symbolic += [
+            SymVec((1 - bx, 1 - by), ((e, (1, 1)),)),  # the base cancels the top term to 1
+            SymVec((bx - 3, by // 5), ((e, (-1, 1)),)),
+            SymVec((1 - bx // B, 2), ((e - 1, (1 - B, 0)), (e, (1, 0)))),  # together they do
+            SymVec((5, -(by // 3)), ((e - 7, (0, 4)), (e - 2, (-3, 0)), (e, (1, 1)))),
+            SymVec((0, 9), ((e, (0, 1)), (e + 5, (1, 0)))),  # one component zero per term
+            SymVec((2**61, -3), ((e - 1, (2**61 - 1, 1 - 2**61)), (e, (1, -1)))),
+        ]
+    for batch in (concrete, concrete + edge, concrete + edge + past, megabit, symbolic,
+                  [SymVec(v) for v in concrete] + symbolic[:3], symbolic + megabit + edge):
+        vals = [v if isinstance(v, SymVec) else SymVec(v) for v in batch]
+        _assert_column_bounds_match(vals, p)
+    # an exponent past the float range bounds nothing, on its own axis only
+    lo, hi = log2_bound_columns(*value_columns(symbolic[6:8]), p)
+    assert (lo[0, 0], hi[0, 0], lo[1, 1], hi[1, 1]) == (-math.inf, math.inf) * 2
+    assert math.isfinite(lo[1, 0]) and math.isfinite(hi[1, 0])
+    lo, hi = log2_bound_columns(*value_columns([]), p)
+    assert lo.shape == (0, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_log2_bound_columns_property(data):
+    p = data.draw(st.sampled_from([P12, P22, MatrixParams(4, 8)]))
+    coef = st.integers(-3, 3)
+    vals = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        exps = sorted(data.draw(st.lists(st.integers(1, 400), max_size=3, unique=True)))
+        terms = tuple((e, v) for e in exps for v in [(data.draw(coef), data.draw(coef))]
+                      if v != (0, 0))
+        base = []
+        for axis, B in enumerate((p.base_x, p.base_y)):
+            b = data.draw(st.integers(-(10**6), 10**6))
+            if terms and data.draw(st.booleans()):  # cancel the top term down to b
+                b -= terms[-1][1][axis] * B ** terms[-1][0]
+            base.append(b)
+        vals.append(SymVec(tuple(base), terms))
+    _assert_column_bounds_match(vals, p)
 
 
 def test_value_columns_at_the_int64_border():

@@ -1419,12 +1419,13 @@ def test_phase_table_hits_and_misses_agree():
     """A canonical prefix's phase rows are built once, extended by levels when
     a call needs more, and read back as they were built: every q-sum and
     unitarity result equals the one on a second table built in another order
-    and on a point list, whose fresh (writable) columns are never kept."""
+    and on a point list of fresh copies, whose fresh (writable) columns are
+    never kept."""
     for p, level in ((P12, 6), (MatrixParams(1, 1000), 5), (MatrixParams(1, 1000), 6)):
         pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
         cols = pre.points.xs, pre.points.ys
         other = _ColumnPoints(*(c.copy() for c in cols), pre.index_bound)
-        listed = list(other)
+        listed = [dataclasses.replace(pt) for pt in other]
         xis = SamplingBox.for_params(p).samples(3, seed=2)
         dev = gram_unitarity(level, pre)  # builds `level` rows per axis
         for target in (1e-3, 1e-9, 1e-3):  # a shallow miss, an extension, a hit
@@ -1456,10 +1457,47 @@ def test_phase_table_entry_dies_with_its_columns():
     assert verify._PHASE_TABLES.keys() == before.keys()
 
 
+def test_a_list_of_a_prefix_points_shares_its_phase_table():
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=6)
+    xi = (0.3, -0.2)
+    want = q_sum(xi, pre)
+    keys = set(verify._PHASE_TABLES)
+    assert {(id(pre.points.xs), P12.base_x), (id(pre.points.ys), P12.base_y)} <= keys
+    pts = list(pre.points)
+    for seq in (pts, tuple(pts)):
+        assert q_sum(xi, seq, P12) == want
+        assert set(verify._PHASE_TABLES) == keys
+    # a split part reads its own rows, which no table keeps
+    kicked = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).prefix(40)
+    f_part, _ = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).split(kicked)
+    keys = set(verify._PHASE_TABLES)
+    assert q_sum(xi, f_part, kicked.params) == q_sum(xi, [dataclasses.replace(pt) for pt in f_part],
+                                                     kicked.params)
+    assert set(verify._PHASE_TABLES) == keys
+
+
+def test_store_sequences_report_as_their_copies(store_sequences):
+    """Every check reports on a list or tuple of a column store's own points,
+    or a split part, read from the store's columns, what it reports on the
+    same points as fresh copies, which are read item by item."""
+    xis = [(0.0, 0.0), (0.31, -0.27)]
+    for name, points, copies, p, _ in store_sequences:
+        got, want = [], []
+        for seq, out in ((points, got), (copies, want)):
+            out += [check_orthogonality(seq, p, max_violations=mv) for mv in (7, 100)]
+            out += [check_projection_orthogonality(seq, p), check_distinct_lines(seq, p)]
+            out += [_outcome(q_sum, xi, seq, p) for xi in xis]
+        assert got == want, name
+    # the moved point breaks orthogonality: that list was read item by item
+    name, points, copies, p, _ = next(c for c in store_sequences if c[0] == "one point moved")
+    assert not check_orthogonality(points, p).passed
+
+
 def test_point_list_rows_are_built_one_level_at_a_time():
     """A point list's columns are writable, so its rows are built per call; a
     q-sum reads them level by level and holds no more than the rows of two
-    levels, not the whole depth x points table."""
+    levels, not the whole depth x points table.  The points are fresh copies:
+    a list of the prefix's own points reads the prefix's table."""
     real, refs, alive = verify._level_phases, [], []
 
     def watched(*args, **kwargs):
@@ -1470,7 +1508,7 @@ def test_point_list_rows_are_built_one_level_at_a_time():
 
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=4)
     with mock.patch.object(verify, "_level_phases", watched):
-        got = q_sum_terms((0.3, -0.2), list(pre.points), P12)
+        got = q_sum_terms((0.3, -0.2), [dataclasses.replace(pt) for pt in pre.points], P12)
     assert len(refs) == 2 * got[2] > 40 and max(alive) <= 3
     assert [a.tolist() for a in got[:2]] == [a.tolist() for a in q_sum_terms((0.3, -0.2), pre)[:2]]
 
