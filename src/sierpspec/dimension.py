@@ -8,18 +8,25 @@ heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
 paths.  Concrete points with coordinates below 2^30 against a concrete center
 num/den that keeps den x - nx and den y - ny below 2^31 are counted in int64
-numpy columns sorted by y, each ball only over the slab of rows its radius can
-reach.  The columns come from ``lattice.folded_columns``, which hands a
-prefix's stored columns over as they are, with a kicked prefix's small kicks
-folded as its points' values fold them; ``treemap.point_values`` hands over a
+numpy columns sorted by y, for every center and scale in one pass, each ball
+only over the slab of rows its radius can reach.  With bound =
+ceil(den^2 h^2) and X the largest |den x - nx| of any row, the slab's rows
+with |den y - ny| <= isqrt(bound - X^2 - 1) lie inside the ball whatever
+their x and count without a distance; only the other rows of the slab, its
+rim, are squared.  The columns come from ``lattice.folded_columns``, which
+hands a prefix's stored columns over as they are, with a kicked prefix's
+small kicks folded as its points' values fold them (once per prefix, which
+keeps them for its parts); ``treemap.point_values`` hands over a
 store's columns for a prefix, for a list of its own points
 (``list(prefix.points)``) and for the parts of ``IntermediateSpec.split``.
 Any other pair is first screened by magnitude bounds, computed from the same
 columns (``lattice.log2_bound_columns``): when those put point and center
 more than the largest scale apart on some axis, the pair is dropped
 unexpanded, so the huge coordinates of kicked points are never subtracted or
-squared.  The pairs left get one exact squared distance, and only their
-points are built as ``SymVec``s.
+squared.  A kicked point and a kicked center with the same single kick term
+differ by their bases, which settle the pair in int64 or by the screen.  The
+pairs left get one exact squared distance, and only their points are built
+as ``SymVec``s.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,21 +97,28 @@ def _int64_limits(c: SymVec, den: int) -> tuple[int, int] | None:
 def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     """Per scale h, the most points at distance < h from any one of the centers.
 
-    For a center num/den, each point's den^2 |v - center|^2 is worked out once,
-    exactly, and the count at h is the number of these below den^2 h^2.  A
-    pair takes one of three paths, tallied in the returned stats:
+    For a center num/den, each point's den^2 |v - center|^2 is compared,
+    exactly, with bound = ceil(den^2 h^2), and the count at h is the number
+    of points below it.  A pair takes one of three paths, tallied in the
+    returned stats:
 
     * int64: a concrete point with coordinates below 2^30 and a concrete
       center whose den x - nx and den y - ny stay below 2^31 at that point
-      (``_int64_limits``), counted in numpy.  The columns are sorted by y
-      once per call, and per center and scale only the slab of rows that
-      the ball can reach is compared: |y - floor(cy)| < ceil(h), one more
-      for den > 1;
+      (``_int64_limits``), counted in numpy for every center and scale at
+      once (``_int64_ball_counts``).  Per ball only the slab of y-sorted
+      rows it can reach is read, |y - floor(cy)| < ceil(h) (one more for
+      den > 1).  The slab's inner rows, whose |den y - ny| is at most
+      Y = isqrt(bound - X^2 - 1) for X the largest |den x - nx| of any row,
+      count without a distance; only the rest, the ball's rim, is squared.
+      A kicked point and a kicked center with the same single kick term
+      take this path too when their bases differ by less than 2^31 on each
+      axis: the term cancels, and the bases' difference is the pair's;
     * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``
       from the columns, ``lattice.log2_bound_columns``, shifted by log2 den
       for den * v) put den * v and num more than den times the largest scale
-      apart on some axis.  A bound only drops a pair that the exact test
-      rejects too, so no float decides a count;
+      apart on some axis, or whose shared kick term leaves bases that far
+      apart.  A bound only drops a pair that the exact test rejects too, so
+      no float decides a count;
     * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
 
     Bounds are computed only when some pair is off the int64 path.  ``vecs``
@@ -127,11 +141,9 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
         return v
 
     h2s = [Fraction(h) ** 2 for h in scales]
-    # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
-    # |y - floor(cy)| < 2^30 + 2^31 for an int64-counted point and a center
-    # within _int64_limits, so wider slabs are all points
-    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
-                     dtype=np.int64)
+    # per den: ceil(den^2 h^2) per scale, as ints and clamped to int64, and
+    # den times the largest scale, as it is and rounded up
+    bounds = {}
     order = None  # the int64 rows sorted by y, made for the first center that counts them
     # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
     reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
@@ -146,22 +158,31 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
         "pairs_exact": 0,
         "max_exponent": top if terms is None else max(top, int(terms.exponent.max())),
     }
-    best = [0] * len(scales)
+    counts = np.zeros((len(center_parts), len(scales)), dtype=np.int64)
+    slabbed = []  # (center, nx, ny, den, mx, my) for each center with int64 rows
+    twins = []  # (center, dx, dy) for each point that shares a kicked center's one term
     for ci, (c, den) in enumerate(center_parts):
-        reach = Fraction(max(scales)) * den
+        if den not in bounds:
+            # an integer is below den^2 h^2 exactly when it is below its ceiling
+            exact = [-(-h2.numerator * den * den // h2.denominator) for h2 in h2s]
+            reach = Fraction(max(scales)) * den
+            bounds[den] = (exact, np.array([min(b, _I64_MAX) for b in exact], dtype=np.int64),
+                           reach, math.ceil(reach))
+        *_, reach, reach_ceil = bounds[den]
         limits = _int64_limits(c, den) if rows.size else None
-        ok, n_int64, left = None, 0, rows  # left: int64 rows not counted in int64
+        n_int64, left = 0, rows  # left: int64 rows not counted in int64
         if limits is not None:
             if order is None:
                 order = rows[np.argsort(ys[rows], kind="stable")]
                 xs_s, ys_s = (col[order].astype(np.int64, copy=False) for col in (xs, ys))
             mx, my = limits
             if min(mx, my) < _I64_COORD - 1:  # some int64 rows are too far from this center
-                ok = (np.abs(xs_s) <= mx) & (np.abs(ys_s) <= my)
-                left = order[~ok]
+                left = order[(np.abs(xs_s) > mx) | (np.abs(ys_s) > my)]
             else:
                 left = rows[:0]
             n_int64 = len(rows) - len(left)
+            if n_int64:
+                slabbed.append((ci, *c.base, den, mx, my))
         if not off.size and not left.size:
             rest = []
         else:
@@ -171,6 +192,7 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
                 off_terms = (None if terms is None else
                              KickTerms(np.searchsorted(off, terms.index), *terms[1:]))
                 lo, hi = log2_bound_columns(xs[off], ys[off], off_terms, p)
+                alone = _single_terms(off_terms, len(off))
             screen = screens.get(den)
             if screen is None:  # the point side of the screen, per axis, for this den
                 # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
@@ -181,54 +203,136 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             up, r, v_lo, v_hi = screen
             # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
             c_far = np.maximum(c_hi[ci], r) + 1
-            far = ((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
-                   | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
-            rest = [point(i) for i in off[~far].tolist()]
+            near = ~((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
+                     | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
+            if len(c.terms) == 1:  # a kicked center, so den = 1
+                # v = b + A^e w and c = b_c + A^e w give v - c = b - b_c
+                e, w = c.terms[0]
+                exps, at, wx, wy = alone
+                for j in range(bisect_left(exps, e), bisect_right(exps, e)):
+                    i = at[j]
+                    if not near[i] or (wx[j], wy[j]) != w:
+                        continue
+                    dx, dy = int(xs[off[i]]) - c.base[0], int(ys[off[i]]) - c.base[1]
+                    d = max(abs(dx), abs(dy))
+                    if d < min(reach_ceil, 2**31):
+                        twins.append((ci, dx, dy))
+                        n_int64 += 1
+                    near[i] = reach_ceil > d >= 2**31  # else screened: beyond every ball
+            rest = [point(i) for i in off[near].tolist()]
             # the other int64 rows, |den v| < 2^(30 + up), face this center exactly
             if left.size and not (c_lo[ci] >= max(_SMALL_LOG2 + up, r) + 1).any():
                 rest += [point(i) for i in left.tolist()]
         stats["pairs_int64"] += n_int64
         stats["pairs_exact"] += len(rest)
         stats["pairs_screened"] += n - len(rest) - n_int64
-        d2s = []
-        for v in rest:
-            if den != 1:
-                v = SymVec((v.base[0] * den, v.base[1] * den),
-                           tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
-            d = sym_diff(v, c)
-            coords = []
-            for axis in (0, 1):
-                b, parts, B = scalar_parts(d, p, axis)
-                if not scalar_abs_lt(b, parts, B, reach):
-                    break
-                coords.append(scalar_materialize(b, parts, B))
-            else:
-                d2s.append(coords[0] ** 2 + coords[1] ** 2)
-        d2s.sort()
-        if n_int64:
-            cx, cy = c.base
-            # slab i holds the rows with |y - floor(cy)| < radii[i] (+ 1 for den > 1),
-            # sorted rows [los[i], his[i])
-            cy_floor, wide = cy // den, radii + (den != 1)
-            los = np.searchsorted(ys_s, cy_floor - wide, side="right").tolist()
-            his = np.searchsorted(ys_s, cy_floor + wide, side="left").tolist()
-            start, stop = min(los), max(his)
-            if den == 1:
-                dx, dy = xs_s[start:stop] - cx, ys_s[start:stop] - cy
-            else:
-                dx, dy = xs_s[start:stop] * den - cx, ys_s[start:stop] * den - cy
-            d2 = dx * dx + dy * dy
-            if ok is not None:  # the other rows may have wrapped around
-                d2[~ok[start:stop]] = _I64_MAX
-        for i, h2 in enumerate(h2s):
-            # an integer is below den^2 h^2 exactly when it is below its ceiling
-            bound = -(-h2.numerator * den * den // h2.denominator)
-            n_in = bisect_left(d2s, bound)
-            if n_int64:
-                slab = d2[los[i] - start:his[i] - start]
-                n_in += int(np.count_nonzero(slab < min(bound, _I64_MAX)))
-            best[i] = max(best[i], n_in)
-    return best, stats
+        if rest:
+            d2s = []
+            for v in rest:
+                if den != 1:
+                    v = SymVec((v.base[0] * den, v.base[1] * den),
+                               tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+                d = sym_diff(v, c)
+                coords = []
+                for axis in (0, 1):
+                    b, parts, B = scalar_parts(d, p, axis)
+                    if not scalar_abs_lt(b, parts, B, reach):
+                        break
+                    coords.append(scalar_materialize(b, parts, B))
+                else:
+                    d2s.append(coords[0] ** 2 + coords[1] ** 2)
+            d2s.sort()
+            counts[ci] = [bisect_left(d2s, bound) for bound in bounds[den][0]]
+    if slabbed:
+        at, *cols = np.array(slabbed, dtype=np.int64).T
+        limit = np.array([bounds[den][1] for den in cols[2].tolist()])
+        counts[at] += _int64_ball_counts(xs_s, ys_s, *cols, limit, scales)
+    if twins:
+        at, dx, dy = np.array(twins, dtype=np.int64).T
+        # |dx|, |dy| < 2^31: the squared distance is exact in int64
+        inside = (dx * dx + dy * dy)[:, None] < bounds[1][1]
+        hits = (at[:, None] * len(scales) + np.arange(len(scales)))[inside]
+        counts += np.bincount(hits, minlength=counts.size).reshape(counts.shape)
+    return counts.max(0, initial=0).tolist(), stats
+
+
+def _single_terms(terms: KickTerms | None, n: int) -> tuple[list, ...]:
+    """Of n values, those with exactly one kick term: its exponents in
+    increasing order, and per exponent the value's row and the term's x and y."""
+    if terms is None:
+        return [], [], [], []
+    one = np.flatnonzero(np.bincount(terms.index, minlength=n)[terms.index] == 1)
+    one = one[np.argsort(terms.exponent[one], kind="stable")]
+    return tuple(col[one].tolist() for col in (terms.exponent, terms.index, terms.x, terms.y))
+
+
+# Rows gathered at once by _int64_ball_counts beyond those of one center: at
+# most this many, or the number of rows when that is more
+_RIM_ROWS = 2**16
+
+
+def _int64_ball_counts(xs, ys, nx, ny, den, mx, my, bounds, scales) -> np.ndarray:
+    """Per center num/den and scale, the rows (xs, ys), sorted by y, with
+    (den x - nx)^2 + (den y - ny)^2 below the bound (int64, clamped at 2^63 - 1).
+
+    Every |x|, |y| < 2^30, and den x - nx, den y - ny stay below 2^31 in
+    absolute value at the rows with |x| <= mx and |y| <= my (``_int64_limits``),
+    the only rows a center counts.  Returns a centers x scales array.
+    """
+    k = len(scales)
+    # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
+    # |y - floor(cy)| < 2^30 + 2^31 for every row, so wider slabs are all rows
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
+                     dtype=np.int64)
+    # the slab of each ball, sorted rows [lo, hi): |y - floor(cy)| < radius, + 1 for den > 1
+    cy_floor, wide = (ny // den)[:, None], radii + (den != 1)[:, None]
+    lo = np.searchsorted(ys, cy_floor - wide, side="right")
+    hi = np.searchsorted(ys, cy_floor + wide, side="left")
+    # The inner range.  |den x - nx| <= X at every row.  When bound - X^2 >= 1
+    # and Y = isqrt(bound - X^2 - 1), a row with |den y - ny| <= Y has
+    # (den x - nx)^2 + (den y - ny)^2 <= X^2 + Y^2 <= bound - 1, so it is in
+    # the ball whatever its x.  X < 2^31 for a center whose limits hold every
+    # row; one whose limits exclude some rows gets no inner range, so its
+    # rim, the whole slab, is checked against its limits row by row.  When
+    # the true bound passes 2^63 - 1, the clamped one still gives Y >= 2^31,
+    # above every |den y - ny|: every row of the slab is inner either way.
+    x_lo, x_hi = xs.min(), xs.max()
+    every = (mx >= max(-x_lo, x_hi)) & (my >= max(-ys[0], ys[-1]))
+    x_far = np.where(every, np.maximum(np.abs(den * x_lo - nx), np.abs(den * x_hi - nx)), 0)
+    room = bounds - (x_far * x_far)[:, None] - 1
+    inner = (room >= 0) & every[:, None]
+    y_in = np.zeros(room.shape, dtype=np.int64)
+    y_in[inner] = [math.isqrt(r) for r in room[inner].tolist()]
+    # rows with ceil((ny - Y) / den) <= y <= floor((ny + Y) / den): Y < den h,
+    # so these lie within the slab; a ball with no inner range gets [lo, lo)
+    y_lo = -((y_in - ny[:, None]) // den[:, None])
+    a = np.where(inner, np.searchsorted(ys, y_lo, side="left"), lo)
+    b = np.where(inner, np.searchsorted(ys, (ny[:, None] + y_in) // den[:, None], side="right"),
+                 lo)
+    counts = b - a
+    # the rim: rows [lo, a) and [b, hi) of each ball, all balls end to end
+    starts = np.stack([lo, b], axis=-1).reshape(len(nx), -1)
+    sizes = np.stack([a - lo, hi - b], axis=-1).reshape(len(nx), -1)
+    per_center = sizes.sum(axis=1)
+    # centers in chunks that gather about max(len(ys), _RIM_ROWS) rows each
+    chunk = (np.cumsum(per_center) - per_center) // max(len(ys), _RIM_ROWS)
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
+    for c0, c1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(nx)]):
+        size = sizes[c0:c1].ravel()
+        total = int(size.sum())
+        if not total:
+            continue
+        ends = np.cumsum(size)
+        idx = np.arange(total) + np.repeat(starts[c0:c1].ravel() - (ends - size), size)
+        ball = np.repeat(np.arange(len(size)) // 2, size)  # (center - c0) * k + scale
+        c = ball // k + c0
+        x, y = xs[idx], ys[idx]
+        dx, dy = x * den[c] - nx[c], y * den[c] - ny[c]
+        hit = dx * dx + dy * dy < bounds[c0:c1].ravel()[ball]
+        if not every[c0:c1].all():  # rows beyond a center's limits may have wrapped
+            hit &= (np.abs(x) <= mx[c]) & (np.abs(y) <= my[c])
+        counts[c0:c1] += np.bincount(ball[hit], minlength=len(size) // 2).reshape(-1, k)
+    return counts
 
 
 def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:

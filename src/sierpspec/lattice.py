@@ -261,12 +261,14 @@ class ColumnValues(Sequence):
     """Values kept as two base columns and, optionally, a ``KickTerms`` table that
     ``make_sym`` has not folded (``params`` gives its bases).  Reading one builds
     one ``SymVec``, through ``make_sym`` when it has terms; ``value_columns`` hands
-    the columns and the unfolded table over as they are."""
+    the columns and the unfolded table over as they are.  ``fold``, when given,
+    returns what ``folded_columns`` would build from them, from folded columns
+    kept elsewhere."""
 
-    __slots__ = ("xs", "ys", "terms", "params")
+    __slots__ = ("xs", "ys", "terms", "params", "fold")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, terms=None, params=None):
-        self.xs, self.ys, self.terms, self.params = xs, ys, terms, params
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, terms=None, params=None, fold=None):
+        self.xs, self.ys, self.terms, self.params, self.fold = xs, ys, terms, params, fold
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -354,13 +356,17 @@ def folded_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     """``value_columns(values)`` with a ``ColumnValues``' unfolded terms of exponent
     at most FOLD_LIMIT added to their bases, as ``make_sym`` adds them: the
     columns, and their int64 or object dtype, that ``value_columns`` gives the
-    same values read one by one.  Any other values are handed on as they are."""
+    same values read one by one.  Where there is such a term, a ``fold``
+    given with the values supplies them.  Any other values are handed on as
+    they are."""
     xs, ys, terms = value_columns(values)
     if terms is None or not isinstance(values, ColumnValues):
         return xs, ys, terms
     due = np.asarray(terms.exponent <= FOLD_LIMIT, dtype=bool)
     if not due.any():
         return xs, ys, terms
+    if values.fold is not None:
+        return values.fold()
     p = values.params
     xs, ys = xs.astype(object), ys.astype(object)
     for i, e, vx, vy in zip(*(c[due].tolist() for c in terms)):

@@ -29,6 +29,7 @@ base of the kicked families in int64.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
@@ -39,6 +40,7 @@ import numpy as np
 
 from .lattice import (
     I64_COORD,
+    I64_TERM,
     ColumnValues,
     KickTerms,
     LatticeError,
@@ -46,6 +48,7 @@ from .lattice import (
     SymVec,
     Vec,
     fits_int64,
+    folded_columns,
     in_e_q1,
     in_gamma,
     make_sym,
@@ -373,14 +376,17 @@ class _ColumnPoints(Sequence):
     also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
     has none), the kick digit and the params; a canonical one has none (None).
     ``point_values`` hands the columns on as ``lattice.ColumnValues``, with
-    the kick terms unfolded.  Reading one item builds one ``SpectrumPoint``,
+    the kick terms unfolded; a kicked store folds its small kicks once, when
+    some reader first asks, and keeps the folded columns (``_folded_rows``).
+    Reading one item builds one ``SpectrumPoint``,
     its value through ``make_sym`` as ``_child`` builds it; the first full
     iteration builds the tuple of all of them once, keeps it, and registers
     the store so that ``point_values`` reads a list of those points from the
     columns.  Compares and hashes like that tuple.
     """
 
-    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points", "__weakref__")
+    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points", "_folded",
+                 "__weakref__")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int,
                  exps: np.ndarray | None = None, kick: Vec | None = None,
@@ -390,6 +396,7 @@ class _ColumnPoints(Sequence):
         self.xs, self.ys, self.bound = xs, ys, bound
         self.exps, self.kick, self.params = exps, kick, params
         self._points: tuple[SpectrumPoint, ...] | None = None
+        self._folded = None  # see _folded_rows
 
     def __len__(self) -> int:
         return 2 * self.bound + 1
@@ -524,7 +531,37 @@ def _store_values(store: _ColumnPoints, rows: np.ndarray | None = None) -> Colum
     if not len(index):
         return ColumnValues(xs, ys)
     kick = (np.full(len(index), c, dtype=xs.dtype) for c in store.kick)
-    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params)
+    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params,
+                        functools.partial(_folded_rows, store, rows))
+
+
+def _folded_rows(store: _ColumnPoints, rows: np.ndarray | None) -> tuple:
+    """``lattice.folded_columns`` of a kicked store's values, or of those at the
+    increasing ``rows``: those rows of the folded columns that the store keeps,
+    folded on first use, with the dtype that folding only those values gives."""
+    if store._folded is None:
+        values = _store_values(store)
+        values.fold = None
+        xs, ys, terms = folded_columns(values)
+        # per row, whether its folded value and kick term are within fits_int64
+        fits = (xs > -I64_COORD) & (xs < I64_COORD) & (ys > -I64_COORD) & (ys < I64_COORD)
+        if terms is not None:
+            fits[terms.index] &= ((terms.x > -I64_TERM) & (terms.x < I64_TERM)
+                                  & (terms.y > -I64_TERM) & (terms.y < I64_TERM))
+        store._folded = xs, ys, terms, fits
+    xs, ys, terms, fits = store._folded
+    if rows is None:
+        rows = np.arange(len(xs))
+    dtype = np.int64 if fits[rows].all() else object
+    xs, ys = xs[rows].astype(dtype, copy=False), ys[rows].astype(dtype, copy=False)
+    if terms is None:
+        return xs, ys, None
+    at = np.minimum(np.searchsorted(rows, terms.index), len(rows) - 1)
+    kept = rows[at] == terms.index
+    if not kept.any():
+        return xs, ys, None
+    tx, ty = (c[kept].astype(dtype) for c in terms[2:])
+    return xs, ys, KickTerms(at[kept], terms.exponent[kept], tx, ty)
 
 
 def _pair_value(pair) -> SymVec:

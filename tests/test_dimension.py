@@ -30,19 +30,23 @@ from sierpspec.dimension import (
     relative_density_check,
     support_hausdorff_dim,
 )
-from sierpspec.dimension import _as_symvecs, _max_ball_counts, _resolve_centers
-from sierpspec import treemap
+from sierpspec.dimension import _as_symvecs, _int64_limits, _max_ball_counts, _resolve_centers
+from sierpspec import dimension, treemap
 from sierpspec.lattice import (
     ColumnValues,
+    KickTerms,
     MatrixParams,
     SymVec,
     enumerate_digit_sets,
+    folded_columns,
+    log2_bound_columns,
     scalar_abs_lt,
     scalar_log2_bounds,
     scalar_materialize,
     scalar_parts,
     sym,
     sym_diff,
+    value_columns,
 )
 from sierpspec.treemap import (
     CanonicalMapping,
@@ -463,6 +467,34 @@ def _moved_to_int64(vecs, centers, stats):
             "pairs_exact": stats["pairs_exact"] - moved}
 
 
+def _moved_off_exact(vecs, centers, scales, p, stats):
+    """The oracle kernels' ``stats`` with the pairs that a shared kick term now
+    settles: a point and a center with the same single term A^e w, which the
+    magnitude screen leaves to the exact test.  Their difference is that of
+    their bases: below 2^31 and the largest scale on both axes it counts in
+    int64, and at the largest scale or beyond on some axis it is screened."""
+    reach = Fraction(max(scales))
+    r = float(math.ceil(reach).bit_length())
+    int64 = screened = 0
+    for center in centers:
+        c, _ = _center_parts(center)
+        if len(c.terms) != 1:
+            continue
+        c_lo, c_hi = np.array(_oracle_log2_bounds(c, p)).T
+        for v in vecs:
+            if v.terms != c.terms:
+                continue
+            v_lo, v_hi = np.array(_oracle_log2_bounds(v, p)).T
+            if ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any():
+                continue
+            d = max(abs(v.base[0] - c.base[0]), abs(v.base[1] - c.base[1]))
+            int64 += d < min(reach, 2**31)
+            screened += d >= reach
+    return {**stats, "pairs_int64": stats["pairs_int64"] + int64,
+            "pairs_screened": stats["pairs_screened"] + screened,
+            "pairs_exact": stats["pairs_exact"] - int64 - screened}
+
+
 P18 = MatrixParams(1, 8)
 
 
@@ -523,7 +555,8 @@ def test_slab_kernel_matches_oracle(case):
     _, points, centers, scales, p = case
     old_vecs, _ = _oracle_as_symvecs(points, p)
     counts, stats = _oracle_max_ball_counts(old_vecs, centers, scales, p)
-    want = counts, _moved_to_int64(old_vecs, centers, stats)
+    stats = _moved_to_int64(old_vecs, centers, stats)
+    want = counts, _moved_off_exact(old_vecs, centers, scales, p, stats)
     vecs, _ = _as_symvecs(points, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     assert _max_ball_counts(old_vecs, centers, scales, p) == want
@@ -670,7 +703,9 @@ def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
         assert balls == [_oracle_max_ball_counts(vecs, [c], [h], p)[0][0]
                          for c in centers for h in scales[:3]], name
         for est, ref, (c, s) in zip(got, want, runs):
-            stats = _moved_to_int64(vecs, _resolve_centers(vecs, c, s), ref.stats)
+            center_list = _resolve_centers(vecs, c, s)
+            stats = _moved_to_int64(vecs, center_list, ref.stats)
+            stats = _moved_off_exact(vecs, center_list, scales, p, stats)
             assert est == ref and est.stats == stats, name
 
 
@@ -683,6 +718,256 @@ def test_canonical_prefix_counts_without_building_its_points():
     pts = list(pre.points)
     assert est == beurling_dim_estimate(pts, scales, P12, centers="sample:16", seed=3)
     assert counts == [count_in_ball(pts, pts[40 + pre.index_bound], h, P12) for h in scales]
+
+
+# The ball-counting kernel before the int64 balls of all centers were counted
+# in one pass, kept verbatim as the oracle for that pass: it squares every row
+# of each center's slabs, one center at a time.
+def _per_center_max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
+    """Per scale h, the most points at distance < h from any one of the centers.
+
+    For a center num/den, each point's den^2 |v - center|^2 is worked out once,
+    exactly, and the count at h is the number of these below den^2 h^2.  A
+    pair takes one of three paths, tallied in the returned stats:
+
+    * int64: a concrete point with coordinates below 2^30 and a concrete
+      center whose den x - nx and den y - ny stay below 2^31 at that point
+      (``_int64_limits``), counted in numpy.  The columns are sorted by y
+      once per call, and per center and scale only the slab of rows that
+      the ball can reach is compared: |y - floor(cy)| < ceil(h), one more
+      for den > 1;
+    * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``
+      from the columns, ``lattice.log2_bound_columns``, shifted by log2 den
+      for den * v) put den * v and num more than den times the largest scale
+      apart on some axis.  A bound only drops a pair that the exact test
+      rejects too, so no float decides a count;
+    * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
+
+    Bounds are computed only when some pair is off the int64 path.  ``vecs``
+    may be ``lattice.ColumnValues``: the columns are read as they are, and a
+    ``SymVec`` is built only for a point that some center sends to the exact
+    test.
+    """
+    n = len(vecs)
+    xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
+    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    if terms is not None:
+        small[terms.index] = False
+    rows, off = np.flatnonzero(small), np.flatnonzero(~small)
+    built = {}  # the SymVecs of points that face some center exactly
+
+    def point(i):
+        v = built.get(i)
+        if v is None:
+            v = built[i] = vecs[i]
+        return v
+
+    h2s = [Fraction(h) ** 2 for h in scales]
+    # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
+    # |y - floor(cy)| < 2^30 + 2^31 for an int64-counted point and a center
+    # within _int64_limits, so wider slabs are all points
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
+                     dtype=np.int64)
+    order = None  # the int64 rows sorted by y, made for the first center that counts them
+    # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
+    reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
+    c_lo = c_hi = lo = hi = None  # magnitude bounds of the centers and the points off int64
+    screens = {}  # per den, the point side of the screen
+    center_parts = [_center_parts(center) for center in centers]
+    # the largest exponent of a center, or of a point: none on the int64 path has a term
+    top = max((e for c, _ in center_parts for e, _ in c.terms), default=0)
+    stats = {
+        "pairs_int64": 0,
+        "pairs_screened": 0,
+        "pairs_exact": 0,
+        "max_exponent": top if terms is None else max(top, int(terms.exponent.max())),
+    }
+    best = [0] * len(scales)
+    for ci, (c, den) in enumerate(center_parts):
+        reach = Fraction(max(scales)) * den
+        limits = _int64_limits(c, den) if rows.size else None
+        ok, n_int64, left = None, 0, rows  # left: int64 rows not counted in int64
+        if limits is not None:
+            if order is None:
+                order = rows[np.argsort(ys[rows], kind="stable")]
+                xs_s, ys_s = (col[order].astype(np.int64, copy=False) for col in (xs, ys))
+            mx, my = limits
+            if min(mx, my) < _I64_COORD - 1:  # some int64 rows are too far from this center
+                ok = (np.abs(xs_s) <= mx) & (np.abs(ys_s) <= my)
+                left = order[~ok]
+            else:
+                left = rows[:0]
+            n_int64 = len(rows) - len(left)
+        if not off.size and not left.size:
+            rest = []
+        else:
+            if c_lo is None:
+                c_lo, c_hi = log2_bound_columns(*value_columns([c for c, _ in center_parts]), p)
+                # every point with a term is off the int64 path: renumber its rows
+                off_terms = (None if terms is None else
+                             KickTerms(np.searchsorted(off, terms.index), *terms[1:]))
+                lo, hi = log2_bound_columns(xs[off], ys[off], off_terms, p)
+            screen = screens.get(den)
+            if screen is None:  # the point side of the screen, per axis, for this den
+                # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
+                up = (den - 1).bit_length()
+                r = reach_log2 + up
+                screen = screens[den] = (up, r, (lo + (den.bit_length() - 1)).T.copy(),
+                                         (np.maximum(hi + up, r) + 1).T.copy())
+            up, r, v_lo, v_hi = screen
+            # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
+            c_far = np.maximum(c_hi[ci], r) + 1
+            far = ((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
+                   | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
+            rest = [point(i) for i in off[~far].tolist()]
+            # the other int64 rows, |den v| < 2^(30 + up), face this center exactly
+            if left.size and not (c_lo[ci] >= max(_SMALL_LOG2 + up, r) + 1).any():
+                rest += [point(i) for i in left.tolist()]
+        stats["pairs_int64"] += n_int64
+        stats["pairs_exact"] += len(rest)
+        stats["pairs_screened"] += n - len(rest) - n_int64
+        d2s = []
+        for v in rest:
+            if den != 1:
+                v = SymVec((v.base[0] * den, v.base[1] * den),
+                           tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+            d = sym_diff(v, c)
+            coords = []
+            for axis in (0, 1):
+                b, parts, B = scalar_parts(d, p, axis)
+                if not scalar_abs_lt(b, parts, B, reach):
+                    break
+                coords.append(scalar_materialize(b, parts, B))
+            else:
+                d2s.append(coords[0] ** 2 + coords[1] ** 2)
+        d2s.sort()
+        if n_int64:
+            cx, cy = c.base
+            # slab i holds the rows with |y - floor(cy)| < radii[i] (+ 1 for den > 1),
+            # sorted rows [los[i], his[i])
+            cy_floor, wide = cy // den, radii + (den != 1)
+            los = np.searchsorted(ys_s, cy_floor - wide, side="right").tolist()
+            his = np.searchsorted(ys_s, cy_floor + wide, side="left").tolist()
+            start, stop = min(los), max(his)
+            if den == 1:
+                dx, dy = xs_s[start:stop] - cx, ys_s[start:stop] - cy
+            else:
+                dx, dy = xs_s[start:stop] * den - cx, ys_s[start:stop] * den - cy
+            d2 = dx * dx + dy * dy
+            if ok is not None:  # the other rows may have wrapped around
+                d2[~ok[start:stop]] = _I64_MAX
+        for i, h2 in enumerate(h2s):
+            # an integer is below den^2 h^2 exactly when it is below its ceiling
+            bound = -(-h2.numerator * den * den // h2.denominator)
+            n_in = bisect_left(d2s, bound)
+            if n_int64:
+                slab = d2[los[i] - start:his[i] - start]
+                n_in += int(np.count_nonzero(slab < min(bound, _I64_MAX)))
+            best[i] = max(best[i], n_in)
+    return best, stats
+
+
+def _rim_cases():
+    """(id, points, centers, scales, params) for the one-pass int64 count."""
+    rng = random.Random(20261020)
+    # every lattice point of a box: rows at d2 = bound - 1 and at bound, and
+    # rows on both sides of each inner range and slab edge
+    cx, cy = 3, -5
+    box = [(x, y) for x in range(cx - 12, cx + 13) for y in range(cy - 17, cy + 18)]
+    centers = [(cx, cy), (0, 0), (cx + 10, cy - 12), (Fraction(7, 2), Fraction(-9, 2)),
+               (Fraction(1, 3), Fraction(-7, 3)), (Fraction(-20, 3), Fraction(5, 7))]
+    yield ("d2 at bound - 1 and bound", box, centers,
+           [1, 3, 5, Fraction(21, 2), 9, 13, 14, 15, 16, 17, 2**40], P11)
+    # X = 0: the points and the centers on one vertical line
+    line = [(-7, y) for y in range(-40, 41)] + [(-7, 3)] * 4
+    centers = [(-7, 0), (-7, 40), (-7, Fraction(7, 2)), (Fraction(-21, 3), Fraction(1, 3))]
+    yield ("one vertical line", line, centers, [1, 2, 5, 9, 40, 81, 2**40], P11)
+    # an x-spread above every scale: no inner range anywhere
+    spread = [(s * 2**29, rng.randint(-5000, 5000)) for s in (1, -1) for _ in range(150)]
+    spread += [(rng.randint(-5000, 5000), rng.randint(-5000, 5000)) for _ in range(100)]
+    centers = [(0, 0), spread[3], spread[200], (Fraction(1, 2), Fraction(-3, 2))]
+    yield ("x-spread above every scale", spread, centers, [1, 10, 100, 1000, 2**20], P11)
+    # den > 1 with ny not a multiple of den, and a center whose limits exclude
+    # rows: den x - nx passes 2^31 for |x| > (2^31 - 1 - |nx|) // den
+    edge = 2**30 - 1
+    wide = [(rng.randint(-edge, edge), rng.randint(-edge, edge)) for _ in range(200)]
+    wide += [(x, y) for x in (-edge, 0, edge) for y in (-edge, 0, edge)]
+    wide += [(rng.randint(-300, 300), rng.randint(-300, 300)) for _ in range(200)]
+    centers = [(0, 0), (Fraction(1, 3), Fraction(-7, 3)), (Fraction(5, 2), Fraction(3, 2)),
+               (2**30 + 5, -17), (-17, 2**30 + 5), (Fraction(2**31 - 9, 2), Fraction(1, 2)),
+               (Fraction(1, 2**20), Fraction(-1, 3))]
+    yield ("den > 1 and limited centers", wide, centers,
+           [1, 7, Fraction(301, 2), 2**20, 2**29, 2**31, 2**40], P11)
+    yield ("single point", [(5, -2)], [(0, 0), (5, -2), (Fraction(9, 2), -2)],
+           [1, 2, 3, 2**40], P11)
+    twice = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(60)]
+    yield ("coincident points", twice * 3, [(0, 0)] + twice[:4], [1, 4, 16, 64, 2**40], P11)
+
+
+@pytest.mark.parametrize("case", list(_rim_cases()), ids=lambda c: c[0])
+def test_one_pass_int64_counts_match_per_center_kernel(case):
+    name, points, centers, scales, p = case
+    vecs, _ = _as_symvecs(points, p)
+    want = _per_center_max_ball_counts(vecs, centers, scales, p)
+    assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
+    for c in centers:  # every ball, not only the densest
+        got = [_max_ball_counts(vecs, [c], [h], p) for h in scales]
+        assert got == [_per_center_max_ball_counts(vecs, [c], [h], p) for h in scales]
+    if name == "d2 at bound - 1 and bound":
+        d2s = {(x - 3) ** 2 + (y + 5) ** 2 for x, y in points}
+        assert {8, 9, 80, 81, 288, 289} <= d2s  # h = 3, 9, 17
+
+
+def test_one_pass_int64_counts_on_canonical_prefixes():
+    """Every point of canonical L7 a center, over several chunks of rims, and
+    the benchmark's L11 estimate."""
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=7)
+    vecs, p = _as_symvecs(pre)
+    centers = _resolve_centers(vecs, "points", 0)
+    assert len(centers) == 2188
+    scales = geometric_scales(P12, 1, 7)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as tally:
+        got = _max_ball_counts(vecs, centers, scales, p)
+    assert tally.call_count > 1  # the rims took several chunks
+    assert got == _per_center_max_ball_counts(vecs, centers, scales, p)
+    # every center's own counts, not only the densest balls
+    order = np.argsort(pre.points.ys, kind="stable")
+    xs, ys = pre.points.xs[order], pre.points.ys[order]
+    nx, ny = (np.array([c.base[axis] for c in centers]) for axis in (0, 1))
+    ones, limit = np.ones_like(nx), np.full_like(nx, 2**30 - 1)
+    bounds = np.array([[h * h for h in scales]] * len(centers))
+    want = [[np.count_nonzero((xs - x) ** 2 + (ys - y) ** 2 < b) for b in row]
+            for x, y, row in zip(nx, ny, bounds)]
+    assert dimension._int64_ball_counts(xs, ys, nx, ny, ones, limit, limit, bounds,
+                                        scales).tolist() == want
+    pre = enumerate_spectrum(CanonicalMapping(), P12, level=11)
+    vecs, p = _as_symvecs(pre)
+    centers = _resolve_centers(vecs, "sample:32", 5)
+    scales = geometric_scales(P12, 4, 10)
+    assert (_max_ball_counts(vecs, centers, scales, p)
+            == _per_center_max_ball_counts(vecs, centers, scales, p))
+
+
+def test_shared_kick_term_pairs_leave_the_exact_test():
+    """A point and a kicked center with the same single term differ by their
+    bases: such a pair counts in int64 below 2^31 and the largest scale, is
+    screened at the largest scale or beyond, and is exact in between."""
+    e, w = 70, (1, -2)
+    bases = [(0, 0), (3, 4), (-3, 4), (5, 0), (24, 7), (1000, 0), (2**31 + 3, 1),
+             (-(2**35), 7), (2**41, 0)]
+    kicked = [SymVec(b, ((e, w),)) for b in bases]
+    others = [SymVec(b, ((e, (1, 2)),)) for b in bases[:3]]
+    others += [SymVec(b, ((e + 1, w),)) for b in bases[:3]] + [SymVec((1, 1)), SymVec((4, 0))]
+    vecs = kicked + others
+    centers = kicked[:3] + [kicked[6], (0, 0)]
+    for scales in ([1, 5, 25, 125], [1, 5, 25, 2**40]):
+        for c in centers:  # a distance of 5 stays out of the ball of radius 5
+            got, _ = _max_ball_counts(vecs, [c], scales, P48)
+            assert got == _brute_counts(vecs, c, scales, P48)
+        _, stats = _max_ball_counts(vecs, centers, scales, P48)
+        _, old = _oracle_max_ball_counts(vecs, centers, scales, P48)
+        want = _moved_off_exact(vecs, centers, scales, P48, _moved_to_int64(vecs, centers, old))
+        assert stats == want and want["pairs_exact"] < old["pairs_exact"]
 
 
 def test_beurling_estimate_guards():

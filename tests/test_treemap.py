@@ -13,6 +13,7 @@ from sierpspec import construct, verify
 from sierpspec.construct import build_intermediate_spectrum
 from sierpspec.dimension import beurling_dim_estimate, geometric_scales
 from sierpspec.lattice import (
+    FOLD_LIMIT,
     MatrixParams,
     SymVec,
     enumerate_digit_sets,
@@ -457,6 +458,13 @@ def _kicked_mappings():
     return cases
 
 
+def _same_columns(got, want):
+    """Equal columns and kick terms, dtypes included."""
+    assert (got[2] is None) == (want[2] is None)
+    for a, b in zip((*got[:2], *(got[2] or ())), (*want[:2], *(want[2] or ()))):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
 @pytest.mark.parametrize("case", _kicked_mappings(), ids=lambda c: c[0])
 def test_kicked_store_matches_child_steps(case):
     _, mapping, p, bounds = case
@@ -471,17 +479,38 @@ def test_kicked_store_matches_child_steps(case):
         assert hash(pre.points) == hash(want)
         assert list(pre.points) == list(want) and pre.points[1:3] == want[1:3]
         # the columns hold int64 sums whenever today's values do
-        folded = value_columns([pt.value for pt in want])
-        got = folded_columns(point_values(pre.points))
-        for a, b in zip(got[:2], folded[:2]):
-            assert a.dtype == b.dtype and a.tolist() == b.tolist()
-        assert (got[2] is None) == (folded[2] is None)
-        if got[2] is not None:
-            assert all(a.dtype == b.dtype and a.tolist() == b.tolist()
-                       for a, b in zip(got[2], folded[2]))
+        _same_columns(folded_columns(point_values(pre.points)),
+                      value_columns([pt.value for pt in want]))
         for middle in {0, 1, 4, bound // 2}:
             middle = min(middle, bound)
             assert central_points(pre.points, middle) == want[bound - middle:bound + middle + 1]
+
+
+@pytest.mark.parametrize("case", _kicked_mappings(), ids=lambda c: c[0])
+def test_store_parts_read_the_folded_columns_it_keeps(case):
+    """A subsequence of a store's points reads its rows of the folded columns
+    that the store keeps: the columns, dtypes and terms that folding those
+    values alone gives, however often they are read or written to."""
+    _, mapping, p, bounds = case
+    pre = enumerate_spectrum(mapping, p, index_bound=bounds[-1])
+    pts = list(pre.points)
+    kicked = [i for i, pt in enumerate(pts) if pt.value.terms or pt.kick_position]
+    rng = random.Random(len(pts))
+    for rows in (range(len(pts)), kicked, [i for i in range(len(pts)) if i not in kicked],
+                 sorted(rng.sample(range(len(pts)), len(pts) // 3)), kicked[-1:], [0]):
+        part = [pts[i] for i in rows]
+        if not part:
+            continue
+        want = value_columns([pt.value for pt in part])
+        for _ in range(2):
+            got = folded_columns(point_values(part))
+            _same_columns(got, want)
+            for col in got[:2]:
+                if col.flags.writeable:  # not the store's: the next read is unchanged
+                    col[:] = 0
+    # a store with a kick term of exponent at most 64 folded once
+    folds = any(pt.kick_position and pt.kick_position - 1 <= FOLD_LIMIT for pt in pts)
+    assert (pre.points._folded is not None) == folds
 
 
 @pytest.mark.parametrize("q2, dtype", [(600_000, np.int64), (10**6, object)])
