@@ -64,6 +64,9 @@ from .verify import (
 USAGE_ERROR = 2
 VIOLATION = 1
 VERIFY_CHECKS = ("orthogonality", "lines", "projections")
+# the widest --scale-exps window: scale j is an exact (3 q2)^j, so a window of
+# a million scales holds gigabytes of integers before a ball is counted
+MAX_SCALES = 4096
 
 class InputError(Exception):
     """Malformed input file or inconsistent flags (exit code 2)."""
@@ -387,12 +390,10 @@ def cmd_verify(args) -> int:
     if args.qsum:
         values = point_values(points)
         if args.qsum > 1 and not isinstance(values, ColumnValues):
-            # a file's points: as one read-only column pair, they let the
-            # q-sums share one phase table (32 bytes a point per level)
-            # instead of each rebuilding it; a single q-sum streams its rows
-            xs, ys, terms = value_columns(values)
-            xs.flags.writeable = ys.flags.writeable = False
-            values = ColumnValues(xs, ys, terms, p)
+            # a file's points: as columns with a cache, they let the q-sums
+            # share one phase table (32 bytes a point per level) instead of
+            # each rebuilding it; a single q-sum streams its rows
+            values = ColumnValues(*value_columns(values), p, cache={})
         box = SamplingBox.for_params(p)
         for xi in box.samples(args.qsum, seed=args.seed):
             res = q_sum(xi, values, p)
@@ -415,14 +416,16 @@ def cmd_dim(args) -> int:
     if args.closed_forms_only:
         print(json.dumps({"references": references}))
         return 0
-    if args.input:
-        points = _read_points(args.input, p)
-    else:  # a canonical prefix hands over its values without building its points
-        points = _prefix_from_args(args)
     try:
         j_lo, j_hi = (int(s) for s in args.scale_exps.split(":"))
     except ValueError as exc:
         raise InputError(f"--scale-exps expects LO:HI, got {args.scale_exps!r}") from exc
+    if j_hi - j_lo >= MAX_SCALES:
+        raise InputError(f"--scale-exps {args.scale_exps} spans more than {MAX_SCALES} scales")
+    if args.input:
+        points = _read_points(args.input, p)
+    else:  # a canonical prefix hands over its values without building its points
+        points = _prefix_from_args(args)
     scales = geometric_scales(p, j_lo, j_hi)
     est = beurling_dim_estimate(points, scales, p, centers=args.centers, seed=args.seed)
     if args.stats:

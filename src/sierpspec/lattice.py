@@ -261,14 +261,14 @@ class ColumnValues(Sequence):
     """Values kept as two base columns and, optionally, a ``KickTerms`` table that
     ``make_sym`` has not folded (``params`` gives its bases).  Reading one builds
     one ``SymVec``, through ``make_sym`` when it has terms; ``value_columns`` hands
-    the columns and the unfolded table over as they are.  ``fold``, when given,
-    returns what ``folded_columns`` would build from them, from folded columns
-    kept elsewhere."""
+    the columns and the unfolded table over as they are.  ``cache``, when given,
+    is a dict that holds what is derived from fixed columns: ``folded_columns``
+    keeps its result there, and ``verify`` its phase rows."""
 
-    __slots__ = ("xs", "ys", "terms", "params", "fold")
+    __slots__ = ("xs", "ys", "terms", "params", "cache")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, terms=None, params=None, fold=None):
-        self.xs, self.ys, self.terms, self.params, self.fold = xs, ys, terms, params, fold
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, terms=None, params=None, cache=None):
+        self.xs, self.ys, self.terms, self.params, self.cache = xs, ys, terms, params, cache
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -356,17 +356,18 @@ def folded_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     """``value_columns(values)`` with a ``ColumnValues``' unfolded terms of exponent
     at most FOLD_LIMIT added to their bases, as ``make_sym`` adds them: the
     columns, and their int64 or object dtype, that ``value_columns`` gives the
-    same values read one by one.  Where there is such a term, a ``fold``
-    given with the values supplies them.  Any other values are handed on as
+    same values read one by one.  Values with a ``cache`` fold once, and keep
+    the folded columns there, read-only.  Any other values are handed on as
     they are."""
     xs, ys, terms = value_columns(values)
     if terms is None or not isinstance(values, ColumnValues):
         return xs, ys, terms
+    cache = values.cache
+    if cache is not None and "folded" in cache:
+        return cache["folded"]
     due = np.asarray(terms.exponent <= FOLD_LIMIT, dtype=bool)
     if not due.any():
         return xs, ys, terms
-    if values.fold is not None:
-        return values.fold()
     p = values.params
     xs, ys = xs.astype(object), ys.astype(object)
     for i, e, vx, vy in zip(*(c[due].tolist() for c in terms)):
@@ -375,7 +376,11 @@ def folded_columns(values) -> tuple[np.ndarray, np.ndarray, KickTerms | None]:
     index, exps, tx, ty = (c[~due] for c in terms)
     dtype = np.int64 if fits_int64(xs, ys, tx, ty) else object
     xs, ys, tx, ty = (c.astype(dtype) for c in (xs, ys, tx, ty))
-    return xs, ys, KickTerms(index, exps, tx, ty) if len(index) else None
+    folded = xs, ys, KickTerms(index, exps, tx, ty) if len(index) else None
+    if cache is not None:
+        xs.flags.writeable = ys.flags.writeable = False
+        cache["folded"] = folded
+    return folded
 
 
 def sym(v: Vec) -> SymVec:

@@ -24,12 +24,13 @@ sum_j d_j(k) A^j (q1, -q2) over the balanced-ternary digits d_j(k) of k.  A
 ``SpectrumPoint`` is built only when one is read, its value through
 ``make_sym``, which folds a kick of exponent at most 64 into the base; the
 certifiers read the columns with the kick terms unfolded, which keeps every
-base of the kicked families in int64.
+base of the kicked families in int64.  A store's columns are read-only, so
+what readers derive from them, the columns with the small kicks folded and
+the q-sum phase rows, is kept in the store's one ``cache`` dict.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import weakref
@@ -40,7 +41,6 @@ import numpy as np
 
 from .lattice import (
     I64_COORD,
-    I64_TERM,
     ColumnValues,
     KickTerms,
     LatticeError,
@@ -48,7 +48,6 @@ from .lattice import (
     SymVec,
     Vec,
     fits_int64,
-    folded_columns,
     in_e_q1,
     in_gamma,
     make_sym,
@@ -116,9 +115,6 @@ class TableOffsets:
             if abs(k) <= bound:
                 m[k + bound] = mk
         return m
-
-    def describe(self) -> str:
-        return "table:" + ",".join(f"{k}:{m}" for k, m in sorted(self.table.items()))
 
 
 class SquareOffsets:
@@ -376,16 +372,17 @@ class _ColumnPoints(Sequence):
     also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
     has none), the kick digit and the params; a canonical one has none (None).
     ``point_values`` hands the columns on as ``lattice.ColumnValues``, with
-    the kick terms unfolded; a kicked store folds its small kicks once, when
-    some reader first asks, and keeps the folded columns (``_folded_rows``).
-    Reading one item builds one ``SpectrumPoint``,
+    the kick terms unfolded, and with the store's ``cache``: what readers
+    derive from the fixed columns, the folded columns and q-sum phase rows,
+    is kept there as long as the store lives.  Reading one item builds one
+    ``SpectrumPoint``,
     its value through ``make_sym`` as ``_child`` builds it; the first full
     iteration builds the tuple of all of them once, keeps it, and registers
     the store so that ``point_values`` reads a list of those points from the
     columns.  Compares and hashes like that tuple.
     """
 
-    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "_points", "_folded",
+    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "cache", "_points",
                  "__weakref__")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int,
@@ -395,8 +392,8 @@ class _ColumnPoints(Sequence):
             col.flags.writeable = False  # the points must not drift
         self.xs, self.ys, self.bound = xs, ys, bound
         self.exps, self.kick, self.params = exps, kick, params
+        self.cache: dict = {}
         self._points: tuple[SpectrumPoint, ...] | None = None
-        self._folded = None  # see _folded_rows
 
     def __len__(self) -> int:
         return 2 * self.bound + 1
@@ -521,47 +518,18 @@ def _own_values(points) -> ColumnValues | None:
 
 
 def _store_values(store: _ColumnPoints, rows: np.ndarray | None = None) -> ColumnValues:
-    """A store's values, or those at the increasing ``rows``: the store's own
-    arrays, or those rows of them, and the kick terms unfolded."""
-    xs, ys, exps = store.xs, store.ys, store.exps
+    """A store's values, with its cache, or those at the increasing ``rows``,
+    with none: the store's own arrays, or those rows of them, and the kick
+    terms unfolded."""
+    xs, ys, exps, cache = store.xs, store.ys, store.exps, store.cache
     if rows is not None:
-        xs, ys = xs[rows], ys[rows]
+        xs, ys, cache = xs[rows], ys[rows], None
         exps = None if exps is None else exps[rows]
     index = () if exps is None else np.flatnonzero(exps)
     if not len(index):
-        return ColumnValues(xs, ys)
+        return ColumnValues(xs, ys, cache=cache)
     kick = (np.full(len(index), c, dtype=xs.dtype) for c in store.kick)
-    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params,
-                        functools.partial(_folded_rows, store, rows))
-
-
-def _folded_rows(store: _ColumnPoints, rows: np.ndarray | None) -> tuple:
-    """``lattice.folded_columns`` of a kicked store's values, or of those at the
-    increasing ``rows``: those rows of the folded columns that the store keeps,
-    folded on first use, with the dtype that folding only those values gives."""
-    if store._folded is None:
-        values = _store_values(store)
-        values.fold = None
-        xs, ys, terms = folded_columns(values)
-        # per row, whether its folded value and kick term are within fits_int64
-        fits = (xs > -I64_COORD) & (xs < I64_COORD) & (ys > -I64_COORD) & (ys < I64_COORD)
-        if terms is not None:
-            fits[terms.index] &= ((terms.x > -I64_TERM) & (terms.x < I64_TERM)
-                                  & (terms.y > -I64_TERM) & (terms.y < I64_TERM))
-        store._folded = xs, ys, terms, fits
-    xs, ys, terms, fits = store._folded
-    if rows is None:
-        rows = np.arange(len(xs))
-    dtype = np.int64 if fits[rows].all() else object
-    xs, ys = xs[rows].astype(dtype, copy=False), ys[rows].astype(dtype, copy=False)
-    if terms is None:
-        return xs, ys, None
-    at = np.minimum(np.searchsorted(rows, terms.index), len(rows) - 1)
-    kept = rows[at] == terms.index
-    if not kept.any():
-        return xs, ys, None
-    tx, ty = (c[kept].astype(dtype) for c in terms[2:])
-    return xs, ys, KickTerms(at[kept], terms.exponent[kept], tx, ty)
+    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params, cache)
 
 
 def _pair_value(pair) -> SymVec:

@@ -17,13 +17,14 @@ kick terms through one call, ``lattice.value_columns``, which hands a
 prefix's stored columns over without building a point; a kicked prefix's
 kick terms come unfolded, so its bases stay int64.  Unitarity and the
 q-sums read them through ``lattice.folded_columns`` instead, which folds
-the small kicks as the points' own values do.  Level-n unitarity
-multiplies the Gram matrix out of per-level rank-3 factors, one row block
-at a time, with no character matrix built.  The q-sums split each level's
+the small kicks as the points' own values do, once per column store.
+Level-n unitarity multiplies the Gram matrix out of per-level rank-3
+factors, one row block at a time, with no character matrix built.  The q-sums split each level's
 phase in two: the points' part e^(-2 pi i (lam mod B^j) / B^j), from exact
-remainders, and a scalar per level for the frequency.  A canonical prefix's point phases are
-built once, shared with unitarity and kept while its columns live, so each
-further frequency costs one complex multiply-add per point, level and axis.
+remainders, and a scalar per level for the frequency.  A prefix's point
+phases are built once, shared with unitarity and kept in the prefix's
+``cache`` as long as the prefix lives, so each further frequency costs one
+complex multiply-add per point, level and axis.
 Completeness is never certified: the quadratic sums of the transform over a
 prefix give evidence (bounded by 1, nondecreasing), and maximality is probed
 per candidate with three-valued verdicts.
@@ -37,7 +38,6 @@ import heapq
 import itertools
 import math
 import random
-import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,44 +291,31 @@ def _level_phases(col, base: int, n: int, first: int = 1) -> Iterator[np.ndarray
         yield np.exp(-2j * np.pi * frac)
 
 
-# The phase rows of read-only columns (a canonical prefix's), per (id, base),
-# each with a weak reference to its column that drops the entry when it dies
-_PHASE_TABLES: dict[tuple[int, int], tuple[weakref.ref, list[np.ndarray]]] = {}
-
-
-def _phase_rows(col, base: int, n: int) -> Iterable[np.ndarray]:
-    """The rows of ``_level_phases(col, base, n)``.  A read-only column, such
-    as a canonical prefix's, is taken as fixed: its rows are kept while it
-    lives and extended by levels when a call needs more.  A writable column's
-    rows are built afresh, as its values may change, and one at a time, so a
-    caller that reads them in order holds one row per axis."""
-    if col.flags.writeable:
+def _phase_rows(cache, axis: str, col, base: int, n: int) -> Iterable[np.ndarray]:
+    """The rows of ``_level_phases(col, base, n)``, ``col`` the ``axis`` column of
+    values whose ``cache`` is given (``lattice.ColumnValues.cache``, such as a
+    prefix's): its rows are kept there, per axis and base, and extended by
+    levels when a call needs more.  With no cache the rows are built afresh,
+    one at a time, so a caller that reads them in order holds one row per axis."""
+    if cache is None:
         return _level_phases(col, base, n)
-    key = (id(col), base)
-    entry = _PHASE_TABLES.get(key)
-    if entry is None or entry[0]() is not col:  # ids are reused once an array dies
-        entry = weakref.ref(col, functools.partial(_drop_phase_rows, key)), []
-        _PHASE_TABLES[key] = entry
-    rows = entry[1]
+    rows = cache.setdefault((axis, base), [])
     if len(rows) < n:
         rows += _level_phases(col, base, n, first=len(rows) + 1)
     return rows[:n]
 
 
-def _drop_phase_rows(key, ref) -> None:
-    if _PHASE_TABLES.get(key, (None,))[0] is ref:
-        del _PHASE_TABLES[key]
-
-
-def _gram_blocks(n: int, cols, p: MatrixParams):
+def _gram_blocks(n: int, cols, p: MatrixParams, cache=None):
     """The upper triangle of the level-n Gram matrix, as (r0, G[r0:r1, r0:]) row blocks.
 
     G[lam, lam'] = prod_j m(A^-j (lam' - lam)), m the mask, and each factor is
     (1 + conj(ex_j(lam)) ex_j(lam') + conj(ey_j(lam)) ey_j(lam')) / 3 with the
-    per-level phases of ``_phase_rows``; the 1/3 rides on the conjugated
-    row phases.  The lower triangle is the conjugate transpose.
+    per-level phases of ``_phase_rows``, kept in ``cache`` when one is given;
+    the 1/3 rides on the conjugated row phases.  The lower triangle is the
+    conjugate transpose.
     """
-    ex, ey = list(_phase_rows(cols[0], p.base_x, n)), list(_phase_rows(cols[1], p.base_y, n))
+    ex, ey = (list(_phase_rows(cache, axis, col, base, n))
+              for axis, col, base in zip("xy", cols, (p.base_x, p.base_y)))
     cx, cy = [e.conj() / 3 for e in ex], [e.conj() / 3 for e in ey]
     size = len(cols[0])
     for r0 in range(0, size, _GRAM_ROWS):
@@ -364,10 +351,12 @@ def gram_unitarity(
     if len(values) != 3**n:
         raise ValueError(f"need exactly 3^{n} = {3**n} points, got {len(values)}")
     *cols, terms = folded_columns(values)
-    if terms is not None:  # kick terms, expanded
+    cache = getattr(values, "cache", None)
+    if terms is not None:  # kick terms, expanded, into columns that no cache keeps
         *cols, _ = value_columns([SymVec(v.materialize(p)) for v in values])
+        cache = None
     dev = 0.0
-    for _, g in _gram_blocks(n, cols, p):
+    for _, g in _gram_blocks(n, cols, p, cache):
         diag = np.arange(len(g))
         g[diag, diag] -= 1
         dev = max(dev, float(np.max(np.abs(g))))
@@ -417,7 +406,7 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
 
     Returns (values, errors, depth).  Each level's factor splits as
     (1 + e_x(lam) s_x + e_y(lam) s_y) / 3: the points' phases e_j(lam) from
-    exact remainders (``_phase_rows``, kept for a canonical prefix), and
+    exact remainders (``_phase_rows``, kept in a prefix's cache), and
     depth scalar phases s_j = e^(-2 pi i xi / B^j) per axis, so each point
     costs one complex multiply-add per level and axis, and no coordinate is
     rounded before it is reduced.  Points must have float-representable
@@ -441,7 +430,9 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     prod = np.ones(len(values), dtype=complex)
     t, u = np.empty_like(prod), np.empty_like(prod)
     bases = (p.base_x, p.base_y)
-    ex, ey = (_phase_rows(col, base, depth) for col, base in zip(cols, bases))
+    cache = getattr(values, "cache", None)
+    ex, ey = (_phase_rows(cache, axis, col, base, depth)
+              for axis, col, base in zip("xy", cols, bases))
     sx, sy = (_xi_phases(float(x), base, depth) for x, base in zip(xi, bases))
     for e_x, e_y, s_x, s_y in zip(ex, ey, sx, sy):  # one level at a time, into reused buffers
         np.multiply(e_x, s_x, out=t)

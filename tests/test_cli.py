@@ -144,6 +144,16 @@ def test_dim_scales_beyond_float_range():
     assert math.isfinite(rows[-1]["slope"])
 
 
+def test_dim_refuses_a_scale_window_past_the_cap():
+    from sierpspec.cli import MAX_SCALES
+
+    assert MAX_SCALES >= 1000  # well above the windows of the tests and the README
+    res = run_cli(["dim", "--q1", "1", "--q2", "2", "--level", "1",
+                   "--scale-exps", f"1:{MAX_SCALES + 1}"])
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"spans more than {MAX_SCALES} scales" in res.stderr
+
+
 def test_usage_error_exit_code():
     assert run_cli(["gen", "--q1", "1", "--q2", "1"]).returncode == 2  # no bound
     assert run_cli(["frobnicate"]).returncode == 2
@@ -352,12 +362,10 @@ def test_qsum_enumerates_each_level_once(capsys):
         built.append(weakref.ref(prefix.points.xs))
         return prefix
 
-    tables = set(verify._PHASE_TABLES)
     with mock.patch.object(cli, "enumerate_spectrum", side_effect=enumerate_and_watch):
         assert main(["qsum", "--q1", "1", "--q2", "2", "--n-max", "4", "--num-xi", "3",
                      "--seed", "5"]) == 0
     assert alive == [0] * 4
-    assert set(verify._PHASE_TABLES) == tables
     lines = capsys.readouterr().out.splitlines()
     want = []
     for xi in SamplingBox.for_params(p).samples(3, seed=5):
@@ -864,9 +872,9 @@ def test_decimal_parser_property(sign, digits):
 @pytest.mark.parametrize("count", [1, 4])
 def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
     """``verify --input --qsum N`` with N > 1 hands every q-sum the file's
-    values as fixed columns: one phase table per axis serves all N.  A single
-    q-sum keeps no table.  Either way the sums are those of the point list,
-    to the bit."""
+    values as columns with one cache: one phase table per axis serves all N,
+    each row built once.  A single q-sum keeps no table and streams its rows.
+    Either way the sums are those of the point list, to the bit."""
     from sierpspec import cli, verify
     from sierpspec.lattice import MatrixParams
     from sierpspec.verify import SamplingBox
@@ -875,27 +883,73 @@ def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
     assert main(["gen", "--q1", "1", "--q2", "2", "--level", "6", "--output", str(path)]) == 0
     p = MatrixParams(1, 2)
     points = cli._read_points(str(path), p)
-    before = set(verify._PHASE_TABLES)
-    seen = []
+    real, built, depths, caches = verify._level_phases, [], [], []
+
+    def level_phases(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            built.append(row)
+            yield row
 
     def q_sum(xi, values, p):
         res = verify.q_sum(xi, values, p)
-        seen.append(set(verify._PHASE_TABLES) - before)
+        depths.append(res.depth)
+        caches.append(getattr(values, "cache", None))
         return res
 
     capsys.readouterr()
-    with mock.patch.object(cli, "q_sum", q_sum):
+    with mock.patch.object(cli, "q_sum", q_sum), \
+            mock.patch.object(verify, "_level_phases", level_phases):
         assert main(["verify", "--q1", "1", "--q2", "2", "--input", str(path),
                      "--checks", "orthogonality", "--qsum", str(count)]) == 0
-    assert len(seen) == count and all(s == seen[0] for s in seen)
-    assert len(seen[0]) == (2 if count > 1 else 0)
+    assert len(depths) == count
+    if count > 1:
+        assert all(cache is caches[0] for cache in caches)
+        assert {key: len(rows) for key, rows in caches[0].items()} == {
+            ("x", p.base_x): max(depths), ("y", p.base_y): max(depths)}
+        assert len(built) == 2 * max(depths)  # each row once
+    else:
+        assert caches == [None] and len(built) == 2 * depths[0]
     got = [line for line in capsys.readouterr().out.splitlines() if line.startswith("qsum")]
     want = []
     for xi in SamplingBox.for_params(p).samples(count, seed=0):
-        res = verify.q_sum(xi, points, p)  # fresh writable columns: rows built per call
+        res = verify.q_sum(xi, points, p)  # a point list, with no cache: rows built per call
         want.append(f"qsum xi=({xi[0]:+.4f},{xi[1]:+.4f}): value={res.value:.9f} "
                     f"err<{res.error:.2e}")
     assert got == want
+
+
+def test_verify_kicked_family_whose_kicks_all_fold(capsys):
+    """t = 0.3 at (4, 8), |k| <= 6: every kick has exponent at most 64, so the
+    q-sums read the store's folded columns, which its cache keeps with the
+    phase rows: the second and third q-sums build no row.  The output is
+    pinned to that of the fold-per-call code it replaced."""
+    from sierpspec import cli, verify
+
+    real, built, stores = verify._level_phases, [], []
+
+    def level_phases(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            built[-1] += 1
+            yield row
+
+    def q_sum(xi, values, p):
+        built.append(0)
+        stores.append(values.cache)
+        return verify.q_sum(xi, values, p)
+
+    with mock.patch.object(cli, "q_sum", q_sum), \
+            mock.patch.object(verify, "_level_phases", level_phases):
+        assert main(["verify", "--q1", "4", "--q2", "8", "--construct-t", "0.3",
+                     "--range", "6", "--qsum", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "orthogonality: pairs=78 sampled=False violations=0\n"
+        "distinct-lines: shared_x=0 shared_y=0\n"
+        "projections: x_violations=0 y_violations=0\n"
+        "qsum xi=(+0.3757,+0.2692): value=0.999776896 err<6.30e-12\n"
+        "qsum xi=(-0.0866,-0.2516): value=0.999975458 err<6.30e-12\n"
+        "qsum xi=(+0.0123,-0.0992): value=0.999993673 err<6.30e-12\n")
+    assert built[0] > 0 and built[1:] == [0, 0]
+    assert all(cache is stores[0] for cache in stores) and "folded" in stores[0]
 
 
 def test_gen_and_verify_leave_the_decimal_context_and_int_limit_alone(tmp_path, capsys):

@@ -2,11 +2,13 @@ import contextlib
 import gc
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -658,7 +660,10 @@ def test_import_leaves_interpreter_state_alone():
         import sierpspec, sierpspec.cli
         assert state() == before, (before, state())
     """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    root = str(Path(dimension.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

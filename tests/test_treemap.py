@@ -488,9 +488,11 @@ def test_kicked_store_matches_child_steps(case):
 
 @pytest.mark.parametrize("case", _kicked_mappings(), ids=lambda c: c[0])
 def test_store_parts_read_the_folded_columns_it_keeps(case):
-    """A subsequence of a store's points reads its rows of the folded columns
-    that the store keeps: the columns, dtypes and terms that folding those
-    values alone gives, however often they are read or written to."""
+    """A subsequence of a store's points folds its own rows, and keeps nothing:
+    the columns, dtypes and terms that folding those values alone gives,
+    however often they are read or written to.  The whole store folds once,
+    when a kick of exponent at most 64 is due, and keeps the folded columns,
+    read-only, in its cache."""
     _, mapping, p, bounds = case
     pre = enumerate_spectrum(mapping, p, index_bound=bounds[-1])
     pts = list(pre.points)
@@ -503,14 +505,19 @@ def test_store_parts_read_the_folded_columns_it_keeps(case):
             continue
         want = value_columns([pt.value for pt in part])
         for _ in range(2):
-            got = folded_columns(point_values(part))
+            values = point_values(part)
+            assert values.cache is (pre.points.cache if len(part) == len(pts) else None)
+            got = folded_columns(values)
             _same_columns(got, want)
             for col in got[:2]:
                 if col.flags.writeable:  # not the store's: the next read is unchanged
                     col[:] = 0
-    # a store with a kick term of exponent at most 64 folded once
     folds = any(pt.kick_position and pt.kick_position - 1 <= FOLD_LIMIT for pt in pts)
-    assert (pre.points._folded is not None) == folds
+    assert set(pre.points.cache) == ({"folded"} if folds else set())
+    if folds:
+        kept = pre.points.cache["folded"]
+        assert folded_columns(point_values(pre.points)) is kept
+        assert not any(col.flags.writeable for col in kept[:2])
 
 
 @pytest.mark.parametrize("q2, dtype", [(600_000, np.int64), (10**6, object)])

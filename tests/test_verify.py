@@ -48,6 +48,7 @@ from sierpspec.treemap import (
     _ColumnPoints,
     central_points,
     enumerate_spectrum,
+    point_values,
 )
 from sierpspec.verify import (
     SamplingBox,
@@ -1417,9 +1418,9 @@ def test_unitarity_and_q_sums_read_a_fresh_prefix_columns():
 
 def test_phase_table_hits_and_misses_agree():
     """A canonical prefix's phase rows are built once, extended by levels when
-    a call needs more, and read back as they were built: every q-sum and
-    unitarity result equals the one on a second table built in another order
-    and on a point list of fresh copies, whose fresh (writable) columns are
+    a call needs more, and kept in the prefix's cache as they were built:
+    every q-sum and unitarity result equals the one on a second table built
+    in another order and on a point list of fresh copies, whose rows are
     never kept."""
     for p, level in ((P12, 6), (MatrixParams(1, 1000), 5), (MatrixParams(1, 1000), 6)):
         pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
@@ -1436,44 +1437,59 @@ def test_phase_table_hits_and_misses_agree():
                     assert got[2] == want[2]
         assert gram_unitarity(level, pre) == dev == gram_unitarity(level, other, p)
         assert dev == gram_unitarity(level, listed, p)
-        for col, base in zip(cols, (p.base_x, p.base_y)):
-            kept = verify._PHASE_TABLES[id(col), base][1]
+        assert set(pre.points.cache) == {("x", p.base_x), ("y", p.base_y)}
+        for col, axis, base in zip(cols, "xy", (p.base_x, p.base_y)):
+            kept = pre.points.cache[axis, base]
             assert len(kept) >= 30
             fresh = verify._level_phases(np.array(col), base, len(kept))
             assert [row.tolist() for row in kept] == [row.tolist() for row in fresh]
 
 
 def test_phase_table_entry_dies_with_its_columns():
+    """A prefix's phase rows live in its cache, and die with it; the rows of
+    values with no cache are gone when the q-sum returns."""
+    real, refs = verify._level_phases, []
+
+    def watched(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            refs.append(weakref.ref(row))
+            yield row
+
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=5)
-    keys = {(id(pre.points.xs), P12.base_x), (id(pre.points.ys), P12.base_y)}
-    q_sum((0.1, 0.2), pre)
-    assert keys <= set(verify._PHASE_TABLES)
+    with mock.patch.object(verify, "_level_phases", watched):
+        depth = q_sum((0.1, 0.2), pre).depth
+    assert set(pre.points.cache) == {("x", P12.base_x), ("y", P12.base_y)}
+    assert len(refs) == 2 * depth and all(ref() is not None for ref in refs)
     del pre
     gc.collect()
-    assert not keys & set(verify._PHASE_TABLES)
-    # writable columns are never kept
-    before = dict(verify._PHASE_TABLES)
-    q_sum((0.1, 0.2), _concrete([(1, -2), (3, 5), (-7, 0)]), P12)
-    assert verify._PHASE_TABLES.keys() == before.keys()
+    assert all(ref() is None for ref in refs)
+    # a point list's rows are never kept
+    refs.clear()
+    with mock.patch.object(verify, "_level_phases", watched):
+        depth = q_sum((0.1, 0.2), _concrete([(1, -2), (3, 5), (-7, 0)]), P12).depth
+    assert len(refs) == 2 * depth and all(ref() is None for ref in refs)
 
 
 def test_a_list_of_a_prefix_points_shares_its_phase_table():
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=6)
     xi = (0.3, -0.2)
     want = q_sum(xi, pre)
-    keys = set(verify._PHASE_TABLES)
-    assert {(id(pre.points.xs), P12.base_x), (id(pre.points.ys), P12.base_y)} <= keys
+    kept = {key: list(rows) for key, rows in pre.points.cache.items()}
+    assert set(kept) == {("x", P12.base_x), ("y", P12.base_y)}
     pts = list(pre.points)
     for seq in (pts, tuple(pts)):
+        assert point_values(seq).cache is pre.points.cache
         assert q_sum(xi, seq, P12) == want
-        assert set(verify._PHASE_TABLES) == keys
-    # a split part reads its own rows, which no table keeps
+        for key, rows in kept.items():  # the same rows, none rebuilt
+            assert len(pre.points.cache[key]) == len(rows)
+            assert all(a is b for a, b in zip(pre.points.cache[key], rows))
+    # a split part reads its own rows, which no cache keeps
     kicked = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).prefix(40)
     f_part, _ = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).split(kicked)
-    keys = set(verify._PHASE_TABLES)
+    assert point_values(f_part).cache is None
     assert q_sum(xi, f_part, kicked.params) == q_sum(xi, [dataclasses.replace(pt) for pt in f_part],
                                                      kicked.params)
-    assert set(verify._PHASE_TABLES) == keys
+    assert set(kicked.points.cache) <= {"folded"}
 
 
 def test_store_sequences_report_as_their_copies(store_sequences):
@@ -1494,7 +1510,7 @@ def test_store_sequences_report_as_their_copies(store_sequences):
 
 
 def test_point_list_rows_are_built_one_level_at_a_time():
-    """A point list's columns are writable, so its rows are built per call; a
+    """A point list's values have no cache, so its rows are built per call; a
     q-sum reads them level by level and holds no more than the rows of two
     levels, not the whole depth x points table.  The points are fresh copies:
     a list of the prefix's own points reads the prefix's table."""
