@@ -62,7 +62,6 @@ from .dimension import (
     formula_dim_2d,
     geometric_scales,
     lacunary_check,
-    relative_density_check,
     support_hausdorff_dim,
 )
 from .construct import (

@@ -16,8 +16,8 @@ their x and count without a distance; only the other rows of the slab, its
 rim, are squared.  The columns come from ``lattice.folded_columns``, which
 hands a prefix's stored columns over as they are, with a kicked prefix's
 small kicks folded as its points' values fold them (once per prefix, which
-keeps them for its parts); ``treemap.point_values`` hands over a
-store's columns for a prefix, for a list of its own points
+keeps them for its parts); ``treemap.resolve_points`` hands over a
+store's columns, and its params, for a prefix, for a list of its own points
 (``list(prefix.points)``) and for the parts of ``IntermediateSpec.split``.
 Any other pair is first screened by magnitude bounds, computed from the same
 columns (``lattice.log2_bound_columns``): when those put point and center
@@ -53,19 +53,13 @@ from .lattice import (
     sym_diff,
     value_columns,
 )
-from .treemap import SpectrumPoint, SpectrumPrefix, point_values
+from .treemap import SpectrumPoint, point_indices, resolve_points
 
 # Concrete coordinates strictly below this in absolute value take the int64
 # branch: two differences of them square and add to less than 2^63.
 _I64_COORD = 2**30
 _I64_MAX = 2**63 - 1
 _SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
-
-
-def _as_symvecs(points, p=None):
-    if isinstance(points, SpectrumPrefix):
-        points, p = points.points, points.params
-    return point_values(points), p
 
 
 def _center_parts(center) -> tuple[SymVec, int]:
@@ -347,7 +341,7 @@ def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
     """
     if h <= 0:
         raise ValueError("radius must be positive")
-    vecs, p = _as_symvecs(points, p)
+    _, vecs, p = resolve_points(points, p, need_params=False)
     return _max_ball_counts(vecs, [center], [h], p)[0][0]
 
 
@@ -420,7 +414,7 @@ def beurling_dim_estimate(
     of 2).  A window should therefore reach the set's largest unsaturated
     scales, i.e. those whose densest ball does not yet hold every point.
     """
-    vecs, p = _as_symvecs(points, p)
+    _, vecs, p = resolve_points(points, p, need_params=False)
     if not vecs:
         raise ValueError("cannot estimate the dimension of an empty set")
     scales = list(scales)
@@ -597,9 +591,10 @@ class LacunaryReport:
 def lacunary_check(points, b, p: MatrixParams | None = None) -> LacunaryReport:
     """Verify the lacunary growth clauses with exact integer comparisons.
 
-    Accepts an indexed prefix (split into the k>0 and k<0 branches, ordered by
-    |k|) or a bare point list (single branch ordered by magnitude, zero
-    dropped).  All comparisons are performed on exact squared magnitudes.
+    Points whose every item has an index k, such as a prefix or a ``split``
+    part, split into the k>0 and k<0 branches, ordered by |k|; any other
+    points (``SymVec``s, pairs) form a single branch ordered by magnitude,
+    zero dropped.  All comparisons are performed on exact squared magnitudes.
     """
     if b <= 1:
         raise ValueError("lacunarity constant must exceed 1")
@@ -639,35 +634,28 @@ def lacunary_check(points, b, p: MatrixParams | None = None) -> LacunaryReport:
 
 
 def _magnitude_branches(points, p):
-    """Exact squared magnitudes per branch, verified nondecreasing within each."""
-    indexed = None
-    if isinstance(points, SpectrumPrefix):
-        indexed = points.points
-        p = points.params
-    elif points and isinstance(points[0], SpectrumPoint):
-        indexed = list(points)
-    if indexed is not None:
-        pos = sorted((pt for pt in indexed if pt.k > 0), key=lambda pt: pt.k)
-        neg = sorted((pt for pt in indexed if pt.k < 0), key=lambda pt: -pt.k)
-        branches = [
-            [_mag2(pt.value, p) for pt in pos],
-            [_mag2(pt.value, p) for pt in neg],
-        ]
-        for branch in branches:
-            for prev, nxt in zip(branch, branch[1:]):
-                if nxt < prev:
-                    raise ValueError(
-                        "branch magnitudes are not nondecreasing in |k|; "
-                        "lacunary ordering assumption violated"
-                    )
-        return branches
-    vecs, p = _as_symvecs(points, p)
-    mags = sorted(_mag2(v, p) for v in vecs)
-    return [[m for m in mags if m > 0]]
+    """Exact squared magnitudes per branch: when every point has an index k,
+    the k > 0 and the k < 0 points in order of |k|, verified nondecreasing
+    within each; else one branch in order of magnitude, zero dropped."""
+    points, values, p = resolve_points(points, p, need_params=False)
+    ks = point_indices(points)
+    if ks is None:
+        mags = sorted(_mag2(v, p) for v in values)
+        return [[m for m in mags if m > 0]]
+    branches = []
+    for sign in (1, -1):
+        rows = np.flatnonzero(sign * ks > 0)
+        rows = rows[np.argsort(sign * ks[rows], kind="stable")]
+        branch = [_mag2(values[i], p) for i in rows.tolist()]
+        if any(nxt < prev for prev, nxt in zip(branch, branch[1:])):
+            raise ValueError("branch magnitudes are not nondecreasing in |k|; "
+                             "lacunary ordering assumption violated")
+        branches.append(branch)
+    return branches
 
 
 def _mag2(v: SymVec, p) -> int:
-    x, y = v.materialize(p) if not v.is_concrete else v.base
+    x, y = (scalar_materialize(*scalar_parts(v, p, axis)) for axis in (0, 1))
     return x * x + y * y
 
 
@@ -763,41 +751,3 @@ def support_hausdorff_dim(p: MatrixParams) -> float:
     if not value > math.log(3) / math.log(p.base_y) - 1e-12:
         raise AssertionError("support dimension fell below the counting bound")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Relative-density surrogate
-# ---------------------------------------------------------------------------
-
-
-def relative_density_check(points, p: MatrixParams | None = None, pexp: int = 1) -> float:
-    """Finite-prefix surrogate sup_lambda inf_gamma ||A^-pexp lambda - gamma||.
-
-    Reported, never asserted: boundedness of this statistic (as the prefix
-    grows) is the hypothesis under which generated spectra attain the optimal
-    dimension; for lacunary families it grows with the prefix instead.
-    Values with a kick term are rejected: their coordinates pass any float.
-    """
-    vecs, p = _as_symvecs(points, p)
-    if not vecs:
-        raise ValueError("empty prefix")
-    if pexp < 1:
-        raise ValueError("pexp must be >= 1")
-    if any(v.terms for v in vecs):
-        raise ValueError("relative density needs concrete points; got a symbolic kick term")
-    coords = [(_to_float(x), _to_float(y)) for x, y in (v.base for v in vecs)]
-    arr = np.array(coords, dtype=float)
-    scaled = arr / np.array([float(p.base_x**pexp), float(p.base_y**pexp)])
-    worst = 0.0
-    for sx, sy in scaled:
-        if math.isinf(sx) or math.isinf(sy):
-            return math.inf
-        d2 = (arr[:, 0] - sx) ** 2 + (arr[:, 1] - sy) ** 2
-        worst = max(worst, float(np.min(d2)))
-    return math.sqrt(worst)
-
-
-def _to_float(x: int) -> float:
-    if x.bit_length() > 1000:
-        return math.inf if x > 0 else -math.inf
-    return float(x)

@@ -573,6 +573,8 @@ def log2_bound_columns(xs: np.ndarray, ys: np.ndarray, terms: KickTerms | None,
         live = np.flatnonzero(comp != 0) if comp is not None else ()
         if not len(live):
             continue
+        if p is None:
+            raise LatticeError("params required for symbolic coordinate")
         log_b = math.log2(p.base_x if axis == 0 else p.base_y)
         index = terms.index[live]
         # the rows of one value are contiguous and in exponent order: its last is the top

@@ -370,13 +370,13 @@ class _ColumnPoints(Sequence):
     kick term: int64 arrays when every coordinate is below 2^62 in absolute
     value, object arrays of Python ints otherwise.  A kicked mapping's store
     also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
-    has none), the kick digit and the params; a canonical one has none (None).
-    ``point_values`` hands the columns on as ``lattice.ColumnValues``, with
-    the kick terms unfolded, and with the store's ``cache``: what readers
-    derive from the fixed columns, the folded columns and q-sum phase rows,
-    is kept there as long as the store lives.  Reading one item builds one
-    ``SpectrumPoint``,
-    its value through ``make_sym`` as ``_child`` builds it; the first full
+    has none) and the kick digit; a canonical one has none (None).  Every
+    store keeps its params.  ``point_values`` hands the columns on as
+    ``lattice.ColumnValues``, with the kick terms unfolded, the params and the
+    store's ``cache``: what readers derive from the fixed columns, the folded
+    columns and q-sum phase rows, is kept there as long as the store lives.
+    Reading one item builds one ``SpectrumPoint``, its value through
+    ``make_sym`` as ``_child`` builds it; the first full
     iteration builds the tuple of all of them once, keeps it, and registers
     the store so that ``point_values`` reads a list of those points from the
     columns.  Compares and hashes like that tuple.
@@ -451,10 +451,46 @@ def central_points(points: Sequence[SpectrumPoint], bound: int) -> Sequence[Spec
     return [pt for pt in points if abs(pt.k) <= bound]
 
 
-def point_indices(points) -> np.ndarray:
-    """The indices k of points, as a column: a column store's without building a point."""
+def resolve_points(points, p: MatrixParams | None = None, *, need_params: bool = True):
+    """(points, values, params) for every check and estimator: the items as a
+    sequence, their values (``point_values``) and their params.
+
+    ``points`` may be a ``SpectrumPrefix``, its column store, a list or tuple
+    of ``SpectrumPoint``s (such as ``list(prefix.points)``, a part of
+    ``IntermediateSpec.split`` or a file's points), ``SymVec``s or integer
+    pairs, possibly mixed, a ``lattice.ColumnValues``, or any other iterable
+    of these, which is made a list once.  The params come from the prefix,
+    else from ``p``, else from the values of a column store, which keep its
+    params.  The checks need them (``need_params``: a ValueError when none
+    of these gives them); the estimators read them only for a kick term,
+    where ``lattice`` raises its LatticeError, a ValueError, without them.
+    Reports name an item by ``point_label``."""
+    if isinstance(points, SpectrumPrefix):
+        points, p = points.points, points.params
+    elif not isinstance(points, Sequence):
+        points = list(points)
+    values = point_values(points)
+    if p is None:
+        p = getattr(values, "params", None)
+    if p is None and need_params:
+        raise ValueError("params required: pass p, a prefix or the points of a column store")
+    return points, values, p
+
+
+def point_label(points, i: int) -> int:
+    """How a report names item i of points: its index k, or the position i for
+    an item with none (a ``SymVec`` or an integer pair)."""
+    item = points[i]
+    return item.k if isinstance(item, SpectrumPoint) else int(i)
+
+
+def point_indices(points) -> np.ndarray | None:
+    """The indices k of points, as a column, or None when some item has none:
+    a column store's without building a point."""
     if isinstance(points, _ColumnPoints):
         return np.arange(-points.bound, points.bound + 1)
+    if not all(isinstance(pt, SpectrumPoint) for pt in points):
+        return None
     return np.array([pt.k for pt in points], dtype=np.int64)
 
 
@@ -527,7 +563,7 @@ def _store_values(store: _ColumnPoints, rows: np.ndarray | None = None) -> Colum
         exps = None if exps is None else exps[rows]
     index = () if exps is None else np.flatnonzero(exps)
     if not len(index):
-        return ColumnValues(xs, ys, cache=cache)
+        return ColumnValues(xs, ys, params=store.params, cache=cache)
     kick = (np.full(len(index), c, dtype=xs.dtype) for c in store.kick)
     return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params, cache)
 
@@ -544,7 +580,7 @@ def _canonical_points(p: MatrixParams, bound: int) -> _ColumnPoints:
     word, which decides int64 or exact object columns up front.
     """
     dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * I64_COORD else object
-    return _ColumnPoints(*_canonical_columns(p, bound, dtype), bound)
+    return _ColumnPoints(*_canonical_columns(p, bound, dtype), bound, params=p)
 
 
 def _canonical_columns(p: MatrixParams, bound: int, dtype):

@@ -12,7 +12,8 @@ exponent.  It yields the failing nodes' parts and the groups of equal
 points, and the violations are listed from those events alone.  The
 projection checks run the same walk per axis, and the line check takes
 its groups of equal coordinates from that walk's equal-value groups when
-some point has a kick term.  Every check reads the points' coordinates and
+some point has a kick term.  Every check takes its points, values and
+params from ``treemap.resolve_points``, and reads the coordinates and
 kick terms through one call, ``lattice.value_columns``, which hands a
 prefix's stored columns over without building a point; a kicked prefix's
 kick terms come unfolded, so its bases stay int64.  Unitarity and the
@@ -38,7 +39,7 @@ import heapq
 import itertools
 import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,11 +61,13 @@ from .lattice import (
     sym_diff,
     value_columns,
 )
-from .treemap import SpectrumPoint, SpectrumPrefix, point_values
+from .treemap import SpectrumPoint, SpectrumPrefix, point_label, resolve_points
 
 
 @dataclass(frozen=True)
 class PairViolation:
+    """A failing pair; each point named by its index k, or its list position if it has none."""
+
     k1: int
     k2: int
     difference: SymVec
@@ -135,31 +138,20 @@ def check_orthogonality(
     itertools.combinations order; ``pairs_checked`` is n(n-1)/2, or the rank
     of the last listed violation plus one when the list was cut there.
     """
-    points, values, p = _points_and_params(prefix, p)
+    points, values, p = resolve_points(prefix, p)
     n = len(points)
     step, bases = p.primary_digit, (p.base_x, p.base_y)
     events = _residue_walk(*value_columns(values), step, bases)
     bad = _violating_pairs(events, values, step, bases, max_violations)
     violations = tuple(
-        PairViolation(points[i].k, points[j].k, sym_diff(values[i], values[j]), reason)
+        PairViolation(point_label(points, i), point_label(points, j),
+                      sym_diff(values[i], values[j]), reason)
         for i, j, reason in bad
     )
     checked = n * (n - 1) // 2
     if len(bad) == max_violations:
         checked = _pair_rank(*bad[-1][:2], n) + 1
     return OrthogonalityReport(pairs_checked=checked, violations=violations, sampled=False)
-
-
-def _points_and_params(prefix, p):
-    """The points, as a sequence, their values (``treemap.point_values``) and
-    their params.  A prefix's points, and a canonical prefix's points passed
-    bare, are passed on as they are, so a canonical prefix builds none."""
-    if isinstance(prefix, SpectrumPrefix):
-        prefix, p = prefix.points, prefix.params
-    elif p is None:
-        raise ValueError("params required when passing a bare point list")
-    points = prefix if isinstance(prefix, Sequence) else list(prefix)
-    return points, point_values(points), p
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +161,10 @@ def _points_and_params(prefix, p):
 
 @dataclass(frozen=True)
 class LineReport:
+    """Witness pairs per axis; points named by their index k, or list position if they have none."""
+
     passed: bool
-    shared_x: tuple[tuple[int, int], ...]  # witness index pairs
+    shared_x: tuple[tuple[int, int], ...]
     shared_y: tuple[tuple[int, int], ...]
 
 
@@ -187,14 +181,15 @@ def check_distinct_lines(
     the walk of ``check_projection_orthogonality``), each sorted, and only
     the groups are ordered, by the exact comparator.
     """
-    points, values, p = _points_and_params(prefix, p)
+    points, values, p = resolve_points(prefix, p)
     xs, ys, terms = value_columns(values)
     shared: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
     for axis, (col, q) in enumerate(((xs, p.q1), (ys, p.q2))):
         if terms is None:
             order = np.argsort(col, kind="stable")
             ties = np.flatnonzero(np.diff(col[order]) == 0)
-            shared[axis] = [(points[order[i]].k, points[order[i + 1]].k) for i in ties]
+            shared[axis] = [(point_label(points, order[i]), point_label(points, order[i + 1]))
+                            for i in ties]
             continue
 
         def cmp(a: SymVec, b: SymVec, axis=axis) -> int:
@@ -204,7 +199,8 @@ def check_distinct_lines(
                   for r, part in parts if r is None]
         groups.sort(key=functools.cmp_to_key(lambda g, h: cmp(values[g[0]], values[h[0]])))
         for group in groups:
-            shared[axis] += [(points[i].k, points[j].k) for i, j in zip(group, group[1:])]
+            shared[axis] += [(point_label(points, i), point_label(points, j))
+                             for i, j in zip(group, group[1:])]
     return LineReport(
         passed=not shared[0] and not shared[1],
         shared_x=tuple(shared[0]),
@@ -222,6 +218,8 @@ def _axis_walk(col, terms, axis: int, q: int):
 
 @dataclass(frozen=True)
 class ProjectionReport:
+    """Failing pairs per axis; points named by their index k, or list position if they have none."""
+
     passed: bool
     x_violations: tuple[tuple[int, int], ...]
     y_violations: tuple[tuple[int, int], ...]
@@ -243,7 +241,7 @@ def check_projection_orthogonality(
     Pairs are taken in itertools.combinations order, and the lists stop at
     the first pair where either one reaches ``max_violations``.
     """
-    points, values, p = _points_and_params(prefix, p)
+    points, values, p = resolve_points(prefix, p)
     n = len(points)
     xs, ys, terms = value_columns(values)
     bad = []
@@ -255,7 +253,8 @@ def check_projection_orthogonality(
         default=math.inf,
     )
     x_bad, y_bad = (
-        tuple((points[i].k, points[j].k) for i, j, _ in pairs if _pair_rank(i, j, n) <= cut)
+        tuple((point_label(points, i), point_label(points, j))
+              for i, j, _ in pairs if _pair_rank(i, j, n) <= cut)
         for pairs in bad
     )
     return ProjectionReport(
@@ -345,7 +344,7 @@ def gram_unitarity(
     Phases come from exact remainders, so the returned deviation carries no
     argument-reduction noise.
     """
-    _, values, p = _points_and_params(prefix, p)
+    _, values, p = resolve_points(prefix, p)
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(values) != 3**n:
@@ -410,18 +409,23 @@ def q_sum_terms(xi, prefix, p: MatrixParams | None = None, tail_target: float = 
     depth scalar phases s_j = e^(-2 pi i xi / B^j) per axis, so each point
     costs one complex multiply-add per level and axis, and no coordinate is
     rounded before it is reduced.  Points must have float-representable
-    coordinates, so kicked points with symbolic terms are rejected; xi must
-    be finite and tail_target positive and finite.
+    coordinates, so kicked points with symbolic terms, or with coordinates
+    past the float range, are rejected with a ValueError; xi must be finite
+    and tail_target positive and finite.
     """
     if not np.isfinite(np.asarray(xi, dtype=float)).all():
         raise ValueError(f"q_sum needs a finite frequency, got {tuple(xi)}")
     if not 0 < tail_target < math.inf:
         raise ValueError(f"q_sum needs a positive finite tail_target, got {tail_target}")
-    _, values, p = _points_and_params(prefix, p)
+    _, values, p = resolve_points(prefix, p)
     *cols, terms = folded_columns(values)
     if terms is not None:
         raise ValueError("q_sum needs float-representable points; got a symbolic kick term")
-    arr = np.column_stack(cols).astype(float)
+    try:
+        arr = np.column_stack(cols).astype(float)
+    except OverflowError:
+        raise ValueError("q_sum needs float-representable points; got a coordinate "
+                         "past the float range") from None
     if arr.size == 0:
         return np.zeros(0), np.zeros(0), 1
     arr = arr + np.asarray(xi, dtype=float)
@@ -497,9 +501,11 @@ def q_sum(xi, prefix, p: MatrixParams | None = None, tail_target: float = 1e-9) 
 
 @dataclass(frozen=True)
 class ProbeVerdict:
+    """``conflict_with`` names the witness by its index k, or its list position if it has none."""
+
     candidate: tuple[int, int]
     status: str  # "member" | "conflict" | "inconclusive"
-    conflict_with: int | None = None  # index k of the witnessing point
+    conflict_with: int | None = None
 
 
 def maximality_probe(
@@ -514,9 +520,9 @@ def maximality_probe(
     family (the difference to lambda escapes the zero set, exactly);
     INCONCLUSIVE means no finite certificate exists at this prefix size.
     Maximality itself is never certified from a finite prefix.  The scan
-    reads the points' values; only a conflicting point is read, for its k.
+    reads the points' values; only a conflicting point is read, for its label.
     """
-    points, values, p = _points_and_params(prefix, p)
+    points, values, p = resolve_points(prefix, p)
     values = list(values)  # each value built once
     members = {v.base for v in values if v.is_concrete}
     verdicts = []
@@ -528,5 +534,6 @@ def maximality_probe(
         hit = next((i for i, v in enumerate(values)
                     if in_zero_set_sym(sym_diff(c, v), p) is None), None)
         status = "inconclusive" if hit is None else "conflict"
-        verdicts.append(ProbeVerdict(cand, status, None if hit is None else points[hit].k))
+        label = None if hit is None else point_label(points, hit)
+        verdicts.append(ProbeVerdict(cand, status, label))
     return verdicts

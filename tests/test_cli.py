@@ -918,6 +918,24 @@ def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
     assert got == want
 
 
+def test_qsum_on_a_kicked_file_past_the_float_range_is_usage_error(tmp_path, capsys):
+    """The t=0.15 (4,8) family at |k| <= 100 has coordinates past the float
+    range: q-sums on its file exit 2 with an error line, as on its prefix,
+    where the kicks stay symbolic (this was an OverflowError, exit 1)."""
+    path = tmp_path / "kicked.jsonl"
+    family = ["--q1", "4", "--q2", "8", "--construct-t", "0.15", "--range", "100"]
+    assert main(["gen", *family, "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--q1", "4", "--q2", "8", "--input", str(path), "--qsum", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert "orthogonality: pairs=20100 sampled=False violations=0" in out
+    assert err.splitlines()[-1] == ("error: q_sum needs float-representable points; "
+                                    "got a coordinate past the float range")
+    assert main(["verify", *family, "--qsum", "2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: q_sum needs float-representable points; got a symbolic kick term")
+
+
 def test_verify_kicked_family_whose_kicks_all_fold(capsys):
     """t = 0.3 at (4, 8), |k| <= 6: every kick has exponent at most 64, so the
     q-sums read the store's folded columns, which its cache keeps with the

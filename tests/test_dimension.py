@@ -29,10 +29,9 @@ from sierpspec.dimension import (
     formula_dim_2d,
     geometric_scales,
     lacunary_check,
-    relative_density_check,
     support_hausdorff_dim,
 )
-from sierpspec.dimension import _as_symvecs, _int64_limits, _max_ball_counts, _resolve_centers
+from sierpspec.dimension import _int64_limits, _max_ball_counts, _resolve_centers
 from sierpspec import dimension, treemap
 from sierpspec.lattice import (
     ColumnValues,
@@ -59,6 +58,7 @@ from sierpspec.treemap import (
     _ColumnPoints,
     enumerate_spectrum,
     point_values,
+    resolve_points,
 )
 
 P11 = MatrixParams(1, 1)
@@ -246,7 +246,7 @@ def test_counts_match_brute_force_oracle(case):
     if brute:
         want = [_brute_counts(points, c, scales, p) for c in centers]
     else:  # the unscreened kernel, checked against brute force on the cases above
-        vecs, _ = _as_symvecs(points, p)
+        _, vecs, _ = resolve_points(points, p)
         want = [_unscreened_max_ball_counts(vecs, [c], scales, p) for c in centers]
     for c, row in zip(centers, want):
         assert [count_in_ball(points, c, h, p) for h in scales] == row
@@ -257,7 +257,7 @@ def test_counts_match_brute_force_oracle(case):
 @pytest.mark.parametrize("case", list(_differential_cases()), ids=lambda c: c[0])
 def test_counts_match_unscreened_kernel(case):
     _, points, centers, scales, p, _ = case
-    vecs, _ = _as_symvecs(points, p)
+    _, vecs, _ = resolve_points(points, p)
     counts, stats = _max_ball_counts(vecs, centers, scales, p)
     assert counts == _unscreened_max_ball_counts(vecs, centers, scales, p)
     paths = stats["pairs_int64"] + stats["pairs_screened"] + stats["pairs_exact"]
@@ -284,7 +284,7 @@ def test_screening_skips_pairs_and_reports_them():
 def test_rational_centers_are_screened():
     case = next(c for c in _differential_cases() if c[0] == "rational and concrete centers")
     _, points, centers, scales, p, _ = case
-    vecs, _ = _as_symvecs(points, p)
+    _, vecs, _ = resolve_points(points, p)
     rational = [c for c in centers if _center_parts(c)[1] != 1]
     assert len(rational) == 2
     counts, stats = _max_ball_counts(vecs, rational, scales, p)
@@ -327,7 +327,7 @@ def test_screened_counts_property(data):
     vecs = _symbolic_points(data.draw, p)
     vecs += data.draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
                                max_size=3))
-    vecs, _ = _as_symvecs(vecs, p)
+    _, vecs, _ = resolve_points(vecs, p)
     centers = [(0, 0)] + data.draw(st.lists(st.sampled_from(vecs), max_size=3))
     centers += data.draw(st.lists(st.sampled_from([
         (Fraction(1, 2), Fraction(-1, 3)), (10**200, 0), (-40, 40), (2**40, -(2**40)),
@@ -559,7 +559,7 @@ def test_slab_kernel_matches_oracle(case):
     counts, stats = _oracle_max_ball_counts(old_vecs, centers, scales, p)
     stats = _moved_to_int64(old_vecs, centers, stats)
     want = counts, _moved_off_exact(old_vecs, centers, scales, p, stats)
-    vecs, _ = _as_symvecs(points, p)
+    _, vecs, _ = resolve_points(points, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     assert _max_ball_counts(old_vecs, centers, scales, p) == want
     # a canonical prefix builds no point (the kicked cases were split, which reads them)
@@ -912,7 +912,7 @@ def _rim_cases():
 @pytest.mark.parametrize("case", list(_rim_cases()), ids=lambda c: c[0])
 def test_one_pass_int64_counts_match_per_center_kernel(case):
     name, points, centers, scales, p = case
-    vecs, _ = _as_symvecs(points, p)
+    _, vecs, _ = resolve_points(points, p)
     want = _per_center_max_ball_counts(vecs, centers, scales, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     for c in centers:  # every ball, not only the densest
@@ -927,7 +927,7 @@ def test_one_pass_int64_counts_on_canonical_prefixes():
     """Every point of canonical L7 a center, over several chunks of rims, and
     the benchmark's L11 estimate."""
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=7)
-    vecs, p = _as_symvecs(pre)
+    _, vecs, p = resolve_points(pre)
     centers = _resolve_centers(vecs, "points", 0)
     assert len(centers) == 2188
     scales = geometric_scales(P12, 1, 7)
@@ -946,7 +946,7 @@ def test_one_pass_int64_counts_on_canonical_prefixes():
     assert dimension._int64_ball_counts(xs, ys, nx, ny, ones, limit, limit, bounds,
                                         scales).tolist() == want
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=11)
-    vecs, p = _as_symvecs(pre)
+    _, vecs, p = resolve_points(pre)
     centers = _resolve_centers(vecs, "sample:32", 5)
     scales = geometric_scales(P12, 4, 10)
     assert (_max_ball_counts(vecs, centers, scales, p)
@@ -1120,19 +1120,3 @@ def test_support_hausdorff():
     u = math.log(3) / math.log(6)
     assert val == pytest.approx(math.log(2**u + 1) / math.log(3))
     assert val > math.log(3) / math.log(6)
-
-
-def test_relative_density():
-    assert relative_density_check([(0, 0)], P12, 1) == 0.0
-    lvl6 = enumerate_spectrum(CanonicalMapping(), P12, level=6)
-    lvl7 = enumerate_spectrum(CanonicalMapping(), P12, level=7)
-    s6 = relative_density_check(lvl6, pexp=1)
-    s7 = relative_density_check(lvl7, pexp=1)
-    assert s6 > 0
-    assert abs(s6 - s7) <= 0.1 * max(s6, s7)
-    # a kick term: the expanded coordinates pass any float (this returned inf)
-    kicked = build_intermediate_spectrum(0.15, P48).prefix(40)
-    far = [SymVec((0, 0)), SymVec((1, 0), ((3 * 10**6, (1, -2)),))]  # raised LatticeError
-    for points, p in ((kicked, None), (far, P48)):
-        with pytest.raises(ValueError, match="kick term"):
-            relative_density_check(points, p)
