@@ -8,16 +8,26 @@ Subcommands
     qsum       quadratic transform sums over increasing prefixes
 
 Exit codes: 0 all requested checks pass, 1 mathematical violations found,
-2 usage or malformed input.  Coordinates always serialize as decimal strings;
-kicked coordinates overflow any float, and run to hundreds of thousands of
-digits.  CPython converts between int and decimal text in time quadratic in
-the digits, so neither direction goes through that conversion for a long
-coordinate.  The writer reads a prefix's columns and sums each kicked
-coordinate, base + B^e v, as an exact ``decimal.Decimal``, whose text is
-linear in its digits, stepping one power B^e per axis from point to point.
-The readers split a decimal string of more than 1,024 digits in two and
-join the halves' values as hi * 10^w + lo, so a coordinate of n digits costs
-a few big multiplications, about n^1.6.
+2 usage or malformed input.  Generation flags that would change nothing are
+refused with exit 2: all of them next to --input, and --kick or --mode
+literal without --construct-t or --offsets.
+
+Each command imports only the library modules it calls, inside the command:
+``--help`` and an argparse usage error load none (and so no numpy); gen loads
+``lattice`` and ``treemap``, plus ``construct`` (with ``dimension``) for
+--construct-t; verify and qsum load ``lattice``, ``treemap``, ``verify`` and
+``fourier``; dim loads ``lattice``, ``treemap`` and ``dimension``; construct
+loads ``construct`` and what it imports.
+
+Coordinates always serialize as decimal strings; kicked coordinates overflow
+any float, and run to hundreds of thousands of digits.  CPython converts
+between int and decimal text in time quadratic in the digits, so neither
+direction goes through that conversion for a long coordinate.  The writer
+reads a prefix's columns and sums each kicked coordinate, base + B^e v, as an
+exact ``decimal.Decimal``, whose text is linear in its digits, stepping one
+power B^e per axis from point to point.  The readers split a decimal string of
+more than 1,024 digits in two and join the halves' values as hi * 10^w + lo,
+so a coordinate of n digits costs a few big multiplications, about n^1.6.
 """
 
 from __future__ import annotations
@@ -30,36 +40,11 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from .construct import build_intermediate_spectrum, family_variants, t_max
-from .dimension import (
-    beurling_dim_estimate,
-    entropy_dim_closed_form,
-    geometric_scales,
-    support_hausdorff_dim,
-)
-from . import lattice
-from .lattice import ColumnValues, LatticeError, MatrixParams, SymVec, value_columns
-from .treemap import (
-    CanonicalMapping,
-    KickedMapping,
-    SpectrumPoint,
-    SpectrumPrefix,
-    TableOffsets,
-    central_points,
-    enumerate_spectrum,
-    index_to_word,
-    level_index_bound,
-    point_values,
-)
-from .verify import (
-    SamplingBox,
-    check_distinct_lines,
-    check_orthogonality,
-    check_projection_orthogonality,
-    gram_unitarity,
-    q_sum,
-)
+if TYPE_CHECKING:
+    from .lattice import MatrixParams
+    from .treemap import SpectrumPoint, SpectrumPrefix
 
 USAGE_ERROR = 2
 VIOLATION = 1
@@ -73,6 +58,8 @@ class InputError(Exception):
 
 
 def _params(args) -> MatrixParams:
+    from .lattice import MatrixParams
+
     return MatrixParams(args.q1, args.q2)
 
 
@@ -121,7 +108,33 @@ def _add_gen_flags(sub, require_bound=True):
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _refuse_idle_flags(args) -> None:
+    """Refuse a generation flag that would change nothing: every one when the
+    points come from --input, and --kick or --mode literal on a canonical prefix."""
+    kicks = (("--kick", bool(args.kick)), ("--mode literal", args.mode == "literal"))
+    if getattr(args, "input", None):
+        for flag, given in (("--level", args.level is not None),
+                            ("--range", args.index_range is not None),
+                            ("--construct-t", args.construct_t is not None),
+                            ("--offsets", bool(args.offsets)),
+                            ("--variant-bits", bool(args.variant_bits)), *kicks):
+            if given:
+                raise InputError(f"{flag} has no effect with --input")
+    if args.construct_t is None and not args.offsets:
+        for flag, given in kicks:
+            if given:
+                raise InputError(f"{flag} needs --construct-t or --offsets")
+
+
 def _prefix_from_args(args) -> SpectrumPrefix:
+    from .treemap import (
+        CanonicalMapping,
+        KickedMapping,
+        TableOffsets,
+        enumerate_spectrum,
+        level_index_bound,
+    )
+
     p = _params(args)
     if (args.level is None) == (args.index_range is None):
         raise InputError("exactly one of --level / --range is required")
@@ -133,6 +146,8 @@ def _prefix_from_args(args) -> SpectrumPrefix:
         raise InputError(f"--variant-bits takes a string of 0s and 1s, got {args.variant_bits!r}")
     bits = tuple(int(c) for c in args.variant_bits)
     if args.construct_t is not None:
+        from .construct import build_intermediate_spectrum
+
         spec = build_intermediate_spectrum(
             args.construct_t, p, kick=kick, mode=args.mode, variant_bits=bits
         )
@@ -159,13 +174,15 @@ def _coordinate_texts(col, terms, axis: int, base: int):
     along k, so each step is small.  A term past MATERIALIZE_EXPONENT_LIMIT
     raises as ``SymVec.materialize`` does, when its value is reached.
     """
+    from . import lattice
+
     rows = {} if terms is None else dict(zip(
         terms.index.tolist(), zip(terms.exponent.tolist(), terms[2 + axis].tolist())))
     b, power, at = decimal.Decimal(base), decimal.Decimal(1), 0
     for i, coord in enumerate(col.tolist()):
         e, v = rows.get(i, (0, 0))
         if e > lattice.MATERIALIZE_EXPONENT_LIMIT:
-            raise LatticeError(f"refusing to expand A^{e} term")
+            raise lattice.LatticeError(f"refusing to expand A^{e} term")
         if not v:
             yield str(coord)
             continue
@@ -180,6 +197,9 @@ def _coordinate_texts(col, terms, axis: int, base: int):
 def _write_points(prefix: SpectrumPrefix, fmt: str, out) -> None:
     """Write an enumerated prefix's points, one record each, from its columns
     (``treemap.point_values``) and exponent column, building no point."""
+    from .lattice import value_columns
+    from .treemap import index_to_word, point_values
+
     points, p, bound = prefix.points, prefix.params, prefix.index_bound
     xs, ys, terms = value_columns(point_values(points))
     exps = [0] * len(xs) if points.exps is None else points.exps.tolist()
@@ -255,22 +275,31 @@ def _kick_position(value) -> int | None:
     return position
 
 
-def _checked_point(k, word, xy, kick, first_line: dict, lineno: int) -> SpectrumPoint:
-    """The record as a point; a given word must be the word of k, and k must be new."""
-    if word is None:
-        word = index_to_word(k)
-    elif word != index_to_word(k):
-        raise ValueError(f"word {list(word)} is not the word of k={k}, "
-                         f"{list(index_to_word(k))}")
-    if k in first_line:
-        raise ValueError(f"k={k} repeats line {first_line[k]}")
-    first_line[k] = lineno
-    return SpectrumPoint(k=k, word=word, value=SymVec(base=xy), kick_position=kick)
+def _point_checker():
+    """The function that turns one file's records into points, one call a
+    record; a given word must be the word of k, and k must be new."""
+    from .lattice import SymVec
+    from .treemap import SpectrumPoint, index_to_word
+
+    first_line: dict[int, int] = {}
+
+    def checked_point(k, word, xy, kick, lineno: int) -> SpectrumPoint:
+        if word is None:
+            word = index_to_word(k)
+        elif word != index_to_word(k):
+            raise ValueError(f"word {list(word)} is not the word of k={k}, "
+                             f"{list(index_to_word(k))}")
+        if k in first_line:
+            raise ValueError(f"k={k} repeats line {first_line[k]}")
+        first_line[k] = lineno
+        return SpectrumPoint(k=k, word=word, value=SymVec(base=xy), kick_position=kick)
+
+    return checked_point
 
 
 def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
     points = []
-    first_line: dict[int, int] = {}
+    checked_point = _point_checker()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -287,7 +316,7 @@ def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
                 raise ValueError(f"lambda must be a list [x, y], got {lam!r}")
             xy = tuple(_json_int(s) for s in lam)
             kick = _kick_position(rec.get("kick_position"))
-            points.append(_checked_point(k, word, xy, kick, first_line, lineno))
+            points.append(checked_point(k, word, xy, kick, lineno))
         except RecursionError as exc:
             raise InputError(f"{path}:{lineno}: bad record (nested too deeply)") from exc
         except (ValueError, KeyError, TypeError) as exc:
@@ -299,7 +328,7 @@ def _read_jsonl(text: str, path: str) -> list[SpectrumPoint]:
 
 def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
     points = []
-    first_line: dict[int, int] = {}
+    checked_point = _point_checker()
     reader = csv.DictReader(io.StringIO(text))
     # megabit coordinates pass the csv module's default field limit; the
     # caller's limit comes back once the file is read
@@ -320,7 +349,7 @@ def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
                 word = None if letters is None else _word(letters.split())
                 xy = _json_int(rec["x"]), _json_int(rec["y"])
                 kick = _kick_position(rec.get("kick_position"))
-                points.append(_checked_point(k, word, xy, kick, first_line, lineno))
+                points.append(checked_point(k, word, xy, kick, lineno))
             except (ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record ({exc})") from exc
     finally:
@@ -337,6 +366,7 @@ def _read_csv(text: str, path: str) -> list[SpectrumPoint]:
 
 def cmd_gen(args) -> int:
     _echo_config(args)
+    _refuse_idle_flags(args)
     prefix = _prefix_from_args(args)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as out:
@@ -347,7 +377,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lattice import ColumnValues, value_columns
+    from .treemap import central_points, level_index_bound, point_values
+    from .verify import (
+        SamplingBox,
+        check_distinct_lines,
+        check_orthogonality,
+        check_projection_orthogonality,
+        gram_unitarity,
+        q_sum,
+    )
+
     _echo_config(args)
+    _refuse_idle_flags(args)
     p = _params(args)
     checks = args.checks.split(",") if args.checks else list(VERIFY_CHECKS)
     unknown = [name for name in checks if name not in VERIFY_CHECKS]
@@ -404,7 +446,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from .dimension import (
+        beurling_dim_estimate,
+        entropy_dim_closed_form,
+        geometric_scales,
+        support_hausdorff_dim,
+    )
+
     _echo_config(args)
+    _refuse_idle_flags(args)
     p = _params(args)
     ent = entropy_dim_closed_form(p)
     references = {
@@ -446,6 +496,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .construct import family_variants, t_max
+
     _echo_config(args)
     p = _params(args)
     kick = _parse_vec(args.kick) if args.kick else None
@@ -466,6 +518,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_qsum(args) -> int:
+    from .treemap import CanonicalMapping, enumerate_spectrum
+    from .verify import SamplingBox, q_sum
+
     _echo_config(args)
     p = _params(args)
     for flag, count in (("--num-xi", args.num_xi), ("--n-max", args.n_max)):

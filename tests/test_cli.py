@@ -225,7 +225,7 @@ def test_verify_unitarity_and_qsum_flags():
 def test_verify_unitarity_reads_the_middle_columns(capsys):
     """--unitarity on a canonical prefix slices its columns: the same stdout as the
     point slice, and no point built."""
-    from sierpspec import cli
+    from sierpspec import cli, verify
     from sierpspec.treemap import SpectrumPrefix
 
     made, sliced = [], []
@@ -239,7 +239,7 @@ def test_verify_unitarity_reads_the_middle_columns(capsys):
         sliced.append(tuple(points))  # builds the slice's own points only
         return real_gram(n, points, p)
 
-    real, real_gram = cli._prefix_from_args, cli.gram_unitarity
+    real, real_gram = cli._prefix_from_args, verify.gram_unitarity
     for argv in (["--level", "6", "--unitarity", "4", "--qsum", "2"],
                  ["--range", "13", "--unitarity", "3"],
                  ["--range", "12", "--unitarity", "3"],  # too few points: exit 2
@@ -248,7 +248,7 @@ def test_verify_unitarity_reads_the_middle_columns(capsys):
         for as_tuple in (False, True):
             with mock.patch.object(cli, "_prefix_from_args",
                                    lambda args, t=as_tuple: prefix(args, t)), \
-                    mock.patch.object(cli, "gram_unitarity", gram):
+                    mock.patch.object(verify, "gram_unitarity", gram):
                 code = main(["verify", "--q1", "1", "--q2", "2", *argv])
             outs.append((code, capsys.readouterr().out))
         assert outs[0] == outs[1] and sliced[-2] == sliced[-1]
@@ -265,6 +265,75 @@ def test_verify_unknown_check_is_usage_error(capsys):
         assert main(literal + [checks]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "unknown check" in err
+
+
+def _refused(argv, capsys, message):
+    """argv exits 2 with nothing on stdout and one error line, ``message``."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["verify", "dim"])
+@pytest.mark.parametrize("flag", [["--level", "3"], ["--range", "4"],
+                                  ["--construct-t", "0.15"], ["--offsets", "1:1"],
+                                  ["--kick", "1,1"], ["--variant-bits", "01"],
+                                  ["--mode", "literal"]],
+                         ids=lambda flag: flag[0])
+def test_input_refuses_generation_flags(tmp_path, capsys, command, flag):
+    """A file's points are what they are: a flag that would shape generated
+    points is refused next to --input, not ignored."""
+    path = tmp_path / "pts.jsonl"
+    assert main(["gen", "--q1", "4", "--q2", "8", "--level", "2", "--output", str(path)]) == 0
+    capsys.readouterr()
+    name = " ".join(flag) if flag[0] == "--mode" else flag[0]
+    _refused([command, "--q1", "4", "--q2", "8", "--input", str(path), *flag], capsys,
+             f"{name} has no effect with --input")
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "dim"])
+@pytest.mark.parametrize("flag", [["--kick", "1,1"], ["--mode", "literal"]],
+                         ids=lambda flag: flag[0])
+def test_kick_and_literal_mode_need_a_kicked_family(tmp_path, capsys, command, flag):
+    """A canonical prefix has no kick: --kick and --mode literal are refused
+    without --construct-t or --offsets, and taken with --offsets."""
+    name = " ".join(flag) if flag[0] == "--mode" else flag[0]
+    argv = [command, "--q1", "4", "--q2", "4", "--level", "2", *flag]
+    _refused(argv, capsys, f"{name} needs --construct-t or --offsets")
+    if command == "gen":
+        assert main(argv + ["--offsets", "1:1", "--output", str(tmp_path / "pts")]) == 0
+
+
+# Run in a child process: the command's exit code and the numpy and sierpspec
+# modules it left loaded, as one JSON line on stdout.
+LOADS = """if True:
+    import contextlib, io, json, sys
+    from sierpspec.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+    print(json.dumps([code, sorted(m for m in sys.modules
+                                   if m == "numpy" or m.split(".")[0] == "sierpspec")]))
+"""
+NONE = {"sierpspec", "sierpspec.cli"}
+CORE = NONE | {"numpy", "sierpspec.lattice", "sierpspec.treemap"}
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["--help"], 0, NONE),
+    (["gen", "--q1", "1"], 2, NONE),
+    (["gen", "--q1", "1", "--q2", "2", "--level", "2"], 0, CORE),
+    (["verify", "--q1", "1", "--q2", "2", "--level", "2"], 0,
+     CORE | {"sierpspec.fourier", "sierpspec.verify"}),
+    (["dim", "--q1", "1", "--q2", "2", "--level", "3", "--scale-exps", "1:4"], 0,
+     CORE | {"sierpspec.dimension"}),
+], ids=["help", "usage-error", "gen", "verify", "dim"])
+def test_each_command_loads_only_the_modules_it_calls(argv, code, loaded):
+    proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True,
+                          text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, sorted(loaded)]
 
 
 def test_verify_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
@@ -348,7 +417,7 @@ def test_qsum_enumerates_each_level_once(capsys):
     """Each level is enumerated once for every frequency, the previous level
     and its phase rows are gone when the next is built, and the lines, in
     their order, are those of a fresh prefix per (xi, n)."""
-    from sierpspec import cli, verify
+    from sierpspec import treemap
     from sierpspec.treemap import CanonicalMapping, enumerate_spectrum
     from sierpspec.lattice import MatrixParams
     from sierpspec.verify import SamplingBox, q_sum
@@ -362,7 +431,7 @@ def test_qsum_enumerates_each_level_once(capsys):
         built.append(weakref.ref(prefix.points.xs))
         return prefix
 
-    with mock.patch.object(cli, "enumerate_spectrum", side_effect=enumerate_and_watch):
+    with mock.patch.object(treemap, "enumerate_spectrum", side_effect=enumerate_and_watch):
         assert main(["qsum", "--q1", "1", "--q2", "2", "--n-max", "4", "--num-xi", "3",
                      "--seed", "5"]) == 0
     assert alive == [0] * 4
@@ -883,7 +952,7 @@ def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
     assert main(["gen", "--q1", "1", "--q2", "2", "--level", "6", "--output", str(path)]) == 0
     p = MatrixParams(1, 2)
     points = cli._read_points(str(path), p)
-    real, built, depths, caches = verify._level_phases, [], [], []
+    real, real_q_sum, built, depths, caches = verify._level_phases, verify.q_sum, [], [], []
 
     def level_phases(*args, **kwargs):
         for row in real(*args, **kwargs):
@@ -891,13 +960,13 @@ def test_file_qsums_share_one_phase_table(tmp_path, capsys, count):
             yield row
 
     def q_sum(xi, values, p):
-        res = verify.q_sum(xi, values, p)
+        res = real_q_sum(xi, values, p)
         depths.append(res.depth)
         caches.append(getattr(values, "cache", None))
         return res
 
     capsys.readouterr()
-    with mock.patch.object(cli, "q_sum", q_sum), \
+    with mock.patch.object(verify, "q_sum", q_sum), \
             mock.patch.object(verify, "_level_phases", level_phases):
         assert main(["verify", "--q1", "1", "--q2", "2", "--input", str(path),
                      "--checks", "orthogonality", "--qsum", str(count)]) == 0
@@ -941,9 +1010,9 @@ def test_verify_kicked_family_whose_kicks_all_fold(capsys):
     q-sums read the store's folded columns, which its cache keeps with the
     phase rows: the second and third q-sums build no row.  The output is
     pinned to that of the fold-per-call code it replaced."""
-    from sierpspec import cli, verify
+    from sierpspec import verify
 
-    real, built, stores = verify._level_phases, [], []
+    real, real_q_sum, built, stores = verify._level_phases, verify.q_sum, [], []
 
     def level_phases(*args, **kwargs):
         for row in real(*args, **kwargs):
@@ -953,9 +1022,9 @@ def test_verify_kicked_family_whose_kicks_all_fold(capsys):
     def q_sum(xi, values, p):
         built.append(0)
         stores.append(values.cache)
-        return verify.q_sum(xi, values, p)
+        return real_q_sum(xi, values, p)
 
-    with mock.patch.object(cli, "q_sum", q_sum), \
+    with mock.patch.object(verify, "q_sum", q_sum), \
             mock.patch.object(verify, "_level_phases", level_phases):
         assert main(["verify", "--q1", "4", "--q2", "8", "--construct-t", "0.3",
                      "--range", "6", "--qsum", "3"]) == 0

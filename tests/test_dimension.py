@@ -658,6 +658,9 @@ def test_import_leaves_interpreter_state_alone():
 
         before = state()
         import sierpspec, sierpspec.cli
+        for name in sierpspec.__all__:  # the package loads its submodules on first use
+            getattr(sierpspec, name)
+        assert sierpspec.cli.main(["--help"]) == 0
         assert state() == before, (before, state())
     """
     root = str(Path(dimension.__file__).resolve().parents[1])
