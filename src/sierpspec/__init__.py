@@ -11,7 +11,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each exported name and the submodule that defines it
+# each exported name and the submodule it is read from
 _SUBMODULE = {
     name: module
     for module, names in (

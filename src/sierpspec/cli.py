@@ -14,10 +14,10 @@ literal without --construct-t or --offsets.
 
 Each command imports only the library modules it calls, inside the command:
 ``--help`` and an argparse usage error load none (and so no numpy); gen loads
-``lattice`` and ``treemap``, plus ``construct`` (with ``dimension``) for
---construct-t; verify and qsum load ``lattice``, ``treemap``, ``verify`` and
-``fourier``; dim loads ``lattice``, ``treemap`` and ``dimension``; construct
-loads ``construct`` and what it imports.
+``lattice`` and ``treemap``, plus ``construct`` for --construct-t; verify and
+qsum load ``lattice``, ``treemap``, ``verify`` and ``fourier``; dim loads
+``lattice``, ``treemap`` and ``dimension``; construct loads ``construct`` and
+what it imports.
 
 Coordinates always serialize as decimal strings; kicked coordinates overflow
 any float, and run to hundreds of thousands of digits.  CPython converts
@@ -196,16 +196,17 @@ def _coordinate_texts(col, terms, axis: int, base: int):
 
 def _write_points(prefix: SpectrumPrefix, fmt: str, out) -> None:
     """Write an enumerated prefix's points, one record each, from its columns
-    (``treemap.point_values``) and exponent column, building no point."""
+    (``treemap.point_values``), index and exponent columns, building no point."""
     from .lattice import value_columns
     from .treemap import index_to_word, point_values
 
-    points, p, bound = prefix.points, prefix.params, prefix.index_bound
+    points, p = prefix.points, prefix.params
     xs, ys, terms = value_columns(point_values(points))
+    ks = points.ks.tolist()
     exps = [0] * len(xs) if points.exps is None else points.exps.tolist()
     sep = ", " if fmt == "jsonl" else " "
-    words = (sep.join(map(str, index_to_word(k))) for k in range(-bound, bound + 1))
-    rows = zip(range(-bound, bound + 1), words, _coordinate_texts(xs, terms, 0, p.base_x),
+    words = (sep.join(map(str, index_to_word(k))) for k in ks)
+    rows = zip(ks, words, _coordinate_texts(xs, terms, 0, p.base_x),
                _coordinate_texts(ys, terms, 1, p.base_y), exps)
     if fmt == "jsonl":  # the records json.dumps makes, kick_position = e + 1
         out.writelines(f'{{"k": {k}, "word": [{w}], "lambda": ["{x}", "{y}"], '

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import Beatty
-from .lattice import MatrixParams, Vec
+from .lattice import Beatty, MatrixParams, Vec, folded_columns
 from .treemap import (
     KickedMapping,
     SpectrumPoint,
@@ -31,6 +30,8 @@ from .treemap import (
     enumerate_spectrum,
     index_to_word,
     point_indices,
+    point_values,
+    take_rows,
     CanonicalMapping,
 )
 
@@ -167,13 +168,13 @@ class IntermediateSpec:
         """(F_t part, kicked part): unkicked canonical-digit points vs kicked points,
         by Gamma_t membership over the prefix's index column.
 
-        The lists hold the prefix's own point objects, in k order, so
-        ``treemap.point_values`` reads each part from the prefix's columns
-        while the prefix lives: the estimates and checks on a part take its
-        rows of the columns and build no value."""
+        Each part is ``treemap.take_rows`` of the prefix's points: for an
+        enumerated prefix a column store of its rows, in k order, with a cache
+        of its own, so ``split`` builds no point and the checks and estimates
+        on a part read its columns; for a prefix of a tuple, a tuple."""
         member = self._member.mask(point_indices(prefix.points))
-        points = tuple(prefix.points)
-        return list(itertools.compress(points, member)), list(itertools.compress(points, ~member))
+        return (take_rows(prefix.points, np.flatnonzero(member)),
+                take_rows(prefix.points, np.flatnonzero(~member)))
 
     def describe(self) -> dict:
         return {
@@ -235,16 +236,15 @@ def coherent_perturbation_report(spec: IntermediateSpec, prefix: SpectrumPrefix)
 
     Sibling coherence can only reroute digits on branches that pass through a
     kick parent, and those branches are themselves kicked; the unkicked F_t
-    part must come out untouched.  Reported per part for empirical inspection.
+    part must come out untouched.  Reported per part for empirical inspection,
+    from the prefix's folded columns (its points' bases) and the canonical
+    columns, building no point.
     """
     canonical = enumerate_spectrum(
         CanonicalMapping(), spec.params, index_bound=prefix.index_bound
-    )
-    f_changed = kicked_changed = 0
-    for pt, ref in zip(prefix.points, canonical.points):
-        if pt.value.base != ref.value.base:
-            if spec.gamma_t_contains(pt.k):
-                f_changed += 1
-            else:
-                kicked_changed += 1
-    return {"f_part_changed": f_changed, "kicked_part_changed": kicked_changed}
+    ).points
+    xs, ys, _ = folded_columns(point_values(prefix.points))
+    changed = np.asarray((xs != canonical.xs) | (ys != canonical.ys), dtype=bool)
+    member = spec._member.mask(point_indices(prefix.points))
+    return {"f_part_changed": int(np.count_nonzero(changed & member)),
+            "kicked_part_changed": int(np.count_nonzero(changed & ~member))}

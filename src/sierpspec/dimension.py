@@ -14,11 +14,11 @@ ceil(den^2 h^2) and X the largest |den x - nx| of any row, the slab's rows
 with |den y - ny| <= isqrt(bound - X^2 - 1) lie inside the ball whatever
 their x and count without a distance; only the other rows of the slab, its
 rim, are squared.  The columns come from ``lattice.folded_columns``, which
-hands a prefix's stored columns over as they are, with a kicked prefix's
-small kicks folded as its points' values fold them (once per prefix, which
-keeps them for its parts); ``treemap.resolve_points`` hands over a
-store's columns, and its params, for a prefix, for a list of its own points
-(``list(prefix.points)``) and for the parts of ``IntermediateSpec.split``.
+hands a store's columns over as they are, with a kicked store's small kicks
+folded as its points' values fold them (once per store, which keeps them in
+its cache); ``treemap.resolve_points`` hands over a store's columns, and its
+params, for a prefix, for a list of its own points (``list(prefix.points)``)
+and for the parts of ``IntermediateSpec.split``, stores of the prefix's rows.
 Any other pair is first screened by magnitude bounds, computed from the same
 columns (``lattice.log2_bound_columns``): when those put point and center
 more than the largest scale apart on some axis, the pair is dropped
@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import (
+    Beatty,
     KickTerms,
     MatrixParams,
     SymVec,
@@ -463,25 +464,6 @@ class Periodic:
     def frequency(self) -> float:
         # the prefix frequency converges to the period average
         return sum(self.bits) / len(self.bits)
-
-
-@dataclass(frozen=True)
-class Beatty:
-    """Active where floor(i*d) increments; prefix frequency converges to d exactly."""
-
-    density: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("Beatty density must lie in [0, 1]")
-
-    def active(self, i: int) -> bool:
-        d = self.density
-        return math.floor(i * d) > math.floor((i - 1) * d)
-
-    @property
-    def frequency(self) -> float:
-        return self.density
 
 
 @dataclass(frozen=True)

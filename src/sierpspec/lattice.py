@@ -2,8 +2,9 @@
 
 Everything here is pure and exact: signed-digit radix expansions,
 A-adic digit expansions, the residue digit sets used by the spectrum
-constructions, and a symbolic vector type that keeps kick terms ``A^e * v``
-unexpanded so that astronomically large coordinates stay cheap to compare.
+constructions and the positions they fill (``Beatty``), and a symbolic
+vector type that keeps kick terms ``A^e * v`` unexpanded so that
+astronomically large coordinates stay cheap to compare.
 ``value_columns`` is the one place that turns a sequence of such vectors into
 the numpy coordinate columns, and the table of kick terms, that every
 certifier and the ball counter read.
@@ -213,6 +214,25 @@ def verify_residue_decomposition(p: MatrixParams) -> tuple[ResidueReport, Residu
         _partition_check(cat.e_q1, cat.c_set, cat.gamma, p),
         _partition_check(cat.e_q2, cat.c_set, cat.gamma, p),
     )
+
+
+@dataclass(frozen=True)
+class Beatty:
+    """Active where floor(i*d) increments; prefix frequency converges to d exactly."""
+
+    density: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.density <= 1.0:
+            raise ValueError("Beatty density must lie in [0, 1]")
+
+    def active(self, i: int) -> bool:
+        d = self.density
+        return math.floor(i * d) > math.floor((i - 1) * d)
+
+    @property
+    def frequency(self) -> float:
+        return self.density
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ children of a node differ by multiples of (q1, -q2) modulo A; ``coherent``
 shifts all three children of a kick parent by the kick digit, restoring the
 rule (and with it, certified orthogonality of the generated set).
 
-Every prefix is kept as a column store (``_ColumnPoints``): the digit sum
-S(k) of each index without k's own kick term, as two numpy columns, the
-exponent n + m_k - 1 of that term, and the kick digit.  The word of k != 0 is
+Every prefix is kept as a column store (``_ColumnPoints``): the index k of
+each row, the digit sum S(k) without k's own kick term, as two numpy
+columns, the exponent n + m_k - 1 of that term, and the kick digit.
+``take_rows`` gives a store of any increasing subsequence of those rows, such
+as the two parts of ``IntermediateSpec.split``.  The word of k != 0 is
 word(h) 0^run sign(k) with head h = k - sign(k) 3^(n-1), n = len(word(k)), so
 |h| < |k|, and S(k) is S(h) plus at most two terms (see ``_child``).  A
 kicked prefix is filled one word length at a time from its heads, a few
@@ -26,7 +28,8 @@ sum_j d_j(k) A^j (q1, -q2) over the balanced-ternary digits d_j(k) of k.  A
 certifiers read the columns with the kick terms unfolded, which keeps every
 base of the kicked families in int64.  A store's columns are read-only, so
 what readers derive from them, the columns with the small kicks folded and
-the q-sum phase rows, is kept in the store's one ``cache`` dict.
+the q-sum phase rows, is kept in the store's one ``cache`` dict; a store of
+some rows of another keeps its own.
 """
 
 from __future__ import annotations
@@ -364,14 +367,16 @@ class SpectrumPrefix:
 
 
 class _ColumnPoints(Sequence):
-    """The points lambda(k), |k| <= bound, of one mapping, kept as columns.
+    """The points lambda(k) of one mapping, for an increasing column of indices
+    k, kept as columns.
 
-    ``xs[i]``, ``ys[i]`` hold the digit sum of k = i - bound without k's own
-    kick term: int64 arrays when every coordinate is below 2^62 in absolute
-    value, object arrays of Python ints otherwise.  A kicked mapping's store
-    also keeps ``exps[i]``, the exponent n + m_k - 1 of k's kick term (0 when k
-    has none) and the kick digit; a canonical one has none (None).  Every
-    store keeps its params.  ``point_values`` hands the columns on as
+    ``ks[i]`` is the index of row i, and ``xs[i]``, ``ys[i]`` hold the digit
+    sum of that k without k's own kick term: int64 arrays when every
+    coordinate is below 2^62 in absolute value, object arrays of Python ints
+    otherwise.  A kicked mapping's store also keeps ``exps[i]``, the exponent
+    n + m_k - 1 of k's kick term (0 when k has none) and the kick digit; a
+    canonical one has none (None).  Every store keeps its params.
+    ``point_values`` hands the columns on as
     ``lattice.ColumnValues``, with the kick terms unfolded, the params and the
     store's ``cache``: what readers derive from the fixed columns, the folded
     columns and q-sum phase rows, is kept there as long as the store lives.
@@ -382,32 +387,29 @@ class _ColumnPoints(Sequence):
     columns.  Compares and hashes like that tuple.
     """
 
-    __slots__ = ("xs", "ys", "bound", "exps", "kick", "params", "cache", "_points",
+    __slots__ = ("xs", "ys", "ks", "exps", "kick", "params", "cache", "_points",
                  "__weakref__")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, bound: int,
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, ks: np.ndarray,
                  exps: np.ndarray | None = None, kick: Vec | None = None,
                  params: MatrixParams | None = None):
-        for col in (xs, ys) if exps is None else (xs, ys, exps):
+        for col in (xs, ys, ks) if exps is None else (xs, ys, ks, exps):
             col.flags.writeable = False  # the points must not drift
-        self.xs, self.ys, self.bound = xs, ys, bound
+        self.xs, self.ys, self.ks = xs, ys, ks
         self.exps, self.kick, self.params = exps, kick, params
         self.cache: dict = {}
         self._points: tuple[SpectrumPoint, ...] | None = None
 
     def __len__(self) -> int:
-        return 2 * self.bound + 1
+        return len(self.ks)
 
     def __getitem__(self, i):
         if isinstance(i, slice) or self._points is not None:
             return self._tuple()[i]
         i = operator.index(i)
-        j = i + len(self) if i < 0 else i
-        if not 0 <= j < len(self):
-            raise IndexError(f"point index {i} out of range for {len(self)} points")
-        k = j - self.bound
-        base = (int(self.xs[j]), int(self.ys[j]))
-        e = 0 if self.exps is None else int(self.exps[j])
+        k = int(self.ks[i])  # an IndexError past either end, as a tuple's
+        base = (int(self.xs[i]), int(self.ys[i]))
+        e = 0 if self.exps is None else int(self.exps[i])
         if not e:
             return SpectrumPoint(k, index_to_word(k), SymVec(base))
         value = make_sym(base, [(e, self.kick)], self.params)
@@ -419,7 +421,7 @@ class _ColumnPoints(Sequence):
 
     def _tuple(self) -> tuple[SpectrumPoint, ...]:
         if self._points is None:
-            ks = range(-self.bound, self.bound + 1)
+            ks = self.ks.tolist()
             positions = itertools.repeat(None)
             if self.exps is not None:
                 positions = [e + 1 if e else None for e in self.exps.tolist()]
@@ -437,17 +439,27 @@ class _ColumnPoints(Sequence):
         return hash(self._tuple())
 
     def __repr__(self) -> str:
-        return f"_ColumnPoints(bound={self.bound}, dtype={self.xs.dtype})"
+        return f"_ColumnPoints(len={len(self)}, dtype={self.xs.dtype})"
+
+
+def take_rows(points: Sequence[SpectrumPoint], rows) -> Sequence[SpectrumPoint]:
+    """The items of points at the increasing positions ``rows`` (an index column
+    or a slice): a column store's as a new store of those rows of its columns,
+    with its kick digit and params and a cache of its own, building no point;
+    any other sequence's as a tuple of those items."""
+    if isinstance(points, _ColumnPoints):
+        exps = None if points.exps is None else points.exps[rows]
+        return _ColumnPoints(points.xs[rows], points.ys[rows], points.ks[rows], exps,
+                             points.kick, points.params)
+    return tuple(map(points.__getitem__, rows.tolist()))
 
 
 def central_points(points: Sequence[SpectrumPoint], bound: int) -> Sequence[SpectrumPoint]:
     """The points with |k| <= bound; a column store's as views of its columns."""
     if isinstance(points, _ColumnPoints):
-        bound = min(bound, points.bound)
-        middle = slice(points.bound - bound, points.bound + bound + 1)
-        exps = None if points.exps is None else points.exps[middle]
-        return _ColumnPoints(points.xs[middle], points.ys[middle], bound, exps,
-                             points.kick, points.params)
+        ks = points.ks
+        return take_rows(points, slice(np.searchsorted(ks, -bound),
+                                       np.searchsorted(ks, bound, side="right")))
     return [pt for pt in points if abs(pt.k) <= bound]
 
 
@@ -455,9 +467,9 @@ def resolve_points(points, p: MatrixParams | None = None, *, need_params: bool =
     """(points, values, params) for every check and estimator: the items as a
     sequence, their values (``point_values``) and their params.
 
-    ``points`` may be a ``SpectrumPrefix``, its column store, a list or tuple
-    of ``SpectrumPoint``s (such as ``list(prefix.points)``, a part of
-    ``IntermediateSpec.split`` or a file's points), ``SymVec``s or integer
+    ``points`` may be a ``SpectrumPrefix``, a column store (its own, or a part
+    of ``IntermediateSpec.split``), a list or tuple of ``SpectrumPoint``s
+    (such as ``list(prefix.points)`` or a file's points), ``SymVec``s or integer
     pairs, possibly mixed, a ``lattice.ColumnValues``, or any other iterable
     of these, which is made a list once.  The params come from the prefix,
     else from ``p``, else from the values of a column store, which keep its
@@ -486,9 +498,9 @@ def point_label(points, i: int) -> int:
 
 def point_indices(points) -> np.ndarray | None:
     """The indices k of points, as a column, or None when some item has none:
-    a column store's without building a point."""
+    a column store's own ``ks`` column, without building a point."""
     if isinstance(points, _ColumnPoints):
-        return np.arange(-points.bound, points.bound + 1)
+        return points.ks
     if not all(isinstance(pt, SpectrumPoint) for pt in points):
         return None
     return np.array([pt.k for pt in points], dtype=np.int64)
@@ -499,14 +511,13 @@ def point_values(points) -> Sequence[SymVec]:
     order, as ``lattice.ColumnValues`` over a column store's columns where there
     is one, else as a list.
 
-    A column store gives its own columns and unfolded kick terms; so does a
-    list or tuple of every point a store has built, in order (such as
-    ``list(prefix.points)``), and a subsequence of them in k order (such as
-    the parts of ``IntermediateSpec.split``) gives those rows of them.  Such
-    a sequence is recognized by its first item, which must be the store's own
-    object, and then compared with the store's points, which identity makes
-    quick; equal copies among the rest read the same values.  ``ColumnValues``
-    are handed on as they are."""
+    A column store, an enumerated prefix's or one that ``take_rows`` made
+    (such as a part of ``IntermediateSpec.split``), gives its own columns,
+    unfolded kick terms and cache; so does a list or tuple of every point a
+    store has built, in order (such as ``list(prefix.points)``), recognized by
+    its first item, which must be the store's own object, and then compared
+    with the store's points, which identity makes quick; equal copies among
+    the rest read the same values.  ``ColumnValues`` are handed on as they are."""
     if isinstance(points, ColumnValues):
         return points
     if isinstance(points, _ColumnPoints):
@@ -530,42 +541,24 @@ _BUILT: weakref.WeakValueDictionary[int, _ColumnPoints] = weakref.WeakValueDicti
 
 
 def _own_values(points) -> ColumnValues | None:
-    """The values of a list or tuple of one store's own points in k order, read
-    from the store's columns, or None when no store built its first point."""
-    first = points[0]
+    """The values of a list or tuple of every point one store has built, in
+    order, read from the store's columns, or None when it is not one."""
     for store in _BUILT.values():
-        row = first.k + store.bound
-        if 0 <= row < len(store) and store._points[row] is first:
-            break
-    else:
-        return None
-    own = store._points
-    if len(points) == len(own):  # every point, or no subsequence
-        return _store_values(store) if own == tuple(points) else None
-    try:
-        rows = np.fromiter((pt.k for pt in points), np.int64, len(points)) + store.bound
-    except (AttributeError, OverflowError):  # an item with no k, or one past int64
-        return None
-    if rows[-1] >= len(own) or (np.diff(rows) <= 0).any():  # rows[0] is first's
-        return None
-    if tuple(map(own.__getitem__, rows.tolist())) != tuple(points):
-        return None
-    return _store_values(store, rows)
+        own = store._points
+        if own and own[0] is points[0]:
+            return _store_values(store) if own == tuple(points) else None
+    return None
 
 
-def _store_values(store: _ColumnPoints, rows: np.ndarray | None = None) -> ColumnValues:
-    """A store's values, with its cache, or those at the increasing ``rows``,
-    with none: the store's own arrays, or those rows of them, and the kick
-    terms unfolded."""
-    xs, ys, exps, cache = store.xs, store.ys, store.exps, store.cache
-    if rows is not None:
-        xs, ys, cache = xs[rows], ys[rows], None
-        exps = None if exps is None else exps[rows]
+def _store_values(store: _ColumnPoints) -> ColumnValues:
+    """A store's values, with its cache: its own arrays, and the kick terms
+    unfolded."""
+    xs, ys, exps = store.xs, store.ys, store.exps
     index = () if exps is None else np.flatnonzero(exps)
     if not len(index):
-        return ColumnValues(xs, ys, params=store.params, cache=cache)
+        return ColumnValues(xs, ys, params=store.params, cache=store.cache)
     kick = (np.full(len(index), c, dtype=xs.dtype) for c in store.kick)
-    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params, cache)
+    return ColumnValues(xs, ys, KickTerms(index, exps[index], *kick), store.params, store.cache)
 
 
 def _pair_value(pair) -> SymVec:
@@ -580,7 +573,8 @@ def _canonical_points(p: MatrixParams, bound: int) -> _ColumnPoints:
     word, which decides int64 or exact object columns up front.
     """
     dtype = np.int64 if p.base_y ** len(index_to_word(bound)) < 2 * I64_COORD else object
-    return _ColumnPoints(*_canonical_columns(p, bound, dtype), bound, params=p)
+    return _ColumnPoints(*_canonical_columns(p, bound, dtype), np.arange(-bound, bound + 1),
+                         params=p)
 
 
 def _canonical_columns(p: MatrixParams, bound: int, dtype):
@@ -652,7 +646,8 @@ def _kicked_points(mapping: KickedMapping, p: MatrixParams, bound: int) -> _Colu
         length[rows] = n
     if dtype is object and fits_int64(xs, ys, (kx,), (ky,)):
         xs, ys = xs.astype(np.int64), ys.astype(np.int64)
-    return _ColumnPoints(xs, ys, bound, np.where(m != 0, length + m - 1, 0), (kx, ky), p)
+    return _ColumnPoints(xs, ys, np.arange(-bound, bound + 1),
+                         np.where(m != 0, length + m - 1, 0), (kx, ky), p)
 
 
 def _offset_column(offsets, bound: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import random
 
+import numpy as np
 import pytest
 
 from sierpspec.construct import build_intermediate_spectrum
@@ -17,6 +18,7 @@ from sierpspec.treemap import (
     _ColumnPoints,
     central_points,
     enumerate_spectrum,
+    take_rows,
 )
 
 
@@ -28,7 +30,7 @@ def _moved(pre, i, dx):
     """The canonical prefix with point i moved by (dx, 0), its points still columns."""
     xs = pre.points.xs.copy()
     xs[i] += dx
-    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.index_bound))
+    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.points.ks))
 
 
 @pytest.fixture
@@ -84,18 +86,20 @@ def _middle(points, n):
 
 
 def _fresh_copies(points):
-    """The same points as new objects, which no column store holds."""
+    """The same points as new objects, which no column store holds: a list for
+    a store."""
     copies = [dataclasses.replace(pt) if isinstance(pt, SpectrumPoint) else pt for pt in points]
-    return type(points)(copies)
+    return copies if isinstance(points, _ColumnPoints) else type(points)(copies)
 
 
 @pytest.fixture
 def store_sequences():
     """(id, points, copies, params, recognized): sequences of points that
     ``treemap.point_values`` reads from a column store's columns
-    (``recognized``), or item by item, built afresh per test.  ``copies``,
-    the oracle, holds the same points as new objects, which no store holds,
-    so it is always read item by item."""
+    (``recognized``: a store, or a list or tuple of all its points), or item
+    by item, built afresh per test.  ``copies``, the oracle, holds the same
+    points as new objects, which no store holds, so it is always read item
+    by item."""
     p12, p48, big = MatrixParams(1, 2), MatrixParams(4, 8), MatrixParams(1, 10**7)
     rng = random.Random(20261020)
     cases = []
@@ -106,11 +110,9 @@ def store_sequences():
         pts = list(pre.points)
         cases += [(f"canonical {name} list", pts, p, True),
                   (f"canonical {name} tuple", tuple(pts), p, True)]
-    kicked_prefixes = []  # a store is found while it lives
     for t in (0.15, 0.3):
         spec = build_intermediate_spectrum(t, p48)
-        kicked_prefixes.append(spec.prefix(364))
-        f_part, kicked = spec.split(kicked_prefixes[-1])
+        f_part, kicked = spec.split(spec.prefix(364))  # stores of their own
         cases += [(f"F part t={t}", f_part, p48, True),
                   (f"kicked part t={t}", kicked, p48, True)]
     pts = list(prefixes["(1,2) L6"].points)
@@ -123,7 +125,9 @@ def store_sequences():
     x, y = pts[i].value.base
     moved = pts[:i] + [dataclasses.replace(pts[i], value=SymVec((x + 1, y)))] + pts[i + 1:]
     cases.append(("one point moved", moved, p12, False))
-    cases.append(("every third point", pts[::3], p12, True))
+    cases.append(("every third point", pts[::3], p12, False))
+    cases.append(("store of every third row",
+                  take_rows(prefixes["(1,2) L6"].points, np.arange(0, len(pts), 3)), p12, True))
     third = pts[::3]
     third[7] = dataclasses.replace(third[7], value=SymVec((x, y + 1)))
     cases.append(("every third point, one moved", third, p12, False))
@@ -134,4 +138,4 @@ def store_sequences():
     cases.append(("points and SymVecs", mixed, p12, False))
     yield [(name, points, _fresh_copies(points), p, recognized)
            for name, points, p, recognized in cases]
-    del prefixes, kicked_prefixes
+    del prefixes

@@ -324,11 +324,13 @@ CORE = NONE | {"numpy", "sierpspec.lattice", "sierpspec.treemap"}
     (["--help"], 0, NONE),
     (["gen", "--q1", "1"], 2, NONE),
     (["gen", "--q1", "1", "--q2", "2", "--level", "2"], 0, CORE),
+    (["gen", "--q1", "4", "--q2", "8", "--construct-t", "0.15", "--range", "13"], 0,
+     CORE | {"sierpspec.construct"}),
     (["verify", "--q1", "1", "--q2", "2", "--level", "2"], 0,
      CORE | {"sierpspec.fourier", "sierpspec.verify"}),
     (["dim", "--q1", "1", "--q2", "2", "--level", "3", "--scale-exps", "1:4"], 0,
      CORE | {"sierpspec.dimension"}),
-], ids=["help", "usage-error", "gen", "verify", "dim"])
+], ids=["help", "usage-error", "gen", "gen-construct-t", "verify", "dim"])
 def test_each_command_loads_only_the_modules_it_calls(argv, code, loaded):
     proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True,
                           text=True, env=CHILD_ENV)
@@ -858,7 +860,7 @@ def test_a_kicked_coordinate_that_cancels_prints_zero():
         xs = np.array([-4, 0, -(12**e)], dtype=object)
         ys = np.array([4, 0, 12**e], dtype=object)
         exps = np.array([0, 0, e], dtype=np.int64)
-        prefix = SpectrumPrefix(p, _ColumnPoints(xs, ys, 1, exps, kick, p), 1)
+        prefix = SpectrumPrefix(p, _ColumnPoints(xs, ys, np.arange(-1, 2), exps, kick, p), 1)
         for fmt in ("jsonl", "csv"):
             got = _written(_write_points, prefix, fmt)
             assert got == _written(_write_points_oracle, prefix, fmt)

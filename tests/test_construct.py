@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +26,22 @@ from sierpspec.dimension import (
     lacunary_check,
 )
 import sierpspec
-from sierpspec.lattice import MatrixParams, enumerate_digit_sets, sym_diff, sym_is_zero
-from sierpspec.treemap import CanonicalMapping, enumerate_spectrum, validate_tree_mapping
+from sierpspec.lattice import (
+    ColumnValues,
+    MatrixParams,
+    enumerate_digit_sets,
+    sym_diff,
+    sym_is_zero,
+)
+from sierpspec.treemap import (
+    CanonicalMapping,
+    SpectrumPrefix,
+    central_points,
+    enumerate_spectrum,
+    point_indices,
+    point_values,
+    validate_tree_mapping,
+)
 from sierpspec.verify import check_orthogonality
 
 P12 = MatrixParams(1, 2)
@@ -111,6 +127,101 @@ def test_f_part_is_sublattice_of_canonical():
     assert {pt.value.base for pt in f_part} <= brute
     report = coherent_perturbation_report(spec, pre)
     assert report["f_part_changed"] == 0
+
+
+def _oracle_split(spec, prefix):
+    """``IntermediateSpec.split`` before its parts were column stores: two lists
+    of the prefix's own points, every point of the prefix built."""
+    member = spec._member.mask(point_indices(prefix.points))
+    points = tuple(prefix.points)
+    return list(itertools.compress(points, member)), list(itertools.compress(points, ~member))
+
+
+@pytest.mark.parametrize("mode", ["coherent", "literal"])
+@pytest.mark.parametrize("bits", [(), (1, 0, 1)], ids=str)
+@pytest.mark.parametrize("t", [0.0, 0.15, 0.3, t_max(P48)], ids=lambda t: f"t={t:.3f}")
+def test_split_matches_the_list_oracle(t, bits, mode):
+    """Each part of an enumerated prefix is a column store of its rows, with its
+    own cache, whose items equal the oracle's lists; split builds no point of
+    the prefix.  At t = 0 the F part is the one point k = 0, at t_max the
+    kicked part is empty.  A prefix of a tuple in any order gives tuples of
+    its own items."""
+    spec = build_intermediate_spectrum(t, P48, mode=mode, variant_bits=bits)
+    for bound in (0, 1, 40, 3280):
+        pre = spec.prefix(bound)
+        parts = spec.split(pre)
+        assert pre.points._points is None
+        want = _oracle_split(spec, spec.prefix(bound))
+        for part, items in zip(parts, want):
+            values = point_values(part)
+            assert isinstance(values, ColumnValues) and values.cache is part.cache
+            assert list(part) == items
+        assert pre.points._points is None
+        assert sum(map(len, parts)) == len(pre)
+    if t == 0.0:
+        assert [pt.k for pt in parts[0]] == [0]
+    if t == t_max(P48):
+        assert not parts[1]
+    rng = random.Random(3)
+    listed = list(spec.prefix(40).points)
+    pre = SpectrumPrefix(P48, tuple(rng.sample(listed, 30)), 40)
+    parts, want = spec.split(pre), _oracle_split(spec, pre)
+    assert all(type(part) is tuple for part in parts)
+    assert tuple(map(list, parts)) == want
+    assert all(a is b for part, items in zip(parts, want) for a, b in zip(part, items))
+
+
+def test_central_points_and_indices_of_a_part():
+    """``central_points`` on a part is a store of the part's middle rows, as
+    views of its columns, and ``point_indices`` is the part's k column."""
+    spec = build_intermediate_spectrum(0.3, P48, variant_bits=(1, 0, 1))
+    for part in spec.split(spec.prefix(364)):
+        assert point_indices(part) is part.ks
+        assert part.ks.tolist() == [pt.k for pt in part]
+        for b in (0, 1, 13, 40, 121, 364, 10**6, 2**70):
+            middle = central_points(part, b)
+            assert np.shares_memory(middle.xs, part.xs) or not len(middle)
+            assert list(middle) == [pt for pt in part if abs(pt.k) <= b]
+            assert point_indices(middle).tolist() == [pt.k for pt in middle]
+
+
+def _oracle_coherent_perturbation_report(spec, prefix):
+    """``coherent_perturbation_report`` before it read columns: every point of
+    both prefixes built and compared."""
+    canonical = enumerate_spectrum(
+        CanonicalMapping(), spec.params, index_bound=prefix.index_bound
+    )
+    f_changed = kicked_changed = 0
+    for pt, ref in zip(prefix.points, canonical.points):
+        if pt.value.base != ref.value.base:
+            if spec.gamma_t_contains(pt.k):
+                f_changed += 1
+            else:
+                kicked_changed += 1
+    return {"f_part_changed": f_changed, "kicked_part_changed": kicked_changed}
+
+
+def test_coherent_perturbation_report_matches_the_point_loop():
+    """The column report equals the per-point loop on int64 and object columns,
+    coherent and literal, and on a prefix of fresh copies in a tuple."""
+    reports = []
+    for p, bounds in ((P48, (0, 1, 40, 364)), (P44, (121,)), (MatrixParams(4, 10**6), (13,))):
+        for t in (0.0, 0.15, 0.3, t_max(p)) if p.q2 < 100 else (0.0, t_max(p) / 2, t_max(p)):
+            for bits in ((), (1, 0, 1)):
+                for mode in ("coherent", "literal"):
+                    spec = build_intermediate_spectrum(t, p, mode=mode, variant_bits=bits)
+                    for bound in bounds:
+                        pre = spec.prefix(bound)
+                        got = coherent_perturbation_report(spec, pre)
+                        assert pre.points._points is None
+                        want = _oracle_coherent_perturbation_report(spec, spec.prefix(bound))
+                        assert got == want
+                        copies = tuple(dataclasses.replace(pt) for pt in pre.points)
+                        copied = dataclasses.replace(pre, points=copies)
+                        assert coherent_perturbation_report(spec, copied) == want
+                        reports.append(got)
+    assert any(r["kicked_part_changed"] for r in reports)
+    assert not any(r["f_part_changed"] for r in reports)
 
 
 def test_family_variants_distinct():

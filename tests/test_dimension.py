@@ -176,7 +176,7 @@ def _differential_cases():
         centers += rng.sample(kicked, 5) + rng.sample(f_part, 2)
         yield (f"kicked t={t}", kicked, centers, geometric_scales(P48, 1, 6), P48, True)
         # coincident points, and scales up to 24^14 > 2^63
-        union = f_part + kicked + f_part[:3] + kicked[:3]
+        union = [*f_part, *kicked, *f_part[:3], *kicked[:3]]
         yield (f"union t={t}", union, centers, geometric_scales(P48, 1, 14), P48, True)
     edge = [0, 2**30 - 1, 2**30, 2**30 + 1]
     coords = sorted({s * e for e in edge for s in (1, -1)})

@@ -5,7 +5,9 @@ column store, a list of its points or a part of ``IntermediateSpec.split``,
 ``SymVec``s or integer pairs, an empty list, kicked values, a generator, a
 ``ColumnValues`` or a file read by the CLI, with or without params.  Every
 call returns or raises ValueError.  Where the three resolvers it replaced,
-kept below as the oracle, gave a result, the result is the same.
+kept below as the oracle, gave a result, the result is the same; on a part
+of ``split``, a column store, it is the result on the list of the prefix's
+points that ``split`` returned before.
 """
 
 import contextlib
@@ -111,6 +113,9 @@ def _family(name):
     return spec.prefix(40), spec  # the t=0.15 kicks pass the float range
 
 
+# the kinds that are parts of ``split``, and whether each is the F_t part
+PARTS = {"split F part": True, "split kicked part": False}
+
 FAMILIES = ["canonical (1,2)", "literal (4,4) m_1 = 1", "kicked t=0.15 (4,8)",
             "kicked t=0.3 (4,8)"]
 
@@ -157,11 +162,11 @@ def _inputs(pre, spec, defect, at, folder):
     stored = {"prefix", "store", "column values"}
     if defect == "none":
         stored.add("list of the prefix's points")
-    if spec is not None:
+    if spec is not None:  # column stores of the prefix's rows
         f_part, kicked = spec.split(pre)
         kinds["split F part"] = lambda: f_part
         kinds["split kicked part"] = lambda: kicked
-        stored |= {"split F part", "split kicked part"}
+        stored |= set(PARTS)
     return kinds, stored
 
 
@@ -201,6 +206,12 @@ def test_every_check_takes_every_input_kind(family, defect, at, with_p):
                     except Exception:  # rejected: by a ValueError, or a crash
                         want = _REJECTED
                 if want is not _REJECTED:
+                    assert got == want, (kind, name)
+                    assert getattr(got, "stats", None) == getattr(want, "stats", None)
+                if kind in PARTS:  # the part as split gave it before: a list
+                    inside = PARTS[kind]
+                    listed = [pt for pt in pre.points if spec.gamma_t_contains(pt.k) == inside]
+                    want = _outcome(call, listed, pre.params)
                     assert got == want, (kind, name)
                     assert getattr(got, "stats", None) == getattr(want, "stats", None)
 

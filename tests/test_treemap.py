@@ -45,6 +45,7 @@ from sierpspec.treemap import (
     _child,
     central_points,
     point_values,
+    take_rows,
 )
 
 P11 = MatrixParams(1, 1)
@@ -488,11 +489,11 @@ def test_kicked_store_matches_child_steps(case):
 
 @pytest.mark.parametrize("case", _kicked_mappings(), ids=lambda c: c[0])
 def test_store_parts_read_the_folded_columns_it_keeps(case):
-    """A subsequence of a store's points folds its own rows, and keeps nothing:
-    the columns, dtypes and terms that folding those values alone gives,
-    however often they are read or written to.  The whole store folds once,
-    when a kick of exponent at most 64 is due, and keeps the folded columns,
-    read-only, in its cache."""
+    """A store of some of a store's rows (``take_rows``) folds its own rows,
+    and keeps them in its own cache: the columns, dtypes and terms that
+    folding those values alone gives, however often they are read or written
+    to.  The whole store folds once, when a kick of exponent at most 64 is
+    due, and keeps the folded columns, read-only, in its cache."""
     _, mapping, p, bounds = case
     pre = enumerate_spectrum(mapping, p, index_bound=bounds[-1])
     pts = list(pre.points)
@@ -500,18 +501,23 @@ def test_store_parts_read_the_folded_columns_it_keeps(case):
     rng = random.Random(len(pts))
     for rows in (range(len(pts)), kicked, [i for i in range(len(pts)) if i not in kicked],
                  sorted(rng.sample(range(len(pts)), len(pts) // 3)), kicked[-1:], [0]):
-        part = [pts[i] for i in rows]
-        if not part:
+        if not rows:
             continue
-        want = value_columns([pt.value for pt in part])
+        part = take_rows(pre.points, np.array(rows, dtype=np.int64))
+        want = value_columns([pts[i].value for i in rows])
         for _ in range(2):
             values = point_values(part)
-            assert values.cache is (pre.points.cache if len(part) == len(pts) else None)
+            assert values.cache is part.cache
             got = folded_columns(values)
             _same_columns(got, want)
             for col in got[:2]:
                 if col.flags.writeable:  # not the store's: the next read is unchanged
                     col[:] = 0
+        assert set(part.cache) <= {"folded"}
+        assert list(part) == [pts[i] for i in rows]
+    values = point_values(pts)  # every point: the store's own columns and cache
+    assert values.cache is pre.points.cache
+    _same_columns(folded_columns(values), value_columns([pt.value for pt in pts]))
     folds = any(pt.kick_position and pt.kick_position - 1 <= FOLD_LIMIT for pt in pts)
     assert set(pre.points.cache) == ({"folded"} if folds else set())
     if folds:
@@ -595,9 +601,9 @@ def test_kicked_prefix_makes_no_per_index_call():
         f_part, kicked = spec.split(pre)
     assert len(pre) == 6561 and not no_call.called
     assert pre.points == child_enumeration(spec.mapping(), P48, 3280)
-    # split keeps the lists of a per-point membership test
-    assert f_part == [pt for pt in pre.points if spec.gamma_t_contains(pt.k)]
-    assert kicked == [pt for pt in pre.points if not spec.gamma_t_contains(pt.k)]
+    # split keeps the items of a per-point membership test
+    assert list(f_part) == [pt for pt in pre.points if spec.gamma_t_contains(pt.k)]
+    assert list(kicked) == [pt for pt in pre.points if not spec.gamma_t_contains(pt.k)]
     assert {pt.k for pt in kicked} == {pt.k for pt in pre.points if pt.kick_position}
 
 
@@ -612,5 +618,5 @@ def test_gamma_t_mask_matches_the_predicate():
         assert outside.mask(ks).tolist() == [not member(k) for k in ks.tolist()]
         listed = list(enumerate_spectrum(spec.mapping(), P48, index_bound=40).points)
         pre = SpectrumPrefix(P48, tuple(rng.sample(listed, 30)), 40)  # any order
-        assert spec.split(pre) == tuple(
+        assert tuple(map(list, spec.split(pre))) == tuple(
             [pt for pt in pre.points if member(pt.k) == inside] for inside in (True, False))

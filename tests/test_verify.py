@@ -292,7 +292,7 @@ def _lines_cases(rng):
             xs[i], exps[i] = xs[j], exps[j]
             if n % 2:
                 ys[i] = ys[j]
-        planted = _ColumnPoints(xs, ys, pre.index_bound, exps, pre.points.kick, p48)
+        planted = _ColumnPoints(xs, ys, pre.points.ks, exps, pre.points.kick, p48)
         cases += [(pre, p48), (pts, p48), (dataclasses.replace(pre, points=planted), p48)]
     big = MatrixParams(10**9, 10**9)  # object columns
     pre = enumerate_spectrum(KickedMapping(TableOffsets({1: 70, -2: 1}), kick=(0, 1)), big,
@@ -1063,7 +1063,7 @@ def _moved(pre, i, dx):
     """The canonical prefix with point i moved by (dx, 0), its points still columns."""
     xs = pre.points.xs.copy()
     xs[i] += dx
-    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.index_bound))
+    return dataclasses.replace(pre, points=_ColumnPoints(xs, pre.points.ys, pre.points.ks))
 
 
 def _three_reports(prefix, max_violations):
@@ -1180,7 +1180,7 @@ def test_gram_unitarity_matches_loop():
         vals = [(rng.randint(-size, size), rng.randint(-size, size)) for _ in range(3**n)]
         cases.append((n, _concrete(vals), P12))
         cols = [np.array(c, dtype=np.int64) for c in zip(*vals)]
-        cases.append((n, _ColumnPoints(*cols, (3**n - 1) // 2), P23))
+        cases.append((n, _ColumnPoints(*cols, np.arange(3**n) - 3**n // 2), P23))
     devs = [_assert_gram_matches_oracle(n, pts, p) for n, pts, p in cases]
     assert max(devs[:16] + devs[18:19]) < 1e-9  # the canonical and kicked spectra
     assert min(devs[16:18] + devs[19:]) > 0.1  # random points
@@ -1425,7 +1425,7 @@ def test_phase_table_hits_and_misses_agree():
     for p, level in ((P12, 6), (MatrixParams(1, 1000), 5), (MatrixParams(1, 1000), 6)):
         pre = enumerate_spectrum(CanonicalMapping(), p, level=level)
         cols = pre.points.xs, pre.points.ys
-        other = _ColumnPoints(*(c.copy() for c in cols), pre.index_bound)
+        other = _ColumnPoints(*(c.copy() for c in cols), pre.points.ks)
         listed = [dataclasses.replace(pt) for pt in other]
         xis = SamplingBox.for_params(p).samples(3, seed=2)
         dev = gram_unitarity(level, pre)  # builds `level` rows per axis
@@ -1483,10 +1483,10 @@ def test_a_list_of_a_prefix_points_shares_its_phase_table():
         for key, rows in kept.items():  # the same rows, none rebuilt
             assert len(pre.points.cache[key]) == len(rows)
             assert all(a is b for a, b in zip(pre.points.cache[key], rows))
-    # a split part reads its own rows, which no cache keeps
+    # a split part reads its own rows, and keeps its own cache
     kicked = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).prefix(40)
     f_part, _ = build_intermediate_spectrum(0.3, MatrixParams(4, 8)).split(kicked)
-    assert point_values(f_part).cache is None
+    assert point_values(f_part).cache is f_part.cache
     assert q_sum(xi, f_part, kicked.params) == q_sum(xi, [dataclasses.replace(pt) for pt in f_part],
                                                      kicked.params)
     assert set(kicked.points.cache) <= {"folded"}
