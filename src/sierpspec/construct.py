@@ -238,13 +238,15 @@ def coherent_perturbation_report(spec: IntermediateSpec, prefix: SpectrumPrefix)
     kick parent, and those branches are themselves kicked; the unkicked F_t
     part must come out untouched.  Reported per part for empirical inspection,
     from the prefix's folded columns (its points' bases) and the canonical
-    columns, building no point.
+    columns at the same k, building no point.
     """
     canonical = enumerate_spectrum(
         CanonicalMapping(), spec.params, index_bound=prefix.index_bound
     ).points
     xs, ys, _ = folded_columns(point_values(prefix.points))
-    changed = np.asarray((xs != canonical.xs) | (ys != canonical.ys), dtype=bool)
-    member = spec._member.mask(point_indices(prefix.points))
+    ks = point_indices(prefix.points)
+    rows = ks + prefix.index_bound  # each point's own k in the canonical columns
+    changed = np.asarray((xs != canonical.xs[rows]) | (ys != canonical.ys[rows]), dtype=bool)
+    member = spec._member.mask(ks)
     return {"f_part_changed": int(np.count_nonzero(changed & member)),
             "kicked_part_changed": int(np.count_nonzero(changed & ~member))}

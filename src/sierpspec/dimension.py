@@ -6,20 +6,24 @@ densest balls of these digit-generated sets center on points of the set, so
 candidate centers are the origin plus generated points; this is a documented
 heuristic, the true sup is over all of R^2).  Counting is exact, and each
 (point, center) pair is settled once for the whole scale grid on one of three
-paths.  Concrete points with coordinates below 2^30 against a concrete center
-num/den that keeps den x - nx and den y - ny below 2^31 are counted in int64
-numpy columns sorted by y, for every center and scale in one pass, each ball
-only over the slab of rows its radius can reach.  With bound =
-ceil(den^2 h^2) and X the largest |den x - nx| of any row, the slab's rows
-with |den y - ny| <= isqrt(bound - X^2 - 1) lie inside the ball whatever
+paths.  Concrete points with coordinates below 2^62 (``lattice.I64_COORD``)
+are counted in int64 numpy columns sorted by y against every concrete center
+num/den whose |num| and den |v| stay below 2^62 at all of them, so that
+den v - num is exact in int64: for every center and scale in one pass, each
+ball only over the slab of rows its radius can reach.  With bound =
+ceil(den^2 h^2) and X < 2^31 the largest |den x - nx| of any row, the slab's
+rows with |den y - ny| <= isqrt(bound - X^2 - 1) lie inside the ball whatever
 their x and count without a distance; only the other rows of the slab, its
-rim, are squared.  The columns come from ``lattice.folded_columns``, which
-hands a store's columns over as they are, with a kicked store's small kicks
-folded as its points' values fold them (once per store, which keeps them in
-its cache); ``treemap.resolve_points`` hands over a store's columns, and its
-params, for a prefix, for a list of its own points (``list(prefix.points)``)
-and for the parts of ``IntermediateSpec.split``, stores of the prefix's rows.
-Any other pair is first screened by magnitude bounds, computed from the same
+rim, are squared, each difference clipped at 2^31 - 1 so that no square
+wraps; a clipped row is out of every ball up to (2^31 - 1)^2, and in a
+larger one compared in Python ints.  The columns come from
+``lattice.folded_columns``, which hands a store's columns over as they are,
+with a kicked store's small kicks folded as its points' values fold them
+(once per store, which keeps them in its cache); ``treemap.resolve_points``
+hands over a store's columns, and its params, for a prefix, for a list of its
+own points (``list(prefix.points)``) and for the parts of
+``IntermediateSpec.split``, stores of the prefix's rows.  Any other pair is
+first screened by magnitude bounds, computed row by row from the same whole
 columns (``lattice.log2_bound_columns``): when those put point and center
 more than the largest scale apart on some axis, the pair is dropped
 unexpanded, so the huge coordinates of kicked points are never subtracted or
@@ -41,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import (
+    I64_COORD,
     Beatty,
     KickTerms,
     MatrixParams,
@@ -56,11 +61,7 @@ from .lattice import (
 )
 from .treemap import SpectrumPoint, point_indices, resolve_points
 
-# Concrete coordinates strictly below this in absolute value take the int64
-# branch: two differences of them square and add to less than 2^63.
-_I64_COORD = 2**30
 _I64_MAX = 2**63 - 1
-_SMALL_LOG2 = 30.0  # 2^30 bounds every int64-counted coordinate
 
 
 def _center_parts(center) -> tuple[SymVec, int]:
@@ -74,21 +75,6 @@ def _center_parts(center) -> tuple[SymVec, int]:
     return sym((int(cx * den), int(cy * den))), den
 
 
-def _int64_limits(c: SymVec, den: int) -> tuple[int, int] | None:
-    """For a concrete center num/den, per axis the largest m such that every
-    integer |v| <= m has |den v - num| < 2^31; None when there is no such m.
-
-    For |x| <= mx = (2^31 - 1 - |nx|) // den, |den x - nx| <= den mx + |nx| <=
-    2^31 - 1, and den |x| too, and the same on y: so den x - nx, den y - ny
-    and (den x - nx)^2 + (den y - ny)^2 <= 2 (2^31 - 1)^2 < 2^63 are exact in
-    int64.  den < 2^31 keeps den itself an int64 factor.
-    """
-    if c.terms or den >= 2**31:
-        return None
-    mx, my = ((2**31 - 1 - abs(b)) // den for b in c.base)
-    return (mx, my) if mx >= 0 and my >= 0 else None
-
-
 def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     """Per scale h, the most points at distance < h from any one of the centers.
 
@@ -97,17 +83,19 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     of points below it.  A pair takes one of three paths, tallied in the
     returned stats:
 
-    * int64: a concrete point with coordinates below 2^30 and a concrete
-      center whose den x - nx and den y - ny stay below 2^31 at that point
-      (``_int64_limits``), counted in numpy for every center and scale at
-      once (``_int64_ball_counts``).  Per ball only the slab of y-sorted
-      rows it can reach is read, |y - floor(cy)| < ceil(h) (one more for
-      den > 1).  The slab's inner rows, whose |den y - ny| is at most
-      Y = isqrt(bound - X^2 - 1) for X the largest |den x - nx| of any row,
-      count without a distance; only the rest, the ball's rim, is squared.
-      A kicked point and a kicked center with the same single kick term
-      take this path too when their bases differ by less than 2^31 on each
-      axis: the term cancels, and the bases' difference is the pair's;
+    * int64: a row of the folded columns below 2^62 (``lattice.I64_COORD``)
+      with no kick term, against a concrete center num/den whose |num| and
+      den |v| stay below 2^62 at every such row, so that den v - num is exact
+      in int64; counted in numpy for every center and scale at once
+      (``_int64_ball_counts``).  Per ball only the slab of y-sorted rows it
+      can reach is read, |y - floor(cy)| < ceil(h) (one more for den > 1).
+      The slab's inner rows, whose |den y - ny| is at most
+      Y = isqrt(bound - X^2 - 1) for X < 2^31 the largest |den x - nx| of
+      any row, count without a distance; only the rest, the ball's rim, is
+      squared, each difference clipped at 2^31 - 1 so that no square wraps.
+      A kicked point and a kicked center with the same single kick term take
+      this path too when their bases differ by less than 2^31 on each axis:
+      the term cancels, and the bases' difference is the pair's;
     * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``
       from the columns, ``lattice.log2_bound_columns``, shifted by log2 den
       for den * v) put den * v and num more than den times the largest scale
@@ -123,10 +111,10 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     """
     n = len(vecs)
     xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
-    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    small = (xs > -I64_COORD) & (xs < I64_COORD) & (ys > -I64_COORD) & (ys < I64_COORD)
     if terms is not None:
         small[terms.index] = False
-    rows, off = np.flatnonzero(small), np.flatnonzero(~small)
+    rows = np.flatnonzero(small)
     built = {}  # the SymVecs of points that face some center exactly
 
     def point(i):
@@ -142,7 +130,7 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
     order = None  # the int64 rows sorted by y, made for the first center that counts them
     # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
     reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
-    c_lo = c_hi = lo = hi = None  # magnitude bounds of the centers and the points off int64
+    c_lo = c_hi = lo = hi = None  # magnitude bounds of the centers and the points
     screens = {}  # per den, the point side of the screen
     center_parts = [_center_parts(center) for center in centers]
     # the largest exponent of a center, or of a point: none on the int64 path has a term
@@ -154,7 +142,7 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
         "max_exponent": top if terms is None else max(top, int(terms.exponent.max())),
     }
     counts = np.zeros((len(center_parts), len(scales)), dtype=np.int64)
-    slabbed = []  # (center, nx, ny, den, mx, my) for each center with int64 rows
+    slabbed = []  # (center, nx, ny, den) for each center that counts the int64 rows
     twins = []  # (center, dx, dy) for each point that shares a kicked center's one term
     for ci, (c, den) in enumerate(center_parts):
         if den not in bounds:
@@ -164,42 +152,37 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             bounds[den] = (exact, np.array([min(b, _I64_MAX) for b in exact], dtype=np.int64),
                            reach, math.ceil(reach))
         *_, reach, reach_ceil = bounds[den]
-        limits = _int64_limits(c, den) if rows.size else None
-        n_int64, left = 0, rows  # left: int64 rows not counted in int64
-        if limits is not None:
+        n_int64 = 0
+        if rows.size and not c.terms and max(map(abs, c.base)) < I64_COORD:
             if order is None:
                 order = rows[np.argsort(ys[rows], kind="stable")]
                 xs_s, ys_s = (col[order].astype(np.int64, copy=False) for col in (xs, ys))
-            mx, my = limits
-            if min(mx, my) < _I64_COORD - 1:  # some int64 rows are too far from this center
-                left = order[(np.abs(xs_s) > mx) | (np.abs(ys_s) > my)]
-            else:
-                left = rows[:0]
-            n_int64 = len(rows) - len(left)
-            if n_int64:
-                slabbed.append((ci, *c.base, den, mx, my))
-        if not off.size and not left.size:
+                # the largest |x| or |y| of a row, and at least 1
+                v_max = max(1, -int(xs_s.min()), int(xs_s.max()), -int(ys_s[0]), int(ys_s[-1]))
+            if den * v_max < I64_COORD:  # den v - num is exact in int64 at every row
+                n_int64 = len(rows)
+                slabbed.append((ci, *c.base, den))
+        if n_int64 == n:
             rest = []
         else:
             if c_lo is None:
                 c_lo, c_hi = log2_bound_columns(*value_columns([c for c, _ in center_parts]), p)
-                # every point with a term is off the int64 path: renumber its rows
-                off_terms = (None if terms is None else
-                             KickTerms(np.searchsorted(off, terms.index), *terms[1:]))
-                lo, hi = log2_bound_columns(xs[off], ys[off], off_terms, p)
-                alone = _single_terms(off_terms, len(off))
+                lo, hi = log2_bound_columns(xs, ys, terms, p)
+                alone = _single_terms(terms, n)
             screen = screens.get(den)
             if screen is None:  # the point side of the screen, per axis, for this den
                 # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
                 up = (den - 1).bit_length()
                 r = reach_log2 + up
-                screen = screens[den] = (up, r, (lo + (den.bit_length() - 1)).T.copy(),
-                                         (np.maximum(hi + up, r) + 1).T.copy())
-            up, r, v_lo, v_hi = screen
+                screen = screens[den] = ((lo + (den.bit_length() - 1)).T.copy(),
+                                         (np.maximum(hi + up, r) + 1).T.copy(), r)
+            v_lo, v_hi, r = screen
             # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
             c_far = np.maximum(c_hi[ci], r) + 1
             near = ~((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
                      | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
+            if n_int64:
+                near[rows] = False
             if len(c.terms) == 1:  # a kicked center, so den = 1
                 # v = b + A^e w and c = b_c + A^e w give v - c = b - b_c
                 e, w = c.terms[0]
@@ -208,16 +191,13 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
                     i = at[j]
                     if not near[i] or (wx[j], wy[j]) != w:
                         continue
-                    dx, dy = int(xs[off[i]]) - c.base[0], int(ys[off[i]]) - c.base[1]
+                    dx, dy = int(xs[i]) - c.base[0], int(ys[i]) - c.base[1]
                     d = max(abs(dx), abs(dy))
                     if d < min(reach_ceil, 2**31):
                         twins.append((ci, dx, dy))
                         n_int64 += 1
                     near[i] = reach_ceil > d >= 2**31  # else screened: beyond every ball
-            rest = [point(i) for i in off[near].tolist()]
-            # the other int64 rows, |den v| < 2^(30 + up), face this center exactly
-            if left.size and not (c_lo[ci] >= max(_SMALL_LOG2 + up, r) + 1).any():
-                rest += [point(i) for i in left.tolist()]
+            rest = [point(i) for i in np.flatnonzero(near).tolist()]
         stats["pairs_int64"] += n_int64
         stats["pairs_exact"] += len(rest)
         stats["pairs_screened"] += n - len(rest) - n_int64
@@ -240,8 +220,8 @@ def _max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
             counts[ci] = [bisect_left(d2s, bound) for bound in bounds[den][0]]
     if slabbed:
         at, *cols = np.array(slabbed, dtype=np.int64).T
-        limit = np.array([bounds[den][1] for den in cols[2].tolist()])
-        counts[at] += _int64_ball_counts(xs_s, ys_s, *cols, limit, scales)
+        exact = np.array([bounds[den][0] for den in cols[2].tolist()], dtype=object)
+        counts[at] += _int64_ball_counts(xs_s, ys_s, *cols, exact, scales)
     if twins:
         at, dx, dy = np.array(twins, dtype=np.int64).T
         # |dx|, |dy| < 2^31: the squared distance is exact in int64
@@ -264,38 +244,45 @@ def _single_terms(terms: KickTerms | None, n: int) -> tuple[list, ...]:
 # Rows gathered at once by _int64_ball_counts beyond those of one center: at
 # most this many, or the number of rows when that is more
 _RIM_ROWS = 2**16
+# Differences at most this in absolute value square and add below 2^63
+_D_MAX = 2**31 - 1
 
 
-def _int64_ball_counts(xs, ys, nx, ny, den, mx, my, bounds, scales) -> np.ndarray:
+def _int64_ball_counts(xs, ys, nx, ny, den, bounds, scales) -> np.ndarray:
     """Per center num/den and scale, the rows (xs, ys), sorted by y, with
-    (den x - nx)^2 + (den y - ny)^2 below the bound (int64, clamped at 2^63 - 1).
+    (den x - nx)^2 + (den y - ny)^2 below the bound (exact ints, centers x
+    scales).
 
-    Every |x|, |y| < 2^30, and den x - nx, den y - ny stay below 2^31 in
-    absolute value at the rows with |x| <= mx and |y| <= my (``_int64_limits``),
-    the only rows a center counts.  Returns a centers x scales array.
+    Every |nx|, |ny|, den |x| and den |y| is below 2^62, so den x - nx and
+    den y - ny are exact in int64.  A row whose difference passes 2^31 - 1
+    on some axis has a square of at least 2^62: it lies in no ball whose
+    bound is at most (2^31 - 1)^2, and in a larger one it is compared in
+    Python ints.  Returns a centers x scales array.
     """
     k = len(scales)
+    limit = np.array(np.minimum(bounds, _I64_MAX), dtype=np.int64)
     # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
-    # |y - floor(cy)| < 2^30 + 2^31 for every row, so wider slabs are all rows
-    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
+    # a slab of radius 2^62 - 1 or more is every row, and below that
+    # floor(cy) +- the radius (+ 1) stays within int64
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), I64_COORD - 1) for h in scales],
                      dtype=np.int64)
+    whole = radii == I64_COORD - 1
     # the slab of each ball, sorted rows [lo, hi): |y - floor(cy)| < radius, + 1 for den > 1
     cy_floor, wide = (ny // den)[:, None], radii + (den != 1)[:, None]
-    lo = np.searchsorted(ys, cy_floor - wide, side="right")
-    hi = np.searchsorted(ys, cy_floor + wide, side="left")
-    # The inner range.  |den x - nx| <= X at every row.  When bound - X^2 >= 1
-    # and Y = isqrt(bound - X^2 - 1), a row with |den y - ny| <= Y has
-    # (den x - nx)^2 + (den y - ny)^2 <= X^2 + Y^2 <= bound - 1, so it is in
-    # the ball whatever its x.  X < 2^31 for a center whose limits hold every
-    # row; one whose limits exclude some rows gets no inner range, so its
-    # rim, the whole slab, is checked against its limits row by row.  When
-    # the true bound passes 2^63 - 1, the clamped one still gives Y >= 2^31,
-    # above every |den y - ny|: every row of the slab is inner either way.
-    x_lo, x_hi = xs.min(), xs.max()
-    every = (mx >= max(-x_lo, x_hi)) & (my >= max(-ys[0], ys[-1]))
-    x_far = np.where(every, np.maximum(np.abs(den * x_lo - nx), np.abs(den * x_hi - nx)), 0)
-    room = bounds - (x_far * x_far)[:, None] - 1
-    inner = (room >= 0) & every[:, None]
+    lo = np.where(whole, 0, np.searchsorted(ys, cy_floor - wide, side="right"))
+    hi = np.where(whole, len(ys), np.searchsorted(ys, cy_floor + wide, side="left"))
+    # The inner range.  |den x - nx| <= X at every row.  When X <= 2^31 - 1,
+    # bound - X^2 >= 1 and Y = isqrt(bound - X^2 - 1), a row with
+    # |den y - ny| <= Y has (den x - nx)^2 + (den y - ny)^2 <= X^2 + Y^2 <=
+    # bound - 1, so it is in the ball whatever its x.  A center with a larger
+    # X gets no inner range: its rim is the whole slab.  The bound clamped at
+    # 2^63 - 1 gives a smaller Y, which is as true.
+    x_far = np.maximum(np.abs(den * xs.min() - nx), np.abs(den * xs.max() - nx))
+    y_far = np.maximum(np.abs(den * ys[0] - ny), np.abs(den * ys[-1] - ny))
+    close = (x_far <= _D_MAX) & (y_far <= _D_MAX)  # no row of the center passes 2^31 - 1
+    x_far = np.minimum(x_far, _D_MAX + 1)
+    room = limit - (x_far * x_far)[:, None] - 1
+    inner = (room >= 0) & (x_far <= _D_MAX)[:, None]
     y_in = np.zeros(room.shape, dtype=np.int64)
     y_in[inner] = [math.isqrt(r) for r in room[inner].tolist()]
     # rows with ceil((ny - Y) / den) <= y <= floor((ny + Y) / den): Y < den h,
@@ -321,11 +308,20 @@ def _int64_ball_counts(xs, ys, nx, ny, den, mx, my, bounds, scales) -> np.ndarra
         idx = np.arange(total) + np.repeat(starts[c0:c1].ravel() - (ends - size), size)
         ball = np.repeat(np.arange(len(size)) // 2, size)  # (center - c0) * k + scale
         c = ball // k + c0
-        x, y = xs[idx], ys[idx]
-        dx, dy = x * den[c] - nx[c], y * den[c] - ny[c]
-        hit = dx * dx + dy * dy < bounds[c0:c1].ravel()[ball]
-        if not every[c0:c1].all():  # rows beyond a center's limits may have wrapped
-            hit &= (np.abs(x) <= mx[c]) & (np.abs(y) <= my[c])
+        dx, dy = xs[idx] * den[c] - nx[c], ys[idx] * den[c] - ny[c]
+        within = limit[c0:c1].ravel()[ball]
+        if close[c0:c1].all():
+            hit = dx * dx + dy * dy < within
+        else:  # clip the differences so that no square wraps
+            far = (np.abs(dx) > _D_MAX) | (np.abs(dy) > _D_MAX)
+            cx, cy = np.clip(dx, -_D_MAX, _D_MAX), np.clip(dy, -_D_MAX, _D_MAX)
+            hit = cx * cx + cy * cy < within
+            # a clipped row is at least (2^31 - 1)^2 off, so it is out of every
+            # smaller ball; in a larger one its true square decides
+            big = np.flatnonzero(far & (within > _D_MAX * _D_MAX))
+            if big.size:
+                dx, dy = dx[big].astype(object), dy[big].astype(object)
+                hit[big] = dx * dx + dy * dy < bounds[c0:c1].ravel()[ball[big]]
         counts[c0:c1] += np.bincount(ball[hit], minlength=len(size) // 2).reshape(-1, k)
     return counts
 
@@ -334,8 +330,8 @@ def count_in_ball(points, center, h, p: MatrixParams | None = None) -> int:
     """Exact number of points at Euclidean distance < h from the center.
 
     The center is a lattice point or a pair of rationals.  Concrete points
-    with coordinates below 2^30 are counted in int64 against a concrete
-    center num/den wherever den x - nx and den y - ny stay below 2^31.  A
+    with coordinates below 2^62 are counted in int64 against a concrete
+    center num/den whose |num| and den |v| stay below 2^62 at all of them.  A
     point whose magnitude bounds put it beyond h of the center on some axis
     is dropped unexpanded, so huge coordinates are never squared;
     every other point costs one exact distance.
@@ -401,13 +397,13 @@ def beurling_dim_estimate(
     centers: "origin", "points", "sample:N" (origin plus a seeded sample of
     generated points), or an explicit list.  Counting is exact; the regression
     is an estimate whose window the caller controls.  Each (point, center)
-    pair is settled once for the whole grid: in int64 when the point's
-    coordinates are below 2^30 and those of den * point - num below 2^31,
-    for a concrete center num/den; else dropped unexpanded when
-    magnitude bounds put the two beyond the largest scale on some axis; else
-    by one exact distance.  ``stats`` counts the pairs of
-    each path (``pairs_int64``, ``pairs_screened``, ``pairs_exact``) and the
-    largest symbolic exponent among points and centers (``max_exponent``).
+    pair is settled once for the whole grid: in int64 when the point is
+    concrete and below 2^62, against a concrete center num/den whose |num|
+    and den |v| stay below 2^62 at every such point; else dropped unexpanded
+    when magnitude bounds put the two beyond the largest scale on some axis;
+    else by one exact distance.  ``stats`` counts the pairs of each path
+    (``pairs_int64``, ``pairs_screened``, ``pairs_exact``) and the largest
+    symbolic exponent among points and centers (``max_exponent``).
 
     The Beurling dimension is a limit as h -> oo, and a finite window is
     biased for sets of dimension zero: counts that grow like log h give a

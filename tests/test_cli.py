@@ -214,6 +214,28 @@ def test_dim_stats_flag_prints_pair_counts_on_stderr():
     assert paths == 729 * 10  # points x (the origin and 9 sampled centers)
     assert stats[0]["max_exponent"] == 0
 
+
+def test_dim_counts_a_kicked_family_without_exact_pairs(capsys):
+    """The t=0.3 family at |k| <= 3,280: every concrete point, up to 2^49 here,
+    counts in int64, so no pair is left to the exact test, and stdout keeps
+    the counts and slope it had when 2,916 pairs were exact."""
+    flags = ["dim", "--q1", "4", "--q2", "8", "--construct-t", "0.3", "--range", "3280",
+             "--scale-exps", "1:6"]
+    assert main(flags) == 0
+    plain = capsys.readouterr().out
+    assert main(flags + ["--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["h"], r["count"]) for r in records[:-1]] == [
+        (str(24**j), c) for j, c in zip(range(1, 7), (1, 5, 11, 29, 83, 247))]
+    assert math.isclose(records[-1]["slope"], 0.3321399312607495, rel_tol=1e-12)
+    stats = [json.loads(line)["stats"] for line in err.splitlines()
+             if line.startswith('{"stats"')]
+    assert len(stats) == 1 and stats[0]["pairs_exact"] == 0
+    paths = stats[0]["pairs_int64"] + stats[0]["pairs_screened"] + stats[0]["pairs_exact"]
+    assert paths == 6561 * 65  # points x (the origin and 64 sampled centers)
+
 def test_verify_unitarity_and_qsum_flags():
     res = run_cli(["verify", "--q1", "1", "--q2", "1", "--level", "3",
                    "--unitarity", "2", "--qsum", "3"])

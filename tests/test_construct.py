@@ -186,14 +186,14 @@ def test_central_points_and_indices_of_a_part():
 
 
 def _oracle_coherent_perturbation_report(spec, prefix):
-    """``coherent_perturbation_report`` before it read columns: every point of
-    both prefixes built and compared."""
+    """``coherent_perturbation_report`` as a loop over built points: each point
+    of the prefix compared with the canonical point of its k."""
     canonical = enumerate_spectrum(
         CanonicalMapping(), spec.params, index_bound=prefix.index_bound
     )
     f_changed = kicked_changed = 0
-    for pt, ref in zip(prefix.points, canonical.points):
-        if pt.value.base != ref.value.base:
+    for pt in prefix.points:
+        if pt.value.base != canonical.point(pt.k).value.base:
             if spec.gamma_t_contains(pt.k):
                 f_changed += 1
             else:
@@ -222,6 +222,27 @@ def test_coherent_perturbation_report_matches_the_point_loop():
                         reports.append(got)
     assert any(r["kicked_part_changed"] for r in reports)
     assert not any(r["f_part_changed"] for r in reports)
+
+
+def test_coherent_perturbation_report_pairs_points_by_k():
+    """A prefix whose points are a tuple in another order, or only some of
+    them, is compared with the canonical point of each point's k."""
+    rng = random.Random(5)
+    for t, bound in ((0.3, 40), (0.15, 121)):
+        spec = build_intermediate_spectrum(t, P48)
+        pre = spec.prefix(bound)
+        points = list(pre.points)
+        shuffled = rng.sample(points, len(points))
+        even = [pt for pt in points if pt.k % 2 == 0]
+        reports = []
+        for kind in (shuffled, even, points[::-3]):
+            part = dataclasses.replace(pre, points=tuple(kind))
+            got = coherent_perturbation_report(spec, part)
+            assert got == _oracle_coherent_perturbation_report(spec, part)
+            reports.append(got)
+        whole = coherent_perturbation_report(spec, pre)
+        assert reports[0] == whole and whole["f_part_changed"] == 0
+        assert 0 < reports[1]["kicked_part_changed"] < whole["kicked_part_changed"]
 
 
 def test_family_variants_distinct():

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -31,7 +31,7 @@ from sierpspec.dimension import (
     lacunary_check,
     support_hausdorff_dim,
 )
-from sierpspec.dimension import _int64_limits, _max_ball_counts, _resolve_centers
+from sierpspec.dimension import _max_ball_counts, _resolve_centers, _single_terms
 from sierpspec import dimension, treemap
 from sierpspec.lattice import (
     ColumnValues,
@@ -451,50 +451,55 @@ def _oracle_max_ball_counts(vecs, centers, scales, p):
     return best, stats
 
 
-def _moved_to_int64(vecs, centers, stats):
-    """The oracle kernels' ``stats`` with the pairs that now count in int64: a
-    concrete point with coordinates below 2^30 against a concrete center
-    num/den, den < 2^31, with den |x| + |nx| < 2^31 and den |y| + |ny| < 2^31.
-    The oracles settle those pairs exactly unless the center is an integer
-    one below 2^30, whose pairs were int64 already."""
-    small = [v.base for v in vecs if _is_small(v)]
-    moved = 0
-    for center in centers:
-        c, den = _center_parts(center)
-        if c.terms or den >= 2**31 or (den == 1 and _is_small(c)):
-            continue
-        nx, ny = map(abs, c.base)
-        moved += sum(den * abs(x) + nx < 2**31 and den * abs(y) + ny < 2**31 for x, y in small)
-    return {**stats, "pairs_int64": stats["pairs_int64"] + moved,
-            "pairs_exact": stats["pairs_exact"] - moved}
+_PATHS = ("pairs_int64", "pairs_screened", "pairs_exact")
 
 
-def _moved_off_exact(vecs, centers, scales, p, stats):
-    """The oracle kernels' ``stats`` with the pairs that a shared kick term now
-    settles: a point and a center with the same single term A^e w, which the
-    magnitude screen leaves to the exact test.  Their difference is that of
-    their bases: below 2^31 and the largest scale on both axes it counts in
-    int64, and at the largest scale or beyond on some axis it is screened."""
-    reach = Fraction(max(scales))
-    r = float(math.ceil(reach).bit_length())
-    int64 = screened = 0
-    for center in centers:
-        c, _ = _center_parts(center)
-        if len(c.terms) != 1:
-            continue
-        c_lo, c_hi = np.array(_oracle_log2_bounds(c, p)).T
-        for v in vecs:
-            if v.terms != c.terms:
-                continue
-            v_lo, v_hi = np.array(_oracle_log2_bounds(v, p)).T
-            if ((v_lo >= np.maximum(c_hi, r) + 1) | (c_lo >= np.maximum(v_hi, r) + 1)).any():
-                continue
-            d = max(abs(v.base[0] - c.base[0]), abs(v.base[1] - c.base[1]))
-            int64 += d < min(reach, 2**31)
-            screened += d >= reach
-    return {**stats, "pairs_int64": stats["pairs_int64"] + int64,
-            "pairs_screened": stats["pairs_screened"] + screened,
-            "pairs_exact": stats["pairs_exact"] - int64 - screened}
+def _one_rule_stats(vecs, centers, scales, p):
+    """The kernel's ``stats`` under the one int64 rule, worked out pair by pair.
+
+    A concrete point below 2^62 counts in int64 against a concrete center
+    num/den with |num| < 2^62 and den m < 2^62, m the largest coordinate of
+    such a point in absolute value (at least 1).  Any other pair is screened
+    when its magnitude bounds put point and center more than the largest
+    scale apart on some axis.  A point and a kicked center with the same
+    single term settle on their bases: in int64 below 2^31 and the largest
+    scale, screened at the largest scale or beyond.  Every pair left is exact.
+    """
+    vecs = list(vecs)
+    parts = [_center_parts(center) for center in centers]
+    rows = [not v.terms and max(map(abs, v.base)) < 2**62 for v in vecs]
+    m = max([1] + [abs(a) for v, row in zip(vecs, rows) if row for a in v.base])
+    reach = math.ceil(Fraction(max(scales)))
+    stats = dict.fromkeys(_PATHS, 0)
+    stats["max_exponent"] = max((e for v in [*vecs, *(c for c, _ in parts)] for e, _ in v.terms),
+                                default=0)
+    bounds = {}  # per point, (lo, hi) per axis
+    for c, den in parts:
+        fast = (any(rows) and not c.terms and max(map(abs, c.base)) < 2**62
+                and den * m < 2**62)
+        up = (den - 1).bit_length()
+        r = reach.bit_length() + up
+        (cx_lo, cx_hi), (cy_lo, cy_hi) = _oracle_log2_bounds(c, p)
+        for i, (v, row) in enumerate(zip(vecs, rows)):
+            if fast and row:
+                path = "pairs_int64"
+            else:
+                if i not in bounds:
+                    bounds[i] = _oracle_log2_bounds(v, p)
+                (x_lo, x_hi), (y_lo, y_hi) = bounds[i]
+                shift = den.bit_length() - 1
+                far = (x_lo + shift >= max(cx_hi, r) + 1 or y_lo + shift >= max(cy_hi, r) + 1
+                       or cx_lo >= max(x_hi + up, r) + 1 or cy_lo >= max(y_hi + up, r) + 1)
+                if far:
+                    path = "pairs_screened"
+                elif len(c.terms) == 1 and v.terms == c.terms:
+                    d = max(abs(v.base[0] - c.base[0]), abs(v.base[1] - c.base[1]))
+                    path = ("pairs_int64" if d < min(reach, 2**31)
+                            else "pairs_screened" if d >= reach else "pairs_exact")
+                else:
+                    path = "pairs_exact"
+            stats[path] += 1
+    return stats
 
 
 P18 = MatrixParams(1, 8)
@@ -556,9 +561,8 @@ def _slab_cases():
 def test_slab_kernel_matches_oracle(case):
     _, points, centers, scales, p = case
     old_vecs, _ = _oracle_as_symvecs(points, p)
-    counts, stats = _oracle_max_ball_counts(old_vecs, centers, scales, p)
-    stats = _moved_to_int64(old_vecs, centers, stats)
-    want = counts, _moved_off_exact(old_vecs, centers, scales, p, stats)
+    counts, _ = _oracle_max_ball_counts(old_vecs, centers, scales, p)
+    want = counts, _one_rule_stats(old_vecs, centers, scales, p)
     _, vecs, _ = resolve_points(points, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     assert _max_ball_counts(old_vecs, centers, scales, p) == want
@@ -711,9 +715,7 @@ def test_value_columns_leave_ball_counts_unchanged(value_column_cases):
         assert balls == [_oracle_max_ball_counts(vecs, [c], [h], p)[0][0]
                          for c in centers for h in scales[:3]], name
         for est, ref, (c, s) in zip(got, want, runs):
-            center_list = _resolve_centers(vecs, c, s)
-            stats = _moved_to_int64(vecs, center_list, ref.stats)
-            stats = _moved_off_exact(vecs, center_list, scales, p, stats)
+            stats = _one_rule_stats(vecs, _resolve_centers(vecs, c, s), scales, p)
             assert est == ref and est.stats == stats, name
 
 
@@ -916,11 +918,13 @@ def _rim_cases():
 def test_one_pass_int64_counts_match_per_center_kernel(case):
     name, points, centers, scales, p = case
     _, vecs, _ = resolve_points(points, p)
-    want = _per_center_max_ball_counts(vecs, centers, scales, p)
+    want = _per_center_max_ball_counts(vecs, centers, scales, p)[0]
+    want = want, _one_rule_stats(vecs, centers, scales, p)
     assert _max_ball_counts(vecs, centers, scales, p) == want  # counts and stats
     for c in centers:  # every ball, not only the densest
         got = [_max_ball_counts(vecs, [c], [h], p) for h in scales]
-        assert got == [_per_center_max_ball_counts(vecs, [c], [h], p) for h in scales]
+        assert got == [(_per_center_max_ball_counts(vecs, [c], [h], p)[0],
+                         _one_rule_stats(vecs, [c], [h], p)) for h in scales]
     if name == "d2 at bound - 1 and bound":
         d2s = {(x - 3) ** 2 + (y + 5) ** 2 for x, y in points}
         assert {8, 9, 80, 81, 288, 289} <= d2s  # h = 3, 9, 17
@@ -942,11 +946,10 @@ def test_one_pass_int64_counts_on_canonical_prefixes():
     order = np.argsort(pre.points.ys, kind="stable")
     xs, ys = pre.points.xs[order], pre.points.ys[order]
     nx, ny = (np.array([c.base[axis] for c in centers]) for axis in (0, 1))
-    ones, limit = np.ones_like(nx), np.full_like(nx, 2**30 - 1)
     bounds = np.array([[h * h for h in scales]] * len(centers))
     want = [[np.count_nonzero((xs - x) ** 2 + (ys - y) ** 2 < b) for b in row]
             for x, y, row in zip(nx, ny, bounds)]
-    assert dimension._int64_ball_counts(xs, ys, nx, ny, ones, limit, limit, bounds,
+    assert dimension._int64_ball_counts(xs, ys, nx, ny, np.ones_like(nx), bounds,
                                         scales).tolist() == want
     pre = enumerate_spectrum(CanonicalMapping(), P12, level=11)
     _, vecs, p = resolve_points(pre)
@@ -974,8 +977,335 @@ def test_shared_kick_term_pairs_leave_the_exact_test():
             assert got == _brute_counts(vecs, c, scales, P48)
         _, stats = _max_ball_counts(vecs, centers, scales, P48)
         _, old = _oracle_max_ball_counts(vecs, centers, scales, P48)
-        want = _moved_off_exact(vecs, centers, scales, P48, _moved_to_int64(vecs, centers, old))
-        assert stats == want and want["pairs_exact"] < old["pairs_exact"]
+        assert stats == _one_rule_stats(vecs, centers, scales, P48)
+        assert stats["pairs_exact"] < old["pairs_exact"]
+
+
+# The ball-counting kernel before every int64 row counted on its exact
+# difference, kept verbatim as the oracle for that rule: a row counted in int64
+# only below 2^30, against a center that kept den v - num below 2^31 there
+# (``_int64_limits``), and every other int64 row went to the exact test.
+def _int64_limits(c: SymVec, den: int) -> tuple[int, int] | None:
+    """For a concrete center num/den, per axis the largest m such that every
+    integer |v| <= m has |den v - num| < 2^31; None when there is no such m.
+
+    For |x| <= mx = (2^31 - 1 - |nx|) // den, |den x - nx| <= den mx + |nx| <=
+    2^31 - 1, and den |x| too, and the same on y: so den x - nx, den y - ny
+    and (den x - nx)^2 + (den y - ny)^2 <= 2 (2^31 - 1)^2 < 2^63 are exact in
+    int64.  den < 2^31 keeps den itself an int64 factor.
+    """
+    if c.terms or den >= 2**31:
+        return None
+    mx, my = ((2**31 - 1 - abs(b)) // den for b in c.base)
+    return (mx, my) if mx >= 0 and my >= 0 else None
+
+
+def _parent_max_ball_counts(vecs, centers, scales, p) -> tuple[list[int], dict]:
+    """Per scale h, the most points at distance < h from any one of the centers.
+
+    For a center num/den, each point's den^2 |v - center|^2 is compared,
+    exactly, with bound = ceil(den^2 h^2), and the count at h is the number
+    of points below it.  A pair takes one of three paths, tallied in the
+    returned stats:
+
+    * int64: a concrete point with coordinates below 2^30 and a concrete
+      center whose den x - nx and den y - ny stay below 2^31 at that point
+      (``_int64_limits``), counted in numpy for every center and scale at
+      once (``_int64_ball_counts``).  Per ball only the slab of y-sorted
+      rows it can reach is read, |y - floor(cy)| < ceil(h) (one more for
+      den > 1).  The slab's inner rows, whose |den y - ny| is at most
+      Y = isqrt(bound - X^2 - 1) for X the largest |den x - nx| of any row,
+      count without a distance; only the rest, the ball's rim, is squared.
+      A kicked point and a kicked center with the same single kick term
+      take this path too when their bases differ by less than 2^31 on each
+      axis: the term cancels, and the bases' difference is the pair's;
+    * screened: any other pair whose magnitude bounds (``scalar_log2_bounds``
+      from the columns, ``lattice.log2_bound_columns``, shifted by log2 den
+      for den * v) put den * v and num more than den times the largest scale
+      apart on some axis, or whose shared kick term leaves bases that far
+      apart.  A bound only drops a pair that the exact test rejects too, so
+      no float decides a count;
+    * exact: every pair left, through ``sym_diff`` and ``scalar_abs_lt``.
+
+    Bounds are computed only when some pair is off the int64 path.  ``vecs``
+    may be ``lattice.ColumnValues``: the columns are read as they are, and a
+    ``SymVec`` is built only for a point that some center sends to the exact
+    test.
+    """
+    n = len(vecs)
+    xs, ys, terms = folded_columns(vecs)  # int64, or exact objects past 2^62
+    small = (xs > -_I64_COORD) & (xs < _I64_COORD) & (ys > -_I64_COORD) & (ys < _I64_COORD)
+    if terms is not None:
+        small[terms.index] = False
+    rows, off = np.flatnonzero(small), np.flatnonzero(~small)
+    built = {}  # the SymVecs of points that face some center exactly
+
+    def point(i):
+        v = built.get(i)
+        if v is None:
+            v = built[i] = vecs[i]
+        return v
+
+    h2s = [Fraction(h) ** 2 for h in scales]
+    # per den: ceil(den^2 h^2) per scale, as ints and clamped to int64, and
+    # den times the largest scale, as it is and rounded up
+    bounds = {}
+    order = None  # the int64 rows sorted by y, made for the first center that counts them
+    # 2^reach_log2 > every scale: a pair further apart on some axis is in no ball
+    reach_log2 = float(math.ceil(Fraction(max(scales))).bit_length())
+    c_lo = c_hi = lo = hi = None  # magnitude bounds of the centers and the points off int64
+    screens = {}  # per den, the point side of the screen
+    center_parts = [_center_parts(center) for center in centers]
+    # the largest exponent of a center, or of a point: none on the int64 path has a term
+    top = max((e for c, _ in center_parts for e, _ in c.terms), default=0)
+    stats = {
+        "pairs_int64": 0,
+        "pairs_screened": 0,
+        "pairs_exact": 0,
+        "max_exponent": top if terms is None else max(top, int(terms.exponent.max())),
+    }
+    counts = np.zeros((len(center_parts), len(scales)), dtype=np.int64)
+    slabbed = []  # (center, nx, ny, den, mx, my) for each center with int64 rows
+    twins = []  # (center, dx, dy) for each point that shares a kicked center's one term
+    for ci, (c, den) in enumerate(center_parts):
+        if den not in bounds:
+            # an integer is below den^2 h^2 exactly when it is below its ceiling
+            exact = [-(-h2.numerator * den * den // h2.denominator) for h2 in h2s]
+            reach = Fraction(max(scales)) * den
+            bounds[den] = (exact, np.array([min(b, _I64_MAX) for b in exact], dtype=np.int64),
+                           reach, math.ceil(reach))
+        *_, reach, reach_ceil = bounds[den]
+        limits = _int64_limits(c, den) if rows.size else None
+        n_int64, left = 0, rows  # left: int64 rows not counted in int64
+        if limits is not None:
+            if order is None:
+                order = rows[np.argsort(ys[rows], kind="stable")]
+                xs_s, ys_s = (col[order].astype(np.int64, copy=False) for col in (xs, ys))
+            mx, my = limits
+            if min(mx, my) < _I64_COORD - 1:  # some int64 rows are too far from this center
+                left = order[(np.abs(xs_s) > mx) | (np.abs(ys_s) > my)]
+            else:
+                left = rows[:0]
+            n_int64 = len(rows) - len(left)
+            if n_int64:
+                slabbed.append((ci, *c.base, den, mx, my))
+        if not off.size and not left.size:
+            rest = []
+        else:
+            if c_lo is None:
+                c_lo, c_hi = log2_bound_columns(*value_columns([c for c, _ in center_parts]), p)
+                # every point with a term is off the int64 path: renumber its rows
+                off_terms = (None if terms is None else
+                             KickTerms(np.searchsorted(off, terms.index), *terms[1:]))
+                lo, hi = log2_bound_columns(xs[off], ys[off], off_terms, p)
+                alone = _single_terms(off_terms, len(off))
+            screen = screens.get(den)
+            if screen is None:  # the point side of the screen, per axis, for this den
+                # den * v against c: 2^(bit_length - 1) <= den <= 2^up, and 2^r > reach
+                up = (den - 1).bit_length()
+                r = reach_log2 + up
+                screen = screens[den] = (up, r, (lo + (den.bit_length() - 1)).T.copy(),
+                                         (np.maximum(hi + up, r) + 1).T.copy())
+            up, r, v_lo, v_hi = screen
+            # |den v - c| > 2^(lo_v - 1) >= 2^r once lo_v >= max(hi_c, r) + 1
+            c_far = np.maximum(c_hi[ci], r) + 1
+            near = ~((v_lo[0] >= c_far[0]) | (v_lo[1] >= c_far[1])
+                     | (c_lo[ci, 0] >= v_hi[0]) | (c_lo[ci, 1] >= v_hi[1]))
+            if len(c.terms) == 1:  # a kicked center, so den = 1
+                # v = b + A^e w and c = b_c + A^e w give v - c = b - b_c
+                e, w = c.terms[0]
+                exps, at, wx, wy = alone
+                for j in range(bisect_left(exps, e), bisect_right(exps, e)):
+                    i = at[j]
+                    if not near[i] or (wx[j], wy[j]) != w:
+                        continue
+                    dx, dy = int(xs[off[i]]) - c.base[0], int(ys[off[i]]) - c.base[1]
+                    d = max(abs(dx), abs(dy))
+                    if d < min(reach_ceil, 2**31):
+                        twins.append((ci, dx, dy))
+                        n_int64 += 1
+                    near[i] = reach_ceil > d >= 2**31  # else screened: beyond every ball
+            rest = [point(i) for i in off[near].tolist()]
+            # the other int64 rows, |den v| < 2^(30 + up), face this center exactly
+            if left.size and not (c_lo[ci] >= max(_SMALL_LOG2 + up, r) + 1).any():
+                rest += [point(i) for i in left.tolist()]
+        stats["pairs_int64"] += n_int64
+        stats["pairs_exact"] += len(rest)
+        stats["pairs_screened"] += n - len(rest) - n_int64
+        if rest:
+            d2s = []
+            for v in rest:
+                if den != 1:
+                    v = SymVec((v.base[0] * den, v.base[1] * den),
+                               tuple((e, (x * den, y * den)) for e, (x, y) in v.terms))
+                d = sym_diff(v, c)
+                coords = []
+                for axis in (0, 1):
+                    b, parts, B = scalar_parts(d, p, axis)
+                    if not scalar_abs_lt(b, parts, B, reach):
+                        break
+                    coords.append(scalar_materialize(b, parts, B))
+                else:
+                    d2s.append(coords[0] ** 2 + coords[1] ** 2)
+            d2s.sort()
+            counts[ci] = [bisect_left(d2s, bound) for bound in bounds[den][0]]
+    if slabbed:
+        at, *cols = np.array(slabbed, dtype=np.int64).T
+        limit = np.array([bounds[den][1] for den in cols[2].tolist()])
+        counts[at] += _parent_int64_ball_counts(xs_s, ys_s, *cols, limit, scales)
+    if twins:
+        at, dx, dy = np.array(twins, dtype=np.int64).T
+        # |dx|, |dy| < 2^31: the squared distance is exact in int64
+        inside = (dx * dx + dy * dy)[:, None] < bounds[1][1]
+        hits = (at[:, None] * len(scales) + np.arange(len(scales)))[inside]
+        counts += np.bincount(hits, minlength=counts.size).reshape(counts.shape)
+    return counts.max(0, initial=0).tolist(), stats
+
+
+# Rows gathered at once by _int64_ball_counts beyond those of one center: at
+# most this many, or the number of rows when that is more
+_RIM_ROWS = 2**16
+
+
+def _parent_int64_ball_counts(xs, ys, nx, ny, den, mx, my, bounds, scales) -> np.ndarray:
+    """Per center num/den and scale, the rows (xs, ys), sorted by y, with
+    (den x - nx)^2 + (den y - ny)^2 below the bound (int64, clamped at 2^63 - 1).
+
+    Every |x|, |y| < 2^30, and den x - nx, den y - ny stay below 2^31 in
+    absolute value at the rows with |x| <= mx and |y| <= my (``_int64_limits``),
+    the only rows a center counts.  Returns a centers x scales array.
+    """
+    k = len(scales)
+    # slab radii ceil(|h|), at least 1 so that no slab is an inverted row range;
+    # |y - floor(cy)| < 2^30 + 2^31 for every row, so wider slabs are all rows
+    radii = np.array([min(max(math.ceil(abs(Fraction(h))), 1), 2**32) for h in scales],
+                     dtype=np.int64)
+    # the slab of each ball, sorted rows [lo, hi): |y - floor(cy)| < radius, + 1 for den > 1
+    cy_floor, wide = (ny // den)[:, None], radii + (den != 1)[:, None]
+    lo = np.searchsorted(ys, cy_floor - wide, side="right")
+    hi = np.searchsorted(ys, cy_floor + wide, side="left")
+    # The inner range.  |den x - nx| <= X at every row.  When bound - X^2 >= 1
+    # and Y = isqrt(bound - X^2 - 1), a row with |den y - ny| <= Y has
+    # (den x - nx)^2 + (den y - ny)^2 <= X^2 + Y^2 <= bound - 1, so it is in
+    # the ball whatever its x.  X < 2^31 for a center whose limits hold every
+    # row; one whose limits exclude some rows gets no inner range, so its
+    # rim, the whole slab, is checked against its limits row by row.  When
+    # the true bound passes 2^63 - 1, the clamped one still gives Y >= 2^31,
+    # above every |den y - ny|: every row of the slab is inner either way.
+    x_lo, x_hi = xs.min(), xs.max()
+    every = (mx >= max(-x_lo, x_hi)) & (my >= max(-ys[0], ys[-1]))
+    x_far = np.where(every, np.maximum(np.abs(den * x_lo - nx), np.abs(den * x_hi - nx)), 0)
+    room = bounds - (x_far * x_far)[:, None] - 1
+    inner = (room >= 0) & every[:, None]
+    y_in = np.zeros(room.shape, dtype=np.int64)
+    y_in[inner] = [math.isqrt(r) for r in room[inner].tolist()]
+    # rows with ceil((ny - Y) / den) <= y <= floor((ny + Y) / den): Y < den h,
+    # so these lie within the slab; a ball with no inner range gets [lo, lo)
+    y_lo = -((y_in - ny[:, None]) // den[:, None])
+    a = np.where(inner, np.searchsorted(ys, y_lo, side="left"), lo)
+    b = np.where(inner, np.searchsorted(ys, (ny[:, None] + y_in) // den[:, None], side="right"),
+                 lo)
+    counts = b - a
+    # the rim: rows [lo, a) and [b, hi) of each ball, all balls end to end
+    starts = np.stack([lo, b], axis=-1).reshape(len(nx), -1)
+    sizes = np.stack([a - lo, hi - b], axis=-1).reshape(len(nx), -1)
+    per_center = sizes.sum(axis=1)
+    # centers in chunks that gather about max(len(ys), _RIM_ROWS) rows each
+    chunk = (np.cumsum(per_center) - per_center) // max(len(ys), _RIM_ROWS)
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
+    for c0, c1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(nx)]):
+        size = sizes[c0:c1].ravel()
+        total = int(size.sum())
+        if not total:
+            continue
+        ends = np.cumsum(size)
+        idx = np.arange(total) + np.repeat(starts[c0:c1].ravel() - (ends - size), size)
+        ball = np.repeat(np.arange(len(size)) // 2, size)  # (center - c0) * k + scale
+        c = ball // k + c0
+        x, y = xs[idx], ys[idx]
+        dx, dy = x * den[c] - nx[c], y * den[c] - ny[c]
+        hit = dx * dx + dy * dy < bounds[c0:c1].ravel()[ball]
+        if not every[c0:c1].all():  # rows beyond a center's limits may have wrapped
+            hit &= (np.abs(x) <= mx[c]) & (np.abs(y) <= my[c])
+        counts[c0:c1] += np.bincount(ball[hit], minlength=len(size) // 2).reshape(-1, k)
+    return counts
+
+
+E62 = 2**62 - 1  # the largest |coordinate| of an int64 row
+
+
+def _one_rule_cases():
+    """(id, points, centers, scales, params) for the one int64 rule."""
+    rng = random.Random(20261022)
+    # rows at and next to +-(2^62 - 1), small rows and coincident points;
+    # differences reach 2^63 - 2, and rows past 2^61 keep den > 1 off int64
+    edge = [0, 1, 2**31 - 1, 2**31, 2**61, E62 - 1, E62]
+    coords = sorted({s * e for e in edge for s in (1, -1)})
+    wide = [(x, y) for x in coords for y in coords] + [(E62, -E62)] * 3 + [(5, -2)] * 2
+    wide += [(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(50)]
+    centers = [(0, 0), (E62, -E62), (-E62, 0), (E62 - 2**31, 2**31 - 1), (2**61, -(2**61)),
+               (5, -2), (Fraction(1, 2), 0), (Fraction(E62, 3), 1)]
+    scales = [1, 2**31 - 1, 2**31, Fraction(2**32 - 1, 2), 2**62 - 2, 2**62 - 1, 2**62,
+              2**63, 2**64 + 3, 6**40]
+    yield ("rows at +-(2^62 - 1)", wide, centers, scales, P11)
+    # centers num/den with num near +-2^61 and den 2 and 3, and one past 2^62;
+    # rows at differences 2^31 - 1 and 2^31 from them, and next to those
+    nums = [(2**61 + 1, -(2**61) + 3, 2), (2**61, 1, 2), (2**61 - 1, -(2**61) + 2, 3),
+            (-(2**61) + 1, 7, 3), (2**62 + 1, 0, 2)]
+    rows = [(rng.randint(-(2**60), 2**60), rng.randint(-(2**60), 2**60)) for _ in range(40)]
+    steps = [0, 5, 2**31 - 1, 2**31, -(2**31 - 1), -(2**31)]
+    for nx, ny, den in nums[:-1]:
+        xs = {(nx + d) // den + j for d in steps for j in (0, 1)}
+        ys = {(ny + d) // den + j for d in steps[:4] for j in (0, 1)}
+        rows += [(x, y) for x in sorted(xs) for y in sorted(ys)]
+    rows += rows[:10]
+    centers = [(Fraction(nx, den), Fraction(ny, den)) for nx, ny, den in nums]
+    centers += [(0, 0), (2**60, -(2**60)), rows[50]]
+    scales = [1, 2**30 - 1, 2**30, Fraction(2**31, 3) - 1, Fraction(2**31, 3),
+              Fraction(2**31 - 1, 2), 2**31 - 1, 2**31, 2**61, 2**62 + 1, 2**70]
+    yield ("den 2 and 3 centers near 2^61", rows, centers, scales, P11)
+    # concrete points past 2^62 mixed with small ones: object columns
+    big = [(2**62, 0), (-(2**62), 5), (E62, 2**62), (10**30, -(10**30)), (2**62 + 7, -(2**62) - 7)]
+    mixed = big + big[:2] + [(E62, -E62), (0, 0), (0, 0)]
+    mixed += [(rng.randint(-(2**40), 2**40), rng.randint(-(2**40), 2**40)) for _ in range(60)]
+    centers = [(0, 0), (2**62, 0), (E62, -E62), (Fraction(1, 3), -2), (10**30, -(10**30)),
+               mixed[20], (Fraction(2**61 - 1, 2), 0)]
+    yield ("points past 2^62 among small ones", mixed, centers,
+           [1, 2**20, 2**31 - 1, 2**31, 2**41, 2**62, 2**63 + 1, 2**100], P11)
+    # the kicked families: a prefix and both parts of split
+    for t in (0.15, 0.3):
+        spec = build_intermediate_spectrum(t, P48)
+        prefix = spec.prefix(2000)
+        f_part, kicked = spec.split(prefix)
+        centers = [(0, 0), (Fraction(1, 3), Fraction(-7, 2)), (2**61, -(2**61))]
+        centers += [f_part[i] for i in rng.sample(range(len(f_part)), 3)]
+        centers += [kicked[i] for i in rng.sample(range(len(kicked)), 2)]
+        for part, points in (("prefix", prefix), ("F part", f_part), ("kicked part", kicked)):
+            yield (f"t={t} |k|<=2000 {part}", points, centers, geometric_scales(P48, 1, 6), P48)
+
+
+@pytest.mark.parametrize("case", list(_one_rule_cases()), ids=lambda c: c[0])
+def test_one_int64_rule_matches_parent_kernel(case):
+    """Counts equal the parent kernel's, for the densest ball and for every
+    center alone at every scale, and ``stats`` follow the one int64 rule.
+    Pairs move only into ``pairs_int64``, except against a center num/den
+    with den > 1 and rows past 2^62 / den: it counts no row in int64, so the
+    rows below 2^30 that the parent counted in int64 against it are screened
+    or exact."""
+    _, points, centers, scales, p = case
+    _, vecs, _ = resolve_points(points, p)
+    counts, stats = _max_ball_counts(vecs, centers, scales, p)
+    assert counts == _parent_max_ball_counts(vecs, centers, scales, p)[0]
+    assert stats == _one_rule_stats(vecs, centers, scales, p)
+    for c in centers:
+        got, stats = _max_ball_counts(vecs, [c], scales, p)
+        want, old = _parent_max_ball_counts(vecs, [c], scales, p)
+        assert got == want, c
+        moved = {path: stats[path] - old[path] for path in _PATHS}
+        if moved["pairs_int64"] >= 0:
+            assert moved["pairs_screened"] <= 0 and moved["pairs_exact"] <= 0, c
+        else:
+            assert _center_parts(c)[1] > 1 and stats["pairs_int64"] == 0, c
 
 
 def test_beurling_estimate_guards():
